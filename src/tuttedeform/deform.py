@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import mesh2d, prism
+from . import prism
 from .mesh2d import Mesh2D, _readonly
 from .prism import Frame, PrismLayer
 from .tutte import TutteLayerParams, solve_tutte_with_system
@@ -99,6 +99,17 @@ def _as_array(points):
     return np.asarray(points, dtype=np.float64), None
 
 
+def _walk(net: DeformationNet, pts):
+    """Yield ``(layer, tri, bary, out)`` per layer: input cells and outputs.
+
+    A generator, so ``forward`` and ``jacobians`` hold one layer's cells at a time.
+    """
+    out = pts
+    for layer in net.layers:
+        out, tri, bary = prism.forward_step(layer, out)
+        yield layer, tri, bary, out
+
+
 def forward(net: DeformationNet, points):
     """Apply the full composition to a PointSet (or (N, 3) array).
 
@@ -106,9 +117,8 @@ def forward(net: DeformationNet, points):
     untouched.
     """
     pts, weights = _as_array(points)
-    out = pts
-    for layer in net.layers:
-        out = prism.map_points(layer, out)
+    for _, _, _, out in _walk(net, pts):
+        pass
     if isinstance(points, PointSet):
         return PointSet(points=out, weights=weights)
     return out
@@ -125,47 +135,32 @@ def inverse(net: DeformationNet, points):
     return out
 
 
+def _identities(n):
+    return np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
+
+
 def jacobians(net: DeformationNet, points):
     """(N, 3, 3) Jacobians of the composite map along each point's orbit."""
     pts, _ = _as_array(points)
-    J = np.broadcast_to(np.eye(3), (pts.shape[0], 3, 3)).copy()
-    cur = pts
-    for layer in net.layers:
-        M = prism.jacobians(layer, cur)
-        J = M @ J
-        cur = prism.map_points(layer, cur)
+    J = _identities(pts.shape[0])
+    for layer, tri, _, _ in _walk(net, pts):
+        J = prism.cell_jacobians(layer, tri) @ J
     return J
-
-
-def jacobian(net: DeformationNet, p):
-    """Jacobian of the composite at one point: the product of layer
-    Jacobians evaluated along the point's orbit, first layer rightmost."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {p.shape}")
-    return jacobians(net, p.reshape(1, 3))[0]
 
 
 def inverse_jacobians(net: DeformationNet, points):
-    """(N, 3, 3) Jacobians of the inverse map at image-space points."""
+    """(N, 3, 3) Jacobians of the inverse map at image-space points.
+
+    Each layer inverts the Jacobian of the cell its image-side locator found.
+    """
     pts, _ = _as_array(points)
-    J = np.broadcast_to(np.eye(3), (pts.shape[0], 3, 3)).copy()
+    J = _identities(pts.shape[0])
     cur = pts
     for layer in reversed(net.layers):
-        cur = prism.invert_points(layer, cur)
-        M = prism.jacobians(layer, cur)
-        # Inverse of the layer Jacobian at the preimage point; the inverse
-        # chain multiplies out as M_1^-1 ... M_k^-1.
-        J = np.linalg.inv(M) @ J
+        cur, tri = prism.inverse_step(layer, cur)
+        # The inverse chain multiplies out as M_1^-1 ... M_k^-1.
+        J = np.linalg.inv(prism.cell_jacobians(layer, tri)) @ J
     return J
-
-
-def inverse_jacobian(net: DeformationNet, p):
-    """Jacobian of the inverse map at a single image-space point."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {p.shape}")
-    return inverse_jacobians(net, p.reshape(1, 3))[0]
 
 
 @dataclass
@@ -194,22 +189,13 @@ def forward_trace(net: DeformationNet, points, need_jacobian: bool = False) -> O
     tris = np.empty((L, n), dtype=np.int64)
     barys = np.empty((L, n, 3))
     prefixes = np.empty((L, n, 3, 3)) if need_jacobian else None
-    J = np.broadcast_to(np.eye(3), (n, 3, 3)).copy() if need_jacobian else None
+    J = _identities(n) if need_jacobian else None
 
-    cur = pts
-    for l, layer in enumerate(net.layers):
-        local = cur @ layer.frame.rotation
-        tri, bary = mesh2d.locate_points(layer.plmap.mesh, local[:, :2],
-                                         layer_index=l)
+    for l, (layer, tri, bary, out) in enumerate(_walk(net, pts)):
         tris[l] = tri
         barys[l] = bary
-        corners = layer.plmap.vertex_positions[net.mesh.triangles[tri]]
-        xy = np.einsum("nk,nkd->nd", bary, corners)
-        cur = np.column_stack([xy, local[:, 2]]) @ layer.frame.rotation.T
         if need_jacobian:
             prefixes[l] = J
-            R = layer.frame.rotation
-            M = np.einsum("ij,njk,lk->nil", R, prism._lift(layer.plmap.A[tri]), R)
-            J = M @ J
-    return OrbitTrace(points=pts, outputs=cur, tris=tris, barys=barys,
+            J = prism.cell_jacobians(layer, tri) @ J
+    return OrbitTrace(points=pts, outputs=out, tris=tris, barys=barys,
                       jac=J, prefixes=prefixes)

@@ -138,7 +138,7 @@ def _backward_points(net: DeformationNet, trace: OrbitTrace, acc: _Accumulator,
         g = np.column_stack([g_xy, g_loc[:, 2]]) @ R.T
 
         if g_jac is not None:
-            M = np.einsum("ij,njk,lk->nil", R, prism._lift(A), R)
+            M = prism.cell_jacobians(layer, tri)
             P = trace.prefixes[l]
             dM = np.einsum("nji,njk,nlk->nil", S, g_jac, P)
             dA_loc = np.einsum("ji,njk,kl->nil", R, dM, R)[:, :2, :2]

@@ -275,24 +275,19 @@ def realize_plmap(mesh: Mesh2D, vertex_positions) -> PLMap2D:
     )
 
 
+def interpolate(positions, triangles, tri, bary):
+    """Barycentric combination of triangle corners taken from ``positions``.
+
+    Exact on vertices, so shared edges evaluate identically from either side.
+    """
+    return np.einsum("nk,nkd->nd", bary, positions[triangles[tri]])
+
+
 def map_points(plmap: PLMap2D, points, layer_index=None):
     """Apply the PL map to a batch of points; returns (N, 2) images."""
     tri, bary = locate_points(plmap.mesh, points, layer_index=layer_index)
-    tri = np.atleast_1d(tri)
-    bary = np.atleast_2d(bary)
-    corners = plmap.vertex_positions[plmap.mesh.triangles[tri]]
-    return np.einsum("nk,nkd->nd", bary, corners)
-
-
-def apply_plmap(plmap: PLMap2D, q):
-    """Image of a single 2D point under the PL map.
-
-    Evaluation goes through barycentric interpolation of the deformed
-    triangle corners, which agrees with ``A_t q + delta_t`` and is exact on
-    vertices; shared edges therefore evaluate identically from either side.
-    """
-    out = map_points(plmap, np.asarray(q, dtype=np.float64).reshape(1, 2))
-    return out[0]
+    return interpolate(plmap.vertex_positions, plmap.mesh.triangles,
+                       np.atleast_1d(tri), np.atleast_2d(bary))
 
 
 class _ImageLocator:
@@ -397,19 +392,7 @@ def locate_image_points(plmap: PLMap2D, points, layer_index=None):
     return plmap.image_locator().query(points, layer_index=layer_index)
 
 
-def locate_triangle_in_image(plmap: PLMap2D, r) -> int:
-    """Index of the deformed triangle containing the image-space point ``r``.
-
-    Uses a bin grid over deformed triangle bounding boxes, testing candidates
-    in ascending index order: ties on shared edges resolve to the lowest
-    incident index, mirroring :func:`locate_triangle`.
-    """
-    tri, _ = locate_image_points(plmap, np.asarray(r, dtype=np.float64).reshape(1, 2))
-    return int(tri[0])
-
-
 def invert_points(plmap: PLMap2D, points, layer_index=None):
     """Preimages of image-space points under the PL map, batched."""
     tri, bary = locate_image_points(plmap, points, layer_index=layer_index)
-    corners = plmap.mesh.vertices[plmap.mesh.triangles[tri]]
-    return np.einsum("nk,nkd->nd", bary, corners)
+    return interpolate(plmap.mesh.vertices, plmap.mesh.triangles, tri, bary)

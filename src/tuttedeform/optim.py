@@ -15,8 +15,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .deform import DeformationNet, PointSet, forward, realize
-from .energy import HandleConstraint, LossWeights, strain_energy_density
+from .deform import DeformationNet, PointSet, forward, jacobians, realize
+from .energy import (HandleConstraint, LossWeights, fitting_loss,
+                     strain_energy_density, total_loss)
 from .errors import NumericalError
 from .grad import FitTarget, LossConfig, ParamGradient, evaluate_with_gradient
 from .mesh2d import Mesh2D, build_mesh
@@ -159,7 +160,6 @@ def _run(mesh, spec: NetSpec, make_config: Callable[[int], LossConfig],
     net = None
     loss = None
     t0 = time.perf_counter()
-    step = 0
     for step in range(stop.max_steps):
         params = unpack_params(mesh, flat, spec.layers)
         net = realize(mesh, params, frames)
@@ -176,7 +176,7 @@ def _run(mesh, spec: NetSpec, make_config: Callable[[int], LossConfig],
     params = unpack_params(mesh, flat, spec.layers)
     net = realize(mesh, params, frames)
     elapsed = time.perf_counter() - t0
-    return net, params, history, elapsed, step + 1
+    return net, params, history, elapsed, len(history)
 
 
 @dataclass(frozen=True)
@@ -235,12 +235,14 @@ def run_elastic(job: ElasticJob):
         mesh, job.spec, make_config, job.lr,
         StopRule(job.max_steps, job.rel_tol, job.window), job.log_every)
 
-    from .deform import jacobians  # local import to avoid cycle at module load
     energies = strain_energy_density(jacobians(net, elastic_samples.points))
     hist = np.histogram(energies, bins=20)
     injective = all(np.all(l.plmap.det > 0) for l in net.layers)
+    # With zero steps no step loss exists; report the initial net's loss.
+    final_loss = history[-1] if history else total_loss(
+        net, job.constraints, elastic_samples, job.weights).total
     report = RunReport(
-        steps_run=steps, final_loss=history[-1], injective=injective,
+        steps_run=steps, final_loss=final_loss, injective=injective,
         elapsed_seconds=elapsed, handle_rms=_handle_rms(net, job.constraints),
         max_distortion=float(energies.max()) if energies.size else 0.0,
         distortion_histogram=(hist[0].tolist(), hist[1].tolist()),
@@ -287,7 +289,6 @@ def run_fit(job: FitJob):
         mesh, job.spec, make_config, job.lr,
         StopRule(job.max_steps, job.rel_tol, job.window), job.log_every)
 
-    from .energy import fitting_loss
     final = fitting_loss(net, job.source, job.triangles,
                          job.target_vertices, job.gradient_weight)
     injective = all(np.all(l.plmap.det > 0) for l in net.layers)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh2d
-from .errors import NotInImageError, OutOfDomainError
 from .mesh2d import PLMap2D, _readonly
 
 
@@ -79,72 +78,48 @@ class PrismLayer:
     layer_index: int = 0
 
 
+def forward_step(layer: PrismLayer, points):
+    """Images of an (N, 3) batch plus the cell ``(tri, bary)`` of each point."""
+    R = layer.frame.rotation
+    local = np.asarray(points, dtype=np.float64) @ R  # row-wise R^T p
+    tri, bary = mesh2d.locate_points(layer.plmap.mesh, local[:, :2],
+                                     layer_index=layer.layer_index)
+    xy = mesh2d.interpolate(layer.plmap.vertex_positions,
+                            layer.plmap.mesh.triangles, tri, bary)
+    return np.column_stack([xy, local[:, 2]]) @ R.T, tri, bary
+
+
+def inverse_step(layer: PrismLayer, points):
+    """Preimages of an (N, 3) batch in the layer's image, plus each cell ``tri``."""
+    R = layer.frame.rotation
+    local = np.asarray(points, dtype=np.float64) @ R
+    tri, bary = mesh2d.locate_image_points(layer.plmap, local[:, :2],
+                                           layer_index=layer.layer_index)
+    xy = mesh2d.interpolate(layer.plmap.mesh.vertices,
+                            layer.plmap.mesh.triangles, tri, bary)
+    return np.column_stack([xy, local[:, 2]]) @ R.T, tri
+
+
+def cell_jacobians(layer: PrismLayer, tri):
+    """(N, 3, 3) Jacobians ``R lift(A_t) R^T`` of the prism cells ``tri``."""
+    A = layer.plmap.A[tri]
+    lifted = np.zeros((A.shape[0], 3, 3))
+    lifted[:, :2, :2] = A
+    lifted[:, 2, 2] = 1.0
+    R = layer.frame.rotation
+    return np.einsum("ij,njk,lk->nil", R, lifted, R)
+
+
 def map_points(layer: PrismLayer, points):
     """Apply the layer to an (N, 3) batch of world-space points."""
-    P = np.asarray(points, dtype=np.float64)
-    local = P @ layer.frame.rotation  # row-wise R^T p
-    try:
-        xy = mesh2d.map_points(layer.plmap, local[:, :2], layer_index=layer.layer_index)
-    except OutOfDomainError as exc:
-        exc.layer_index = layer.layer_index
-        raise
-    out = np.column_stack([xy, local[:, 2]])
-    return out @ layer.frame.rotation.T
-
-
-def apply_prism(layer: PrismLayer, p):
-    """Image of a single 3D point under the layer."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {p.shape}")
-    return map_points(layer, p.reshape(1, 3))[0]
-
-
-def _lift(mats):
-    """Embed (N, 2, 2) blocks into (N, 3, 3) with a unit z entry."""
-    n = mats.shape[0]
-    out = np.zeros((n, 3, 3))
-    out[:, :2, :2] = mats
-    out[:, 2, 2] = 1.0
-    return out
+    return forward_step(layer, points)[0]
 
 
 def jacobians(layer: PrismLayer, points):
-    """Per-point 3x3 Jacobians ``R lifted(A_t) R^T`` for an (N, 3) batch."""
-    P = np.asarray(points, dtype=np.float64)
-    local = P @ layer.frame.rotation
-    tri, _ = mesh2d.locate_points(layer.plmap.mesh, local[:, :2],
-                                  layer_index=layer.layer_index)
-    tri = np.atleast_1d(tri)
-    R = layer.frame.rotation
-    return np.einsum("ij,njk,lk->nil", R, _lift(layer.plmap.A[tri]), R)
-
-
-def prism_jacobian(layer: PrismLayer, p):
-    """Jacobian of the layer at a single point (constant on its prism cell)."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {p.shape}")
-    return jacobians(layer, p.reshape(1, 3))[0]
+    """Per-point 3x3 Jacobians ``R lift(A_t) R^T`` for an (N, 3) batch."""
+    return cell_jacobians(layer, forward_step(layer, points)[1])
 
 
 def invert_points(layer: PrismLayer, points):
     """Preimages of an (N, 3) batch; points must lie in the layer's image."""
-    P = np.asarray(points, dtype=np.float64)
-    local = P @ layer.frame.rotation
-    try:
-        xy = mesh2d.invert_points(layer.plmap, local[:, :2],
-                                  layer_index=layer.layer_index)
-    except NotInImageError as exc:
-        exc.layer_index = layer.layer_index
-        raise
-    out = np.column_stack([xy, local[:, 2]])
-    return out @ layer.frame.rotation.T
-
-
-def invert_prism(layer: PrismLayer, r):
-    """Preimage of a single 3D point under the layer."""
-    r = np.asarray(r, dtype=np.float64)
-    if r.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {r.shape}")
-    return invert_points(layer, r.reshape(1, 3))[0]
+    return inverse_step(layer, points)[0]

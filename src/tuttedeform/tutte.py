@@ -162,9 +162,7 @@ class TutteSystem:
     """
 
     weights: np.ndarray          # (E,) squashed edge weights
-    boundary: ConvexBoundary
     solver: object               # callable (k, c) -> (k, c) solve
-    matrix: sp.csc_matrix
 
 
 def assemble_laplacian(mesh: Mesh2D, params: TutteLayerParams):
@@ -225,7 +223,7 @@ def _solve_system(mesh: Mesh2D, params: TutteLayerParams):
             out[:, c] = solver(rhs2[:, c])
         return out
 
-    system = TutteSystem(weights=w, boundary=boundary, solver=solve, matrix=K)
+    system = TutteSystem(weights=w, solver=solve)
     return U, system
 
 

@@ -82,6 +82,35 @@ def test_inverse_jacobians_invert_forward_jacobians():
     assert np.abs(prod - np.eye(3)).max() < 1e-8
 
 
+def test_inverse_jacobians_on_grid_aligned_points():
+    # Every coordinate on a gridline: the orbit meets cell boundaries at
+    # several layers, and both Jacobians must pick the same cell there.
+    for seed in range(8):
+        rng = np.random.default_rng(100 + seed)
+        res = (5, 7, 9)[seed % 3]
+        net = random_net(rng, resolution=res, layers=4, scale=1.5)
+        g = net.mesh.grid[1:-1]
+        pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+        J = jacobians(net, pts)
+        Ji = inverse_jacobians(net, forward(net, pts))
+        assert np.abs(Ji @ J - np.eye(3)).max() < 1e-8
+
+
+def test_box_face_points():
+    rng = np.random.default_rng(9)
+    net = random_net(rng, resolution=7, layers=6, scale=1.5)
+    pts = rng.uniform(-1, 1, size=(600, 3))
+    face = rng.integers(0, 3, size=len(pts))
+    pts[np.arange(len(pts)), face] = rng.choice([-1.0, 1.0], size=len(pts))
+    corners = np.stack(np.meshgrid(*[[-1.0, 1.0]] * 3, indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+    pts = np.concatenate([pts, corners])
+    out = forward(net, pts)
+    assert np.abs(out).max() <= 1.0
+    assert np.abs(inverse(net, out) - pts).max() <= 1e-12
+    assert np.all(np.linalg.det(jacobians(net, pts)) > 0)
+
+
 def test_all_layer_determinants_positive():
     rng = np.random.default_rng(5)
     net = random_net(rng, resolution=9, layers=8, scale=2.0)
@@ -95,7 +124,7 @@ def test_forward_trace_consistency():
     pts = rng.uniform(-0.7, 0.7, size=(40, 3))
     trace = forward_trace(net, pts, need_jacobian=True)
     assert np.array_equal(trace.outputs, forward(net, pts))
-    assert np.abs(trace.jac - jacobians(net, pts)).max() < 1e-14
+    assert np.array_equal(trace.jac, jacobians(net, pts))
     assert np.allclose(trace.prefixes[0], np.eye(3))
     assert trace.tris.shape == (3, len(pts))
     assert np.allclose(trace.barys.sum(axis=2), 1.0)

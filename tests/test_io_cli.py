@@ -384,3 +384,16 @@ def test_cli_seed_override_recorded(cli_workdir):
     assert r.returncode == 0, r.stderr
     ck = json.load(open(cli_workdir / "seeded.ckpt.json"))
     assert ck["seed"] == 42
+
+
+def test_cli_elastic_zero_steps(cli_workdir):
+    job = json.load(open(cli_workdir / "job.json"))
+    job["optimizer"]["max_steps"] = 0
+    job["output"] = {"checkpoint": "zero.ckpt.json", "report": "zero.csv"}
+    json.dump(job, open(cli_workdir / "job_zero.json", "w"))
+    r = run_cli("elastic", str(cli_workdir / "job_zero.json"), "--quiet")
+    assert r.returncode == 0, r.stderr
+    rows = dict(row.split(",", 1)
+                for row in (cli_workdir / "zero.csv").read_text().splitlines())
+    assert rows["steps_run"] == "0"
+    assert np.isfinite(float(rows["final_loss"]))

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from tuttedeform.deform import PointSet, forward, realize
 from tuttedeform.energy import HandleConstraint, LossWeights
@@ -105,3 +106,29 @@ def test_early_stop_triggers():
         max_steps=500, rel_tol=0.5, window=3, log_every=1000)
     net, report = run_elastic(job)
     assert report.steps_run < 500
+
+
+def test_run_fit_zero_steps_reports_the_initial_net():
+    rng = np.random.default_rng(4)
+    src = fibonacci_sphere(100)
+    tgt = forward(random_net(rng, resolution=5, layers=2, scale=0.6), src)
+    fit = dict(source=PointSet(src), target_vertices=tgt,
+               spec=NetSpec(layers=2, resolution=5), log_every=1000)
+    _, zero = run_fit(FitJob(max_steps=0, **fit))
+    _, one = run_fit(FitJob(max_steps=1, **fit))
+    assert zero.steps_run == 0 and zero.loss_history == []
+    assert zero.final_loss == pytest.approx(one.loss_history[0], rel=1e-12)
+
+
+def test_run_elastic_zero_steps_reports_the_initial_net():
+    pts = np.random.default_rng(5).uniform(-0.4, 0.4, size=(80, 3))
+    elastic = dict(
+        constraints=[HandleConstraint(points=PointSet(pts[:30]),
+                                      translation=np.array([0.0, 0.0, 0.05]))],
+        free_samples=PointSet(pts[30:], np.ones(50)),
+        spec=NetSpec(layers=2, resolution=5), log_every=1000)
+    _, zero = run_elastic(ElasticJob(max_steps=0, **elastic))
+    _, one = run_elastic(ElasticJob(max_steps=1, **elastic))
+    assert zero.steps_run == 0 and zero.loss_history == []
+    assert zero.final_loss == pytest.approx(one.loss_history[0], rel=1e-9)
+    assert one.steps_run == 1 and one.final_loss == one.loss_history[-1]

@@ -1,0 +1,32 @@
+"""The benchmark's tracer (bench/tracing.py) wraps library names by module
+attribute; a refactor that drops or renames one breaks traced benchmark runs
+with a KeyError, so the contract is checked here as well."""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from tracing import OP, SPANS, Tracer  # noqa: E402
+from tuttedeform import deform, optim  # noqa: E402
+
+from conftest import random_net  # noqa: E402
+
+
+def test_tracer_wraps_and_restores_every_name():
+    targets = [(optim, "unpack_params"), (optim, "adam_step")]
+    targets += [t for owners, _ in SPANS.values() for t in owners]
+    before = [owner.__dict__[attr] for owner, attr in targets]
+    tracer = Tracer(layers=True)
+    with tracer.installed():
+        for (owner, attr), fn in zip(targets, before):
+            assert owner.__dict__[attr] is not fn, f"{owner.__name__}.{attr}"
+        net = random_net(np.random.default_rng(0), resolution=5, layers=2)
+        with tracer.root(OP):
+            deform.forward(net, np.zeros((4, 3)))
+    for (owner, attr), fn in zip(targets, before):
+        assert owner.__dict__[attr] is fn, f"{owner.__name__}.{attr}"
+    names = {span[0] for span in tracer.spans}
+    assert {OP, "deform.forward", "mesh2d.locate_points"} <= names
