@@ -28,11 +28,10 @@ from .tutte import (TutteLayerParams, boundary_rest_angles, build_boundary,
 from .prism import Frame, PrismLayer, frame_from_axis_angle, triplane_frames
 from .deform import (DeformationNet, PointSet, forward, forward_trace, inverse,
                      inverse_jacobians, jacobians, realize)
-from .energy import (FittingLoss, HandleConstraint, LossBreakdown, LossWeights,
-                     distortion_multipliers, elastic_loss, fitting_loss,
-                     handle_loss, layer_regularization, net_regularization,
-                     strain_energy_density, total_loss)
-from .grad import FitTarget, LossConfig, ParamGradient, evaluate_with_gradient, grad_total
+from .energy import (HandleConstraint, LossWeights, distortion_multipliers,
+                     layer_regularization, strain_energy_density)
+from .grad import (FitTarget, LossConfig, LossValues, ParamGradient, evaluate,
+                   evaluate_with_gradient)
 from .optim import (AdamState, ElasticJob, FitJob, LearningRate, NetSpec,
                     RunReport, StopRule, adam_step, init_params, pack_params,
                     run_elastic, run_fit, unpack_params)
@@ -51,12 +50,10 @@ __all__ = [
     "Frame", "PrismLayer", "frame_from_axis_angle", "triplane_frames",
     "DeformationNet", "PointSet", "forward", "forward_trace", "inverse",
     "inverse_jacobians", "jacobians", "realize",
-    "FittingLoss", "HandleConstraint", "LossBreakdown", "LossWeights",
-    "distortion_multipliers", "elastic_loss", "fitting_loss", "handle_loss",
-    "layer_regularization", "net_regularization", "strain_energy_density",
-    "total_loss",
-    "FitTarget", "LossConfig", "ParamGradient", "evaluate_with_gradient",
-    "grad_total",
+    "HandleConstraint", "LossWeights", "distortion_multipliers",
+    "layer_regularization", "strain_energy_density",
+    "FitTarget", "LossConfig", "LossValues", "ParamGradient", "evaluate",
+    "evaluate_with_gradient",
     "AdamState", "ElasticJob", "FitJob", "LearningRate", "NetSpec",
     "RunReport", "StopRule", "adam_step", "init_params", "pack_params",
     "run_elastic", "run_fit", "unpack_params",

@@ -1,20 +1,20 @@
-"""Losses: strain energy, handle terms, layer regularization, fitting.
+"""Pointwise pieces of the losses: strain energy, reweighting, handles.
 
-All integral-type losses are estimated as (weighted) means over their sample
-sets rather than sums, so magnitudes do not scale with sample counts.  The
-per-layer regularization is the one exception that needs no sampling at all:
-a layer's Jacobian is constant per triangle, so its strain integral over the
-square is the exact area-weighted sum.
+The losses themselves, their values and their gradients, are assembled in
+``grad``.  All integral-type losses are estimated as (weighted) means over
+their sample sets rather than sums, so magnitudes do not scale with sample
+counts.  The per-layer regularization is the one exception that needs no
+sampling at all: a layer's Jacobian is constant per triangle, so its strain
+integral over the square is the exact area-weighted sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
 import numpy as np
 
-from .deform import DeformationNet, PointSet, forward, jacobians
+from .deform import PointSet
 from .mesh2d import _readonly
 from .prism import PrismLayer
 
@@ -47,22 +47,6 @@ def distortion_multipliers(energies,
     return m
 
 
-def elastic_loss(net: DeformationNet, samples: PointSet,
-                 thresholds=DISTORTION_THRESHOLDS,
-                 multipliers=DISTORTION_MULTIPLIERS) -> float:
-    """Weighted mean strain energy of the composite map over samples.
-
-    Samples must carry density weights.  The distortion-adaptive multiplier
-    is recomputed from the current energies, upweighting samples that have
-    already drifted from rigidity.
-    """
-    if samples.weights is None:
-        raise ValueError("elastic loss needs density weights on its samples")
-    e = strain_energy_density(jacobians(net, samples.points))
-    m = distortion_multipliers(e, thresholds, multipliers)
-    return float(np.mean(m * samples.weights * e))
-
-
 @dataclass(frozen=True)
 class HandleConstraint:
     """A region of points tied to a rigid motion ``p -> R p + t``."""
@@ -90,17 +74,6 @@ class HandleConstraint:
         return self.points.points @ self.rotation.T + self.translation
 
 
-def handle_loss(net: DeformationNet, constraints: Sequence[HandleConstraint]) -> float:
-    """Sum over constraints of the mean squared distance to each target."""
-    total = 0.0
-    for c in constraints:
-        if len(c.points) == 0:
-            continue
-        d = forward(net, c.points.points) - c.targets()
-        total += float(np.mean(np.sum(d * d, axis=1)))
-    return total
-
-
 def layer_regularization(layer: PrismLayer) -> float:
     """Exact strain integral of one layer's 2D map over the square.
 
@@ -109,11 +82,6 @@ def layer_regularization(layer: PrismLayer) -> float:
     """
     return float(np.sum(layer.plmap.mesh.areas
                         * strain_energy_density(layer.plmap.A)))
-
-
-def net_regularization(net: DeformationNet) -> float:
-    """Mean of the per-layer regularization, so depth does not rescale it."""
-    return float(np.mean([layer_regularization(l) for l in net.layers]))
 
 
 @dataclass(frozen=True)
@@ -141,31 +109,6 @@ class LossWeights:
         return max(value, self.elastic_floor)
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
-    total: float
-    elastic: float = 0.0
-    handle: float = 0.0
-    reg: float = 0.0
-    elastic_weight: float = 0.0
-
-
-def total_loss(net: DeformationNet,
-               constraints: Sequence[HandleConstraint],
-               samples: Optional[PointSet],
-               weights: LossWeights,
-               step: int = 0) -> LossBreakdown:
-    """Scheduled combination of elastic, handle, and regularization terms."""
-    w_el = weights.elastic_at(step)
-    el = (elastic_loss(net, samples, weights.thresholds, weights.multipliers)
-          if samples is not None and len(samples) else 0.0)
-    ha = handle_loss(net, constraints) if constraints else 0.0
-    rg = net_regularization(net)
-    return LossBreakdown(
-        total=w_el * el + weights.handle * ha + weights.reg * rg,
-        elastic=el, handle=ha, reg=rg, elastic_weight=w_el)
-
-
 def triangle_gradient_frames(vertices, triangles):
     """Per-triangle edge matrices and their pseudo-inverses for a 3D mesh.
 
@@ -188,48 +131,3 @@ def triangle_gradient_frames(vertices, triangles):
     Ginv[:, 1, 0] = -G[:, 1, 0] / det
     P = Ginv @ np.swapaxes(E, -1, -2)
     return E, P
-
-
-def deformation_gradients(rest_vertices, triangles, deformed_vertices):
-    """Per-triangle 3x3 deformation gradients, least squares in the
-    triangle plane: ``F = E_deformed @ pinv(E_rest)``."""
-    _, P = triangle_gradient_frames(rest_vertices, triangles)
-    v = np.asarray(deformed_vertices, dtype=np.float64)
-    t = np.asarray(triangles, dtype=np.int64)
-    tv = v[t]
-    Ed = np.stack([tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]], axis=-1)
-    return Ed @ P
-
-
-@dataclass(frozen=True)
-class FittingLoss:
-    vertex: float
-    gradient: float
-    total: float
-
-
-def fitting_loss(net: DeformationNet, source: PointSet, triangles,
-                 target_vertices, gradient_weight: float = 0.1) -> FittingLoss:
-    """Vertex plus deformation-gradient matching against a target mesh.
-
-    ``vertex`` is the mean squared distance between mapped and target
-    vertices; ``gradient`` compares per-triangle deformation gradients of
-    the mapped source against those of the target, both taken with the
-    source mesh's own gradient operator.  ``triangles`` may be None for
-    point clouds, dropping the gradient term.
-    """
-    target = np.asarray(target_vertices, dtype=np.float64)
-    if target.shape != source.points.shape:
-        raise ValueError(
-            f"target vertices must match source shape {source.points.shape}, "
-            f"got {target.shape}")
-    mapped = forward(net, source.points)
-    d = mapped - target
-    vertex = float(np.mean(np.sum(d * d, axis=1)))
-    gradient = 0.0
-    if triangles is not None and len(triangles):
-        F = deformation_gradients(source.points, triangles, mapped)
-        F_target = deformation_gradients(source.points, triangles, target)
-        gradient = float(np.mean(np.sum((F - F_target) ** 2, axis=(1, 2))))
-    return FittingLoss(vertex=vertex, gradient=gradient,
-                       total=vertex + gradient_weight * gradient)

@@ -124,12 +124,19 @@ def _parse_ply(text):
         if not parts:
             continue
         if parts[0] == "format":
+            if len(parts) < 2:
+                raise ValueError(f"PLY line {i}: format needs a name")
             fmt = parts[1]
         elif parts[0] == "element":
+            if len(parts) != 3 or not parts[2].isdigit():
+                raise ValueError(f"PLY line {i}: element needs a name and a count, "
+                                 f"got {lines[i - 1]!r}")
             elements.append((parts[1], int(parts[2]), []))
         elif parts[0] == "property":
             if not elements:
                 raise ValueError("PLY property before any element")
+            if len(parts) < 3:
+                raise ValueError(f"PLY line {i}: property needs a type and a name")
             elements[-1][2].append(parts[1:])
         elif parts[0] == "end_header":
             break
@@ -145,15 +152,20 @@ def _parse_ply(text):
         rows = lines[i:i + count]
         if len(rows) < count:
             raise ValueError(f"PLY element {name}: expected {count} rows")
+        first = i + 1  # line number of the element's first row
         i += count
         if name == "vertex":
             names = [p[-1] for p in props]
             for axis in "xyz":
                 if axis not in names:
                     raise ValueError(f"PLY vertex element lacks property {axis!r}")
-            data = np.array([[float(x) for x in r.split()] for r in rows])
-            if data.shape[1] != len(names):
-                raise ValueError("PLY vertex row width does not match header")
+            split = [r.split() for r in rows]
+            for j, xs in enumerate(split):
+                if len(xs) != len(names):
+                    raise ValueError(f"PLY line {first + j}: vertex row width "
+                                     f"does not match header")
+            data = np.array([[float(x) for x in xs] for xs in split])
+            data = data.reshape(count, len(names))
             verts = data[:, [names.index(a) for a in "xyz"]]
             for wname in ("density", "weight"):
                 if wname in names:
@@ -161,10 +173,10 @@ def _parse_ply(text):
                     break
         elif name == "face":
             tri = []
-            for r in rows:
+            for j, r in enumerate(rows):
                 xs = [int(x) for x in r.split()]
-                if xs[0] != len(xs) - 1 or xs[0] < 3:
-                    raise ValueError("malformed PLY face row")
+                if not xs or xs[0] != len(xs) - 1 or xs[0] < 3:
+                    raise ValueError(f"PLY line {first + j}: malformed face row {r!r}")
                 for k in range(2, xs[0]):
                     tri.append([xs[1], xs[k], xs[k + 1]])
             faces = np.asarray(tri, dtype=np.int64) if tri else None
@@ -177,15 +189,26 @@ def _parse_ply(text):
 
 def _parse_grid(text, threshold):
     d = json.loads(text)
+    if not isinstance(d, dict):
+        raise ValueError("grid file must hold a JSON object")
     for key in ("dims", "origin", "spacing", "values"):
         if key not in d:
             raise ValueError(f"grid file missing key {key!r}")
-    dims = [int(x) for x in d["dims"]]
-    if len(dims) != 3 or min(dims) < 1:
-        raise ValueError(f"grid dims must be three positive ints, got {d['dims']}")
-    origin = np.asarray(d["origin"], dtype=np.float64)
-    spacing = np.asarray(d["spacing"], dtype=np.float64)
-    values = np.asarray(d["values"], dtype=np.float64)
+
+    def numbers(key):
+        try:
+            return np.asarray(d[key], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError(f"grid {key!r} must hold numbers, got {d[key]!r}") from None
+
+    dims = numbers("dims")
+    if (dims.shape != (3,) or not np.all(np.isfinite(dims))
+            or dims.min() < 1 or np.any(dims != np.floor(dims))):
+        raise ValueError(f"grid dims must be three positive ints, got {d['dims']!r}")
+    dims = [int(x) for x in dims]
+    origin = numbers("origin")
+    spacing = numbers("spacing")
+    values = numbers("values")
     if values.size != dims[0] * dims[1] * dims[2]:
         raise ValueError(
             f"grid has {values.size} values but dims imply {dims[0]*dims[1]*dims[2]}")

@@ -31,10 +31,9 @@ import numpy as np
 
 from . import prism
 from .deform import DeformationNet, OrbitTrace, PointSet, forward_trace
-from .energy import (DISTORTION_MULTIPLIERS, DISTORTION_THRESHOLDS,
-                     FittingLoss, HandleConstraint, LossWeights,
-                     distortion_multipliers, layer_regularization,
-                     strain_energy_density, triangle_gradient_frames)
+from .energy import (HandleConstraint, LossWeights, distortion_multipliers,
+                     layer_regularization, strain_energy_density,
+                     triangle_gradient_frames)
 from .errors import NumericalError
 from .mesh2d import Mesh2D
 from .tutte import (BOUNDARY_EPS, EDGE_WEIGHT_EPS, TutteLayerParams,
@@ -64,10 +63,27 @@ class FitTarget:
     triangles: Optional[np.ndarray] = None
     gradient_weight: float = 0.1
 
+    def __post_init__(self):
+        target = np.asarray(self.target_vertices, dtype=np.float64)
+        if target.shape != self.source.points.shape:
+            raise ValueError(
+                f"target vertices must match source shape "
+                f"{self.source.points.shape}, got {target.shape}")
+        object.__setattr__(self, "target_vertices", target)
+
 
 @dataclass(frozen=True)
 class LossConfig:
-    """What to differentiate: any combination of the supported terms."""
+    """What to differentiate: any combination of the supported terms.
+
+    The handle term is the sum over constraints of the mean squared distance
+    to the targets.  The elastic term is on when ``elastic_samples`` is set:
+    it is the weighted mean strain energy over every handle point followed
+    by the elastic samples, where a set without weights weighs each point
+    by 1.  The fit term is the mean squared vertex error plus
+    ``gradient_weight`` times the mean squared deformation-gradient error.
+    The regularizer is the mean of the per-layer regularization.
+    """
 
     weights: LossWeights = field(default_factory=LossWeights)
     step: int = 0
@@ -107,14 +123,14 @@ def _scatter_rows(out, idx, vals):
 
 
 def _backward_points(net: DeformationNet, trace: OrbitTrace, acc: _Accumulator,
-                     g_out=None, g_jac=None):
+                     g_out, g_jac):
     """Pull point/Jacobian cotangents back through the layers.
 
-    ``g_out`` is dL/d(final points), ``g_jac`` dL/d(composite Jacobian);
-    either may be None.  Accumulates into ``acc`` in place.
+    ``g_out`` is dL/d(final points), ``g_jac`` dL/d(composite Jacobian) or
+    None.  Accumulates into ``acc`` in place.
     """
     n = trace.points.shape[0]
-    g = np.zeros((n, 3)) if g_out is None else g_out.copy()
+    g = g_out.copy()
     S = None
     if g_jac is not None:
         S = np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
@@ -236,54 +252,64 @@ def _finalize_layer(net, l, dU_total):
     return d_raw_edges, d_raw_boundary
 
 
-def evaluate_with_gradient(net: DeformationNet, config: LossConfig):
-    """Loss values and the exact gradient of their weighted total."""
-    acc = _Accumulator(net)
+def _trace_terms(net: DeformationNet, config: LossConfig):
+    """Every loss value under ``config`` from one orbit trace.
+
+    The batch holds the handle points, then the elastic samples, then the
+    fit source; Jacobian prefixes are traced only when the elastic term is
+    on.  Returns ``(values, trace, g_out, g_jac)``: the cotangents of the
+    total with respect to the batch's images and Jacobians.  ``trace`` and
+    ``g_out`` are None when no term has points, ``g_jac`` when the elastic
+    term is off.
+    """
     w = config.weights
     w_el = w.elastic_at(config.step)
+    fit = config.fit
+    handles = [c for c in config.constraints if len(c.points)]
+    handle_sets = [c.points for c in handles]
+    elastic_sets = ([] if config.elastic_samples is None
+                    else handle_sets + [config.elastic_samples])
+    sets = (elastic_sets or handle_sets) + ([fit.source] if fit else [])
+    n_el = sum(len(s) for s in elastic_sets)
     values = dict(elastic=0.0, handle=0.0, reg=0.0,
                   fit_vertex=0.0, fit_gradient=0.0, max_distortion=0.0)
+    trace = g_out = g_jac = None
 
-    if config.constraints:
-        all_pts = np.concatenate([c.points.points for c in config.constraints
-                                  if len(c.points)])
-        trace = forward_trace(net, all_pts)
-        g_out = np.empty_like(all_pts)
-        ofs = 0
-        for c in config.constraints:
-            n = len(c.points)
-            if n == 0:
-                continue
-            d = trace.outputs[ofs:ofs + n] - c.targets()
-            values["handle"] += float(np.mean(np.sum(d * d, axis=1)))
-            g_out[ofs:ofs + n] = (w.handle * 2.0 / n) * d
-            ofs += n
-        _backward_points(net, trace, acc, g_out=g_out)
+    batch = np.concatenate([s.points for s in sets]) if sets else np.zeros((0, 3))
+    if len(batch):
+        trace = forward_trace(net, batch, need_jacobian=n_el > 0)
+        g_out = np.zeros_like(batch)
 
-    if config.elastic_samples is not None and len(config.elastic_samples):
-        samples = config.elastic_samples
-        if samples.weights is None:
-            raise ValueError("elastic loss needs density weights on its samples")
-        trace = forward_trace(net, samples.points, need_jacobian=True)
-        J = trace.jac
+    ofs = 0
+    for c in handles:
+        n = len(c.points)
+        d = trace.outputs[ofs:ofs + n] - c.targets()
+        values["handle"] += float(np.mean(np.sum(d * d, axis=1)))
+        g_out[ofs:ofs + n] = (w.handle * 2.0 / n) * d
+        ofs += n
+
+    if n_el:
+        weights = np.concatenate([s.weights if s.weights is not None
+                                  else np.ones(len(s)) for s in elastic_sets])
+        J = trace.jac[:n_el]
         e = strain_energy_density(J)
         m = distortion_multipliers(e, w.thresholds, w.multipliers)
-        values["elastic"] = float(np.mean(m * samples.weights * e))
-        values["max_distortion"] = float(e.max()) if e.size else 0.0
-        coef = (w_el * m * samples.weights / e.size)
+        values["elastic"] = float(np.mean(m * weights * e))
+        values["max_distortion"] = float(e.max())
+        coef = (w_el * m * weights / e.size)
         JtJ = np.swapaxes(J, -1, -2) @ J - np.eye(3)
-        g_jac = 4.0 * coef[:, None, None] * (J @ JtJ)
-        _backward_points(net, trace, acc, g_jac=g_jac)
+        g_jac = np.zeros(trace.jac.shape)
+        g_jac[:n_el] = 4.0 * coef[:, None, None] * (J @ JtJ)
 
-    if config.fit is not None:
-        fit = config.fit
-        target = np.asarray(fit.target_vertices, dtype=np.float64)
-        trace = forward_trace(net, fit.source.points)
-        mapped = trace.outputs
+    if fit is not None:
+        f0 = len(batch) - len(fit.source)
+        target = fit.target_vertices
+        mapped = trace.outputs[f0:]
         n = mapped.shape[0]
         d = mapped - target
         values["fit_vertex"] = float(np.mean(np.sum(d * d, axis=1)))
-        g_out = (2.0 / n) * d
+        g_fit = g_out[f0:]
+        g_fit[:] = (2.0 / n) * d
         if fit.triangles is not None and len(fit.triangles):
             tris = np.asarray(fit.triangles, dtype=np.int64)
             _, P = triangle_gradient_frames(fit.source.points, tris)
@@ -298,18 +324,47 @@ def evaluate_with_gradient(net: DeformationNet, config: LossConfig):
                 diff @ np.swapaxes(P, -1, -2))  # (T, 3, 2)
             for k, col in ((1, 0), (2, 1)):
                 for c in range(3):
-                    g_out[:, c] += np.bincount(
+                    g_fit[:, c] += np.bincount(
                         tris[:, k], weights=dEd[:, c, col], minlength=n)
             for c in range(3):
-                g_out[:, c] -= np.bincount(
+                g_fit[:, c] -= np.bincount(
                     tris[:, 0], weights=dEd[:, c, 0] + dEd[:, c, 1], minlength=n)
-        _backward_points(net, trace, acc, g_out=g_out)
 
     if config.use_regularization:
+        for layer in net.layers:
+            values["reg"] += layer_regularization(layer) / net.num_layers
+
+    total = (w_el * values["elastic"] + w.handle * values["handle"]
+             + w.reg * values["reg"]
+             + values["fit_vertex"]
+             + (fit.gradient_weight if fit else 0.0) * values["fit_gradient"])
+    return (LossValues(total=total, elastic_weight=w_el, **values),
+            trace, g_out, g_jac)
+
+
+def evaluate(net: DeformationNet, config: LossConfig) -> LossValues:
+    """Loss values under ``config``, without a gradient."""
+    return _trace_terms(net, config)[0]
+
+
+def evaluate_with_gradient(net: DeformationNet, config: LossConfig):
+    """Loss values and the exact gradient of their weighted total.
+
+    Returns ``(LossValues, ParamGradient)``.  The gradient is exact for the
+    piecewise definition of the losses: triangle memberships and distortion
+    multipliers are treated as locally constant, which matches the losses
+    almost everywhere.
+    """
+    loss, trace, g_out, g_jac = _trace_terms(net, config)
+    acc = _Accumulator(net)
+    if trace is not None:
+        _backward_points(net, trace, acc, g_out, g_jac)
+
+    if config.use_regularization:
+        w = config.weights
         L = net.num_layers
         for l, layer in enumerate(net.layers):
             A = layer.plmap.A
-            values["reg"] += layer_regularization(layer) / L
             G = A @ (np.swapaxes(A, -1, -2) @ A - np.eye(2))
             acc.dA[l] += (4.0 * w.reg / L) * net.mesh.areas[:, None, None] * G
 
@@ -319,24 +374,6 @@ def evaluate_with_gradient(net: DeformationNet, config: LossConfig):
         de, db = _finalize_layer(net, l, dU_total)
         edge_grads.append(de)
         boundary_grads.append(db)
-
-    total = (w_el * values["elastic"] + w.handle * values["handle"]
-             + w.reg * values["reg"]
-             + values["fit_vertex"]
-             + (config.fit.gradient_weight if config.fit else 0.0) * values["fit_gradient"])
-    loss = LossValues(total=total, elastic_weight=w_el, **values)
     grad = ParamGradient(edge_weights=tuple(edge_grads),
                          boundary_increments=tuple(boundary_grads))
     return loss, grad
-
-
-def grad_total(net: DeformationNet, config: LossConfig):
-    """Total loss under ``config`` and its exact gradient.
-
-    Returns ``(loss_value, ParamGradient)``.  The gradient is exact for the
-    piecewise definition of the losses: triangle memberships and distortion
-    multipliers are treated as locally constant, which matches the losses
-    almost everywhere.
-    """
-    loss, grad = evaluate_with_gradient(net, config)
-    return loss.total, grad

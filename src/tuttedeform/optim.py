@@ -15,11 +15,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .deform import DeformationNet, PointSet, forward, jacobians, realize
-from .energy import (HandleConstraint, LossWeights, fitting_loss,
-                     strain_energy_density, total_loss)
+from .deform import PointSet, forward_trace, realize
+from .energy import HandleConstraint, LossWeights, strain_energy_density
 from .errors import NumericalError
-from .grad import FitTarget, LossConfig, ParamGradient, evaluate_with_gradient
+from .grad import FitTarget, LossConfig, evaluate, evaluate_with_gradient
 from .mesh2d import Mesh2D, build_mesh
 from .prism import Frame, triplane_frames
 from .tutte import TutteLayerParams
@@ -194,56 +193,43 @@ class ElasticJob:
     log_every: int = 50
 
 
-def _handle_rms(net, constraints):
-    sq, count = 0.0, 0
-    for c in constraints:
-        if len(c.points) == 0:
-            continue
-        d = forward(net, c.points.points) - c.targets()
-        sq += float(np.sum(d * d))
-        count += len(c.points)
-    return float(np.sqrt(sq / count)) if count else 0.0
-
-
 def run_elastic(job: ElasticJob):
     """Optimize handle + elastic + regularization; returns (net, report).
 
-    The elastic term integrates over the union of handle and free samples,
-    with the distortion-adaptive reweighting recomputed every step.  The
-    injectivity certificate holds at every step by construction; the report
-    re-verifies it on the final net.
+    The elastic term integrates over the handle points and the free
+    samples, with the distortion-adaptive reweighting recomputed every step.
+    The injectivity certificate holds at every step by construction; the
+    report re-verifies it on the final net.
     """
     mesh = build_mesh(job.spec.resolution)
-    sample_arrays = [c.points.points for c in job.constraints if len(c.points)]
-    sample_weights = [c.points.weights if c.points.weights is not None
-                      else np.ones(len(c.points))
-                      for c in job.constraints if len(c.points)]
-    if len(job.free_samples):
-        sample_arrays.append(job.free_samples.points)
-        sample_weights.append(job.free_samples.weights
-                              if job.free_samples.weights is not None
-                              else np.ones(len(job.free_samples)))
-    elastic_samples = PointSet(points=np.concatenate(sample_arrays),
-                               weights=np.concatenate(sample_weights))
 
     def make_config(step):
         return LossConfig(weights=job.weights, step=step,
                           constraints=job.constraints,
-                          elastic_samples=elastic_samples)
+                          elastic_samples=job.free_samples)
 
     net, params, history, elapsed, steps = _run(
         mesh, job.spec, make_config, job.lr,
         StopRule(job.max_steps, job.rel_tol, job.window), job.log_every)
 
-    energies = strain_energy_density(jacobians(net, elastic_samples.points))
+    # One trace of the final net over the elastic term's points, handle
+    # points first, gives the handle residuals and the strain energies.
+    pts = np.concatenate([c.points.points for c in job.constraints]
+                         + [job.free_samples.points])
+    trace = forward_trace(net, pts, need_jacobian=True)
+    energies = strain_energy_density(trace.jac)
     hist = np.histogram(energies, bins=20)
+    n = len(pts) - len(job.free_samples)
+    handle_rms = 0.0
+    if n:
+        d = trace.outputs[:n] - np.concatenate([c.targets() for c in job.constraints])
+        handle_rms = float(np.sqrt(np.mean(np.sum(d * d, axis=1))))
     injective = all(np.all(l.plmap.det > 0) for l in net.layers)
     # With zero steps no step loss exists; report the initial net's loss.
-    final_loss = history[-1] if history else total_loss(
-        net, job.constraints, elastic_samples, job.weights).total
+    final_loss = history[-1] if history else evaluate(net, make_config(0)).total
     report = RunReport(
         steps_run=steps, final_loss=final_loss, injective=injective,
-        elapsed_seconds=elapsed, handle_rms=_handle_rms(net, job.constraints),
+        elapsed_seconds=elapsed, handle_rms=handle_rms,
         max_distortion=float(energies.max()) if energies.size else 0.0,
         distortion_histogram=(hist[0].tolist(), hist[1].tolist()),
         loss_history=history)
@@ -276,8 +262,7 @@ def run_fit(job: FitJob):
     units); multiply by 1e3 when comparing against tabulated values.
     """
     mesh = build_mesh(job.spec.resolution)
-    fit = FitTarget(source=job.source,
-                    target_vertices=np.asarray(job.target_vertices, dtype=np.float64),
+    fit = FitTarget(source=job.source, target_vertices=job.target_vertices,
                     triangles=job.triangles,
                     gradient_weight=job.gradient_weight)
 
@@ -289,13 +274,12 @@ def run_fit(job: FitJob):
         mesh, job.spec, make_config, job.lr,
         StopRule(job.max_steps, job.rel_tol, job.window), job.log_every)
 
-    final = fitting_loss(net, job.source, job.triangles,
-                         job.target_vertices, job.gradient_weight)
+    final = evaluate(net, make_config(steps))
     injective = all(np.all(l.plmap.det > 0) for l in net.layers)
     report = RunReport(
         steps_run=steps, final_loss=final.total, injective=injective,
-        elapsed_seconds=elapsed, fit_vertex=final.vertex,
-        fit_gradient=final.gradient, loss_history=history)
+        elapsed_seconds=elapsed, fit_vertex=final.fit_vertex,
+        fit_gradient=final.fit_gradient, loss_history=history)
     log.info("fit done steps=%d vertex=%.6g gradient=%.6g injective=%s seconds=%.1f",
-             steps, final.vertex, final.gradient, injective, elapsed)
+             steps, final.fit_vertex, final.fit_gradient, injective, elapsed)
     return net, report

@@ -26,7 +26,7 @@ from scipy.spatial import cKDTree
 
 from tuttedeform.deform import PointSet, forward, forward_trace, inverse, jacobians, realize
 from tuttedeform.energy import HandleConstraint, LossWeights, layer_regularization
-from tuttedeform.grad import FitTarget, LossConfig, grad_total
+from tuttedeform.grad import FitTarget, LossConfig, evaluate_with_gradient
 from tuttedeform.mesh2d import build_mesh, locate_points
 from tuttedeform.optim import (ElasticJob, FitJob, LearningRate, NetSpec,
                                pack_params, run_elastic, run_fit, unpack_params)
@@ -126,7 +126,7 @@ def _fd_param_check(mesh, params, frames, config, probe_points, rng,
     def orbit(vec):
         return forward_trace(rebuild(vec), probe_points).tris
 
-    _, grad = grad_total(rebuild(flat), config)
+    grad = evaluate_with_gradient(rebuild(flat), config)[1]
     g = grad.flat()
     worst = 0.0
     checked = 0
@@ -137,8 +137,8 @@ def _fd_param_check(mesh, params, frames, config, probe_points, rng,
         em = flat.copy(); em[idx] -= h
         if not np.array_equal(orbit(ep), orbit(em)):
             continue
-        fp, _ = grad_total(rebuild(ep), config)
-        fm, _ = grad_total(rebuild(em), config)
+        fp = evaluate_with_gradient(rebuild(ep), config)[0].total
+        fm = evaluate_with_gradient(rebuild(em), config)[0].total
         fd = (fp - fm) / (2 * h)
         rel = abs(fd - g[idx]) / max(abs(fd), abs(g[idx]), 1e-7)
         worst = max(worst, rel)

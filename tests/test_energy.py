@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from tuttedeform.deform import PointSet, forward, realize
+from tuttedeform.deform import PointSet, jacobians, realize
 from tuttedeform.energy import (HandleConstraint, LossWeights,
-                                deformation_gradients, distortion_multipliers,
-                                elastic_loss, fitting_loss, handle_loss,
-                                layer_regularization, net_regularization,
-                                strain_energy_density, total_loss)
+                                distortion_multipliers, layer_regularization,
+                                strain_energy_density, triangle_gradient_frames)
+from tuttedeform.grad import FitTarget, LossConfig, evaluate
 from tuttedeform.mesh2d import build_mesh, locate_points
 from tuttedeform.prism import triplane_frames
 from tuttedeform.tutte import identity_params
@@ -47,12 +46,16 @@ def test_elastic_loss_matches_manual_computation():
     net = random_net(rng, resolution=7, layers=3)
     pts = rng.uniform(-0.5, 0.5, size=(64, 3))
     w = rng.uniform(0.5, 2.0, size=64)
-    from tuttedeform.deform import jacobians
     e = strain_energy_density(jacobians(net, pts))
     manual = np.mean(distortion_multipliers(e) * w * e)
-    assert np.isclose(elastic_loss(net, PointSet(pts, w)), manual)
-    with pytest.raises(ValueError):
-        elastic_loss(net, PointSet(pts))  # weights are required
+
+    def elastic(samples):
+        config = LossConfig(elastic_samples=samples, use_regularization=False)
+        return evaluate(net, config).elastic
+
+    assert np.isclose(elastic(PointSet(pts, w)), manual)
+    # samples without weights weigh 1 each
+    assert np.isclose(elastic(PointSet(pts)), np.mean(distortion_multipliers(e) * e))
 
 
 def test_handle_loss_identity_net():
@@ -62,13 +65,18 @@ def test_handle_loss_identity_net():
     R = Rotation.from_rotvec([0, 0, 0.3]).as_matrix()
     t = np.array([0.05, 0.0, -0.02])
     c = HandleConstraint(points=PointSet(pts), rotation=R, translation=t)
+
+    def handle(constraint):
+        config = LossConfig(constraints=[constraint], use_regularization=False)
+        return evaluate(net, config).handle
+
     # identity net leaves points in place, so the loss is the mean squared
     # distance to the rigidly moved targets
     expected = np.mean(np.sum((pts - (pts @ R.T + t)) ** 2, axis=1))
-    assert np.isclose(handle_loss(net, [c]), expected, atol=1e-10)
+    assert np.isclose(handle(c), expected, atol=1e-10)
     static = HandleConstraint(points=PointSet(pts))
     assert static.is_static
-    assert handle_loss(net, [static]) < 1e-16
+    assert handle(static) < 1e-16
 
 
 def test_layer_regularization_against_monte_carlo():
@@ -91,7 +99,7 @@ def test_net_regularization_is_layer_mean():
     rng = np.random.default_rng(5)
     net = random_net(rng, resolution=5, layers=4)
     per_layer = [layer_regularization(l) for l in net.layers]
-    assert np.isclose(net_regularization(net), np.mean(per_layer))
+    assert np.isclose(evaluate(net, LossConfig()).reg, np.mean(per_layer))
 
 
 def test_elastic_weight_schedule():
@@ -111,7 +119,8 @@ def test_total_loss_combination():
     c = HandleConstraint(points=PointSet(pts))
     samples = PointSet(pts, np.ones(16))
     w = LossWeights()
-    br = total_loss(net, [c], samples, w, step=700)
+    br = evaluate(net, LossConfig(weights=w, step=700, constraints=[c],
+                                  elastic_samples=samples))
     assert br.elastic_weight == w.elastic_at(700)
     assert np.isclose(br.total, br.elastic_weight * br.elastic
                       + w.handle * br.handle + w.reg * br.reg)
@@ -123,13 +132,26 @@ def test_deformation_gradients_affine_oracle():
     tris = np.array([[i, i + 1, i + 2] for i in range(0, 27, 3)])
     M = Rotation.from_rotvec([0.2, -0.1, 0.4]).as_matrix() @ np.diag([1.2, 0.9, 1.1])
     deformed = rest @ M.T + np.array([0.1, 0.2, -0.3])
-    F = deformation_gradients(rest, tris, deformed)
+    _, P = triangle_gradient_frames(rest, tris)
+    tv = deformed[tris]
+    F = np.stack([tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]], axis=-1) @ P
     # F acts like M on vectors inside each triangle's plane
     e1 = rest[tris[:, 1]] - rest[tris[:, 0]]
     e2 = rest[tris[:, 2]] - rest[tris[:, 0]]
     for E in (e1, e2):
         lhs = np.einsum("nij,nj->ni", F, E)
         assert np.abs(lhs - E @ M.T).max() < 1e-9
+    # The fit term on an identity net: the mapped gradient is the projector
+    # onto each triangle's plane, the target's is M times that projector.
+    mesh = build_mesh(5)
+    net = realize(mesh, [identity_params(mesh)] * 2, triplane_frames(2))
+    fit = FitTarget(source=PointSet(rest), target_vertices=deformed, triangles=tris)
+    n = np.cross(e1, e2)
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    proj = np.eye(3) - n[:, :, None] * n[:, None, :]
+    expected = np.mean(np.sum(((np.eye(3) - M) @ proj) ** 2, axis=(1, 2)))
+    got = evaluate(net, LossConfig(fit=fit, use_regularization=False)).fit_gradient
+    assert abs(got - expected) < 1e-9
 
 
 def test_fitting_loss_zero_on_exact_identity():
@@ -138,10 +160,11 @@ def test_fitting_loss_zero_on_exact_identity():
     rng = np.random.default_rng(8)
     src = rng.uniform(-0.5, 0.5, size=(60, 3))
     tris = np.array([[i, i + 1, i + 2] for i in range(0, 57, 3)])
-    fl = fitting_loss(net, PointSet(src), tris, src)
-    assert fl.vertex < 1e-16
-    assert fl.gradient < 1e-12
-    assert np.isclose(fl.total, fl.vertex + 0.1 * fl.gradient)
+    fit = FitTarget(source=PointSet(src), target_vertices=src, triangles=tris)
+    fl = evaluate(net, LossConfig(fit=fit, use_regularization=False))
+    assert fl.fit_vertex < 1e-16
+    assert fl.fit_gradient < 1e-12
+    assert np.isclose(fl.total, fl.fit_vertex + 0.1 * fl.fit_gradient)
 
 
 def test_fitting_loss_shape_mismatch():
@@ -149,4 +172,5 @@ def test_fitting_loss_shape_mismatch():
     net = random_net(rng, resolution=5, layers=1)
     src = rng.uniform(-0.3, 0.3, size=(10, 3))
     with pytest.raises(ValueError):
-        fitting_loss(net, PointSet(src), None, src[:5])
+        evaluate(net, LossConfig(fit=FitTarget(source=PointSet(src),
+                                               target_vertices=src[:5])))

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from tuttedeform.deform import PointSet, forward_trace, realize
-from tuttedeform.energy import HandleConstraint, LossWeights
-from tuttedeform.grad import FitTarget, LossConfig, grad_total
+import tuttedeform
+from tuttedeform import grad as grad_module
+from tuttedeform.deform import PointSet, forward, forward_trace, jacobians, realize
+from tuttedeform.energy import (HandleConstraint, LossWeights,
+                                layer_regularization, strain_energy_density)
+from tuttedeform.grad import FitTarget, LossConfig, evaluate, evaluate_with_gradient
 from tuttedeform.mesh2d import build_mesh
 from tuttedeform.optim import pack_params, unpack_params
 from tuttedeform.prism import triplane_frames
@@ -39,7 +42,8 @@ def fd_gradient_check(mesh, params, frames, config, probe_points,
     def orbit(vec):
         return forward_trace(rebuild(vec), probe_points).tris
 
-    value, grad = grad_total(rebuild(flat), config)
+    loss, grad = evaluate_with_gradient(rebuild(flat), config)
+    value = loss.total
     gflat = grad.flat()
     assert gflat.shape == flat.shape
 
@@ -54,8 +58,8 @@ def fd_gradient_check(mesh, params, frames, config, probe_points,
         em = flat.copy(); em[idx] -= h
         if not (np.array_equal(orbit(ep), orbit(em))):
             continue  # membership flip: resample another parameter
-        fp, _ = grad_total(rebuild(ep), config)
-        fm, _ = grad_total(rebuild(em), config)
+        fp = evaluate_with_gradient(rebuild(ep), config)[0].total
+        fm = evaluate_with_gradient(rebuild(em), config)[0].total
         fd = (fp - fm) / (2 * h)
         scale = max(abs(fd), abs(gflat[idx]), 1e-7)
         assert abs(fd - gflat[idx]) <= rtol * scale, (
@@ -127,21 +131,61 @@ def test_combined_gradient_matches_fd():
 def test_gradient_zero_losses():
     _, mesh, params, frames = build_setup(seed=7)
     net = realize(mesh, params, frames)
-    value, grad = grad_total(net, LossConfig(use_regularization=False))
-    assert value == 0.0
+    loss, grad = evaluate_with_gradient(net, LossConfig(use_regularization=False))
+    assert loss.total == 0.0
     assert np.all(grad.flat() == 0.0)
 
 
 def test_gradient_values_match_total_loss():
     rng, mesh, params, frames = build_setup(seed=8)
-    from tuttedeform.energy import total_loss
     net = realize(mesh, params, frames)
     pts = rng.uniform(-0.3, 0.3, size=(18, 3))
+    free = rng.uniform(-0.3, 0.3, size=(18, 3))
     c = HandleConstraint(points=PointSet(pts))
-    samples = PointSet(pts, np.ones(18))
+    samples = PointSet(free, np.ones(18))
     w = LossWeights()
     config = LossConfig(weights=w, step=650, constraints=[c],
                         elastic_samples=samples, use_regularization=True)
-    value, _ = grad_total(net, config)
-    reference = total_loss(net, [c], samples, w, step=650)
-    assert np.isclose(value, reference.total, rtol=1e-12)
+    value = evaluate_with_gradient(net, config)[0].total
+    # Oracle: the elastic term covers the handle points, then the samples;
+    # every weight is 1, and the multiplier is 2 above 0.02 and 5 above 0.05.
+    d = forward(net, pts) - pts
+    handle = np.mean(np.sum(d * d, axis=1))
+    e = strain_energy_density(jacobians(net, np.concatenate([pts, free])))
+    elastic = np.mean(np.where(e > 0.05, 5.0, np.where(e > 0.02, 2.0, 1.0)) * e)
+    reg = np.mean([layer_regularization(l) for l in net.layers])
+    reference = w.elastic_at(650) * elastic + w.handle * handle + w.reg * reg
+    assert np.isclose(value, reference, rtol=1e-12)
+
+
+def test_one_trace_and_one_sweep_per_evaluation(monkeypatch):
+    rng, mesh, params, frames = build_setup(seed=9)
+    net = realize(mesh, params, frames)
+    calls = {"forward_trace": 0, "_backward_points": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(grad_module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(grad_module, name, counted)
+    c = HandleConstraint(points=PointSet(rng.uniform(-0.3, 0.3, size=(10, 3))),
+                         translation=np.array([0, 0.03, 0]))
+    config = LossConfig(constraints=[c], use_regularization=True,
+                        elastic_samples=PointSet(rng.uniform(-0.5, 0.5, size=(12, 3))))
+    loss, _ = evaluate_with_gradient(net, config)
+    assert calls == {"forward_trace": 1, "_backward_points": 1}
+    assert evaluate(net, config) == loss
+    assert calls == {"forward_trace": 2, "_backward_points": 1}
+
+
+def test_package_exports_resolve():
+    namespace = {}
+    exec("from tuttedeform import *", namespace)
+    assert set(tuttedeform.__all__) <= set(namespace)
+    # The loss API is the pointwise math in energy plus the one evaluator.
+    loss_api = {name for name in tuttedeform.__all__
+                if getattr(getattr(tuttedeform, name), "__module__", None)
+                in ("tuttedeform.energy", "tuttedeform.grad")}
+    assert loss_api == {"HandleConstraint", "LossWeights", "distortion_multipliers",
+                        "layer_regularization", "strain_energy_density",
+                        "FitTarget", "LossConfig", "LossValues", "ParamGradient",
+                        "evaluate", "evaluate_with_gradient"}

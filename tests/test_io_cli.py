@@ -14,6 +14,19 @@ from tuttedeform.jobfile import ConfigError, load_jobfile
 from conftest import random_net
 
 
+# Malformed geometry files that must be rejected with a ValueError.
+MALFORMED = {
+    "no_count.ply": "ply\nformat ascii 1.0\nelement vertex\n"
+                    "property float x\nend_header\n",
+    "empty_face.ply": "ply\nformat ascii 1.0\nelement vertex 3\n"
+                      "property float x\nproperty float y\nproperty float z\n"
+                      "element face 1\nproperty list uchar int vertex_indices\n"
+                      "end_header\n0 0 0\n1 0 0\n0 1 0\n\n",
+    "scalar_dims.json": json.dumps({"dims": 5, "origin": [0, 0, 0],
+                                    "spacing": [1, 1, 1], "values": [1, 2, 3, 4, 5]}),
+}
+
+
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "tuttedeform.cli", *args],
                           capture_output=True, text=True)
@@ -62,6 +75,11 @@ def test_ply_rejects_binary(tmp_path):
                  "element vertex 0\nend_header\n")
     with pytest.raises(ValueError):
         load_geometry(p)
+    for name in ("no_count.ply", "empty_face.ply"):
+        p = tmp_path / name
+        p.write_text(MALFORMED[name])
+        with pytest.raises(ValueError, match="PLY line"):
+            load_geometry(p)
 
 
 def test_grid_layout_and_threshold(tmp_path):
@@ -76,6 +94,9 @@ def test_grid_layout_and_threshold(tmp_path):
     json.dump({"dims": [2, 1, 2], "origin": [0, 0, 0], "spacing": [1, 1, 1],
                "values": [0.0]}, open(p, "w"))
     with pytest.raises(ValueError):
+        load_geometry(p)
+    p.write_text(MALFORMED["scalar_dims.json"])
+    with pytest.raises(ValueError, match="dims"):
         load_geometry(p)
 
 
@@ -397,3 +418,15 @@ def test_cli_elastic_zero_steps(cli_workdir):
                 for row in (cli_workdir / "zero.csv").read_text().splitlines())
     assert rows["steps_run"] == "0"
     assert np.isfinite(float(rows["final_loss"]))
+
+
+def test_cli_malformed_geometry_is_config_error(cli_workdir):
+    for name, text in MALFORMED.items():
+        (cli_workdir / name).write_text(text)
+        json.dump({"workflow": "report",
+                   "input": {"checkpoint": "bar.ckpt.json", "geometry": name},
+                   "output": {"report": "malformed.csv"}},
+                  open(cli_workdir / "report_bad.json", "w"))
+        r = run_cli("report", str(cli_workdir / "report_bad.json"))
+        assert r.returncode == 2, (name, r.stderr)
+        assert "Traceback" not in r.stderr, name

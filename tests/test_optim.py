@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tuttedeform import optim
 from tuttedeform.deform import PointSet, forward, realize
 from tuttedeform.energy import HandleConstraint, LossWeights
 from tuttedeform.mesh2d import build_mesh
@@ -79,20 +80,23 @@ def test_run_elastic_static_handle_stays_and_reports():
     rng = np.random.default_rng(1)
     pts = rng.uniform(-0.4, 0.4, size=(200, 3))
     held = pts[:60]
-    job = ElasticJob(
-        constraints=[HandleConstraint(points=PointSet(held))],
-        free_samples=PointSet(pts[60:], np.ones(140)),
-        spec=NetSpec(layers=2, resolution=7),
-        weights=LossWeights(),
-        lr=LearningRate(0.01, 0.001, 40),
-        max_steps=40, log_every=1000)
-    net, report = run_elastic(job)
-    assert report.injective
-    assert report.handle_rms is not None and report.handle_rms < 0.05
-    assert report.max_distortion is not None
-    counts, edges = report.distortion_histogram
-    assert len(counts) == len(edges) - 1
-    assert report.elapsed_seconds > 0
+    # The second free set is empty: the handles take every sample.
+    for free in (PointSet(pts[60:], np.ones(140)), PointSet(np.zeros((0, 3)))):
+        job = ElasticJob(
+            constraints=[HandleConstraint(points=PointSet(held))],
+            free_samples=free,
+            spec=NetSpec(layers=2, resolution=7),
+            weights=LossWeights(),
+            lr=LearningRate(0.01, 0.001, 40),
+            max_steps=40, log_every=1000)
+        net, report = run_elastic(job)
+        assert report.injective
+        assert report.handle_rms is not None and report.handle_rms < 0.05
+        assert report.max_distortion is not None
+        counts, edges = report.distortion_histogram
+        assert len(counts) == len(edges) - 1
+        assert sum(counts) == len(held) + len(free)
+        assert report.elapsed_seconds > 0
 
 
 def test_early_stop_triggers():
@@ -132,3 +136,19 @@ def test_run_elastic_zero_steps_reports_the_initial_net():
     assert zero.steps_run == 0 and zero.loss_history == []
     assert zero.final_loss == pytest.approx(one.loss_history[0], rel=1e-9)
     assert one.steps_run == 1 and one.final_loss == one.loss_history[-1]
+
+
+def test_run_fit_rejects_a_mismatched_target_before_step_0(monkeypatch):
+    steps = []
+
+    def counted(*args, _fn=optim.evaluate_with_gradient):
+        steps.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(optim, "evaluate_with_gradient", counted)
+    src = fibonacci_sphere(50)
+    job = FitJob(source=PointSet(src), target_vertices=src[:1],
+                 spec=NetSpec(layers=2, resolution=5), max_steps=3, log_every=1000)
+    with pytest.raises(ValueError):
+        run_fit(job)
+    assert steps == []
