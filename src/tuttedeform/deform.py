@@ -53,8 +53,7 @@ class DeformationNet:
 
     ``layers`` is a pure cache of ``params``: re-realizing the stored
     parameters reproduces it exactly.  ``systems`` keeps each layer's
-    factorized interior matrix so gradient code can run adjoint solves
-    against the same factorization.
+    banded Cholesky solve (a ``TutteSystem``) for the adjoint solve.
     """
 
     mesh: Mesh2D

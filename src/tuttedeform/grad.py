@@ -1,6 +1,6 @@
 """Exact gradients of the losses with respect to raw layer parameters.
 
-The chain has three stages, mirrored by the private helpers here:
+The chain has three stages.  Stage 1 lives here:
 
 1.  Point and Jacobian cotangents are pulled back through the layer stack to
     per-layer cotangents on deformed vertex positions (``dL/dU``).  A
@@ -8,10 +8,13 @@ The chain has three stages, mirrored by the private helpers here:
     so away from cell crossings the exact gradient treats them as fixed;
     barycentric weights recorded in the forward trace do the bookkeeping.
 
+Stages 2 and 3 belong to the Tutte solve and live in
+:func:`tutte.tutte_backward`, called once per layer:
+
 2.  Each layer's ``dL/dU`` is converted into gradients of its edge weights
-    and boundary positions by an adjoint solve against the same factorized
-    interior matrix used by the forward solve (the matrix is symmetric, so
-    one factorization serves both directions).
+    and boundary positions by an adjoint solve against the layer's stored
+    banded Cholesky factor (the matrix is symmetric, so one factor serves
+    both directions).
 
 3.  Boundary-position gradients chain through the ray-square intersection,
     the per-side angle normalization, and the bounded sigmoid back to the
@@ -36,8 +39,7 @@ from .energy import (HandleConstraint, LossWeights, distortion_multipliers,
                      triangle_gradient_frames)
 from .errors import NumericalError
 from .mesh2d import Mesh2D
-from .tutte import (BOUNDARY_EPS, EDGE_WEIGHT_EPS, TutteLayerParams,
-                    squash, squash_derivative)
+from .tutte import tutte_backward
 
 
 @dataclass(frozen=True)
@@ -177,76 +179,11 @@ def _affine_to_vertices(mesh: Mesh2D, dA):
     return out
 
 
-def _tutte_adjoint(mesh: Mesh2D, system, U, dU):
-    """Edge-weight and boundary-position gradients from vertex cotangents.
-
-    Solves the adjoint system against the stored factorization and applies
-    the Laplacian's bilinear structure: for edge (i, j),
-    ``dL/dw = -(lam_i - lam_j) . (U_i - U_j)`` with the adjoint vector
-    extended by zero on the boundary.
-    """
-    lam = np.zeros((mesh.num_vertices, 2))
-    lam[mesh.interior_ids] = system.solver(dU[mesh.interior_ids])
-
-    i, j = mesh.edges[:, 0], mesh.edges[:, 1]
-    d_w = -np.sum((lam[i] - lam[j]) * (U[i] - U[j]), axis=1)
-
-    # Boundary positions feel the interior solution through boundary-incident
-    # edges, plus any direct cotangent on boundary vertices.
-    loop_pos = np.full(mesh.num_vertices, -1, dtype=np.int64)
-    loop_pos[mesh.boundary_loop] = np.arange(mesh.boundary_loop.size)
-    d_b = dU[mesh.boundary_loop].copy()
-    w = system.weights
-    i_int = (mesh.interior_index[i] >= 0) & (mesh.interior_index[j] < 0)
-    j_int = (mesh.interior_index[i] < 0) & (mesh.interior_index[j] >= 0)
-    for c in range(2):
-        d_b[:, c] += np.bincount(
-            loop_pos[j[i_int]], weights=w[i_int] * lam[i[i_int], c],
-            minlength=d_b.shape[0])
-        d_b[:, c] += np.bincount(
-            loop_pos[i[j_int]], weights=w[j_int] * lam[j[j_int], c],
-            minlength=d_b.shape[0])
-    return d_w, d_b
-
-
-def _boundary_chain(mesh: Mesh2D, params: TutteLayerParams, d_b):
-    """Chain boundary-position gradients back to the raw increments."""
-    raw = params.raw_boundary_increments
-    q = mesh.resolution - 1
-    s = squash(raw, BOUNDARY_EPS).reshape(4, q)
-    partial = np.concatenate(
-        [np.zeros((4, 1)), np.cumsum(s, axis=1)[:, :-1]], axis=1)
-    totals = s.sum(axis=1, keepdims=True)
-    corners = -0.75 * np.pi + 0.5 * np.pi * np.arange(4)
-    beta = (corners[:, None] + 0.5 * np.pi * partial / totals).ravel()
-
-    # d(point)/d(angle) on the square: the coordinate pinned at +-1 is
-    # locally constant, the other moves as the ray sweeps.  The selected
-    # branch always has denominator >= 1/2, so no guard is needed beyond
-    # evaluating each branch only where it applies.
-    c, sn = np.cos(beta), np.sin(beta)
-    on_vertical = np.abs(c) >= np.abs(sn)  # left/right edges of the square
-    db_dbeta = np.zeros((beta.size, 2))
-    v, h = on_vertical, ~on_vertical
-    db_dbeta[v, 1] = np.sign(c[v]) / c[v] ** 2
-    db_dbeta[h, 0] = -np.sign(sn[h]) / sn[h] ** 2
-    g_beta = np.sum(np.asarray(d_b) * db_dbeta, axis=1).reshape(4, q)
-
-    # beta_j = corner + (pi/2) C_j / T with C_j the partial sum below j.
-    rev = np.cumsum(g_beta[:, ::-1], axis=1)[:, ::-1]
-    tail = np.concatenate([rev[:, 1:], np.zeros((4, 1))], axis=1)
-    weighted = np.sum(g_beta * partial, axis=1, keepdims=True)
-    d_s = 0.5 * np.pi * (tail / totals - weighted / totals ** 2)
-    return (d_s.ravel() * squash_derivative(raw, BOUNDARY_EPS))
-
-
 def _finalize_layer(net, l, dU_total):
-    mesh = net.mesh
-    params = net.params[l]
-    U = net.layers[l].plmap.vertex_positions
-    d_w, d_b = _tutte_adjoint(mesh, net.systems[l], U, dU_total)
-    d_raw_edges = d_w * squash_derivative(params.raw_edge_weights, EDGE_WEIGHT_EPS)
-    d_raw_boundary = _boundary_chain(mesh, params, d_b)
+    """Raw-parameter gradients of layer ``l`` from its vertex cotangents."""
+    d_raw_edges, d_raw_boundary = tutte_backward(
+        net.mesh, net.params[l], net.systems[l],
+        net.layers[l].plmap.vertex_positions, dU_total)
     if not (np.all(np.isfinite(d_raw_edges)) and np.all(np.isfinite(d_raw_boundary))):
         raise NumericalError(f"non-finite gradient in layer {l}")
     return d_raw_edges, d_raw_boundary

@@ -47,8 +47,10 @@ class Mesh2D:
     grid: np.ndarray           # (n,) axis coordinates
     edge_inverse: np.ndarray   # (T, 2, 2) inverses of rest edge matrices
     areas: np.ndarray          # (T,) rest triangle areas
-    boundary_mask: np.ndarray  # (V,) bool
-    interior_index: np.ndarray # (V,) int64, position among interior ids, -1 on boundary
+    # Edges with an interior end, (edge index, ends): an end is numbered by
+    # its position in ``interior_ids`` or in ``boundary_loop``.
+    interior_edges: np.ndarray # (Ei, 3) int64: edge, interior a < interior b
+    rim_edges: np.ndarray      # (Er, 3) int64: edge, interior end, loop position
 
     @property
     def cell_size(self) -> float:
@@ -101,11 +103,17 @@ def build_mesh(resolution: int) -> Mesh2D:
         np.arange(n - 2, 0, -1) * n,              # left, top to bottom
     ]).astype(np.int64)
 
-    boundary_mask = np.zeros(n * n, dtype=bool)
-    boundary_mask[boundary_loop] = True
-    interior_ids = np.flatnonzero(~boundary_mask).astype(np.int64)
-    interior_index = np.full(n * n, -1, dtype=np.int64)
-    interior_index[interior_ids] = np.arange(interior_ids.size)
+    interior_ids = np.setdiff1d(np.arange(n * n), boundary_loop)
+    # Each vertex's position among the interior ids, or -1 - its loop position.
+    slot = np.empty(n * n, dtype=np.int64)
+    slot[interior_ids] = np.arange(interior_ids.size)
+    slot[boundary_loop] = -1 - np.arange(boundary_loop.size)
+    a, b = slot[edges].T
+    inner = (a >= 0) & (b >= 0)
+    rim = (a >= 0) != (b >= 0)  # the interior end has the larger slot
+    interior_edges = np.column_stack([np.flatnonzero(inner), a[inner], b[inner]])
+    rim_edges = np.column_stack(
+        [np.flatnonzero(rim), np.maximum(a, b)[rim], -1 - np.minimum(a, b)[rim]])
 
     tri_v = vertices[triangles]
     rest_edges = np.stack([tri_v[:, 1] - tri_v[:, 0], tri_v[:, 2] - tri_v[:, 0]], axis=-1)
@@ -124,8 +132,8 @@ def build_mesh(resolution: int) -> Mesh2D:
         grid=_readonly(axis),
         edge_inverse=_readonly(edge_inverse),
         areas=_readonly(areas),
-        boundary_mask=_readonly(boundary_mask),
-        interior_index=_readonly(interior_index),
+        interior_edges=_readonly(interior_edges),
+        rim_edges=_readonly(rim_edges),
     )
 
 

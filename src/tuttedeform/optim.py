@@ -103,8 +103,10 @@ class NetSpec:
 
 
 def init_params(mesh: Mesh2D, num_layers: int):
-    """All-zero raw parameters: uniform weights, uniform boundary; the
-    near-identity configuration every run starts from."""
+    """All-zero raw parameters, the start of every run: edge weights 0.5 and
+    boundary vertices at equal angles within each side.  This is not the
+    identity (:func:`tutte.identity_params`): at resolution 11 each layer
+    moves vertices by up to 0.09 and its regularization reads 0.48."""
     e, m = mesh.edges.shape[0], mesh.boundary_loop.size
     return [TutteLayerParams(np.zeros(e), np.zeros(m)) for _ in range(num_layers)]
 

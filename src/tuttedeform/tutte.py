@@ -11,6 +11,10 @@ such systems guarantees the resulting piecewise-linear map is injective;
 this module certifies that guarantee numerically (all per-triangle
 determinants strictly positive) on every solve.
 
+The interior system is factored once by banded Cholesky (any exact solve
+keeps the guarantee, Floater 2003); :func:`tutte_backward` reuses the factor
+for the adjoint solve that yields the raw-parameter gradients.
+
 Parameterization
 ----------------
 Both the edge weights and the boundary polygon come from unconstrained raw
@@ -33,10 +37,10 @@ while keeping the same raw parameter count and the same squashed bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.special import expit
 
 from .errors import InternalError
@@ -106,6 +110,19 @@ def _ray_square(angles):
     return d / np.max(np.abs(d), axis=1, keepdims=True)
 
 
+def _boundary_angles(mesh: Mesh2D, raw):
+    """Boundary angles, with the per-side partial sums ``below`` each vertex
+    and the side totals they are made of."""
+    q = mesh.resolution - 1
+    s = squash(raw, BOUNDARY_EPS).reshape(4, q)
+    below = np.concatenate(
+        [np.zeros((4, 1)), np.cumsum(s, axis=1)[:, :-1]], axis=1)
+    totals = s.sum(axis=1, keepdims=True)
+    corners = -0.75 * np.pi + 0.5 * np.pi * np.arange(4)
+    angles = (corners[:, None] + 0.5 * np.pi * below / totals).ravel()
+    return angles, below, totals
+
+
 def build_boundary(mesh: Mesh2D, params: TutteLayerParams) -> ConvexBoundary:
     """Boundary polygon from raw increments.
 
@@ -116,12 +133,7 @@ def build_boundary(mesh: Mesh2D, params: TutteLayerParams) -> ConvexBoundary:
     land exactly on square corners.
     """
     validate_params(mesh, params)
-    q = mesh.resolution - 1
-    s = squash(params.raw_boundary_increments, BOUNDARY_EPS).reshape(4, q)
-    partial = np.concatenate(
-        [np.zeros((4, 1)), np.cumsum(s, axis=1)[:, :-1]], axis=1)
-    corners = -0.75 * np.pi + 0.5 * np.pi * np.arange(4)
-    angles = (corners[:, None] + 0.5 * np.pi * partial / s.sum(axis=1, keepdims=True)).ravel()
+    angles = _boundary_angles(mesh, params.raw_boundary_increments)[0]
     return ConvexBoundary(angles=_readonly(angles), points=_readonly(_ray_square(angles)))
 
 
@@ -156,9 +168,10 @@ def identity_params(mesh: Mesh2D) -> TutteLayerParams:
 class TutteSystem:
     """Factorized interior system of one solve, kept for adjoint reuse.
 
-    ``solver`` applies the inverse of the interior-interior Laplacian block;
-    the block is symmetric positive definite, so the same factorization
-    serves both the forward solve and the adjoint solve.
+    ``solver`` applies the inverse of the interior-interior Laplacian block
+    to a ``(k, c)`` right-hand side from its banded Cholesky factor; the
+    block is symmetric positive definite, so the same factor serves both
+    the forward solve and the adjoint solve.
     """
 
     weights: np.ndarray          # (E,) squashed edge weights
@@ -168,63 +181,95 @@ class TutteSystem:
 def assemble_laplacian(mesh: Mesh2D, params: TutteLayerParams):
     """Squashed edge weights and the interior-interior Laplacian block.
 
-    Returns ``(weights, K)`` where ``weights`` has one strictly positive
-    entry per mesh edge and ``K`` is the symmetric positive-definite matrix
-    of the interior unknowns (boundary terms go to the right-hand side).
+    Returns ``(weights, band)`` where ``weights`` has one strictly positive
+    entry per mesh edge and ``band`` is the symmetric positive-definite
+    matrix ``K`` of the interior unknowns (boundary terms go to the
+    right-hand side) in LAPACK upper band storage, ``band[u + a - b, b] =
+    K[a, b]``.  Interior unknowns are row-major, so ``u = resolution - 1``.
     """
     validate_params(mesh, params)
     w = squash(params.raw_edge_weights, EDGE_WEIGHT_EPS)
-    i, j = mesh.edges[:, 0], mesh.edges[:, 1]
-    ii, jj = mesh.interior_index[i], mesh.interior_index[j]
     n_int = mesh.interior_ids.size
-
-    both = (ii >= 0) & (jj >= 0)
-    one_i = (ii >= 0) & (jj < 0)
-    one_j = (ii < 0) & (jj >= 0)
-
-    rows = np.concatenate([ii[both], jj[both], ii[both], jj[both], ii[one_i], jj[one_j]])
-    cols = np.concatenate([ii[both], jj[both], jj[both], ii[both], ii[one_i], jj[one_j]])
-    vals = np.concatenate([w[both], w[both], -w[both], -w[both], w[one_i], w[one_j]])
-    K = sp.coo_matrix((vals, (rows, cols)), shape=(n_int, n_int)).tocsc()
-    return w, K
+    u = mesh.resolution - 1
+    e, a, b = mesh.interior_edges.T
+    r, c, _ = mesh.rim_edges.T
+    band = np.zeros((u + 1, n_int))
+    band[u] = (np.bincount(a, weights=w[e], minlength=n_int)
+               + np.bincount(b, weights=w[e], minlength=n_int)
+               + np.bincount(c, weights=w[r], minlength=n_int))
+    band[u + a - b, b] = -w[e]
+    return w, band
 
 
 def _solve_system(mesh: Mesh2D, params: TutteLayerParams):
-    w, K = assemble_laplacian(mesh, params)
+    w, band = assemble_laplacian(mesh, params)
     boundary = build_boundary(mesh, params)
 
-    b = np.zeros((mesh.num_vertices, 2))
-    b[mesh.boundary_loop] = boundary.points
-
-    # RHS: for interior i, sum over boundary neighbors j of w_ij b_j.
-    i, j = mesh.edges[:, 0], mesh.edges[:, 1]
-    ii, jj = mesh.interior_index[i], mesh.interior_index[j]
-    rhs = np.zeros((mesh.interior_ids.size, 2))
-    one_i = (ii >= 0) & (jj < 0)
-    one_j = (ii < 0) & (jj >= 0)
-    for c in range(2):
-        rhs[:, c] = (np.bincount(ii[one_i], weights=w[one_i] * b[j[one_i], c],
-                                 minlength=rhs.shape[0])
-                     + np.bincount(jj[one_j], weights=w[one_j] * b[i[one_j], c],
-                                   minlength=rhs.shape[0]))
+    # RHS: for interior c, sum over boundary neighbors p of w_cp b_p.
+    r, c, p = mesh.rim_edges.T
+    rhs = np.column_stack([
+        np.bincount(c, weights=w[r] * boundary.points[p, k],
+                    minlength=mesh.interior_ids.size) for k in range(2)])
 
     try:
-        solver = spla.factorized(K)
-    except RuntimeError as exc:  # pragma: no cover - cannot occur for valid input
+        factor = cholesky_banded(band, check_finite=False)
+    except LinAlgError as exc:  # pragma: no cover - cannot occur for valid input
         raise InternalError(f"Tutte system factorization failed: {exc}") from exc
+    # Unchecked, so a non-finite cotangent surfaces as a NumericalError.
+    solver = partial(cho_solve_banded, (factor, False), check_finite=False)
 
-    U = b.copy()
-    U[mesh.interior_ids, 0] = solver(rhs[:, 0])
-    U[mesh.interior_ids, 1] = solver(rhs[:, 1])
+    U = np.empty((mesh.num_vertices, 2))
+    U[mesh.boundary_loop] = boundary.points
+    U[mesh.interior_ids] = solver(rhs)
+    return U, TutteSystem(weights=w, solver=solver)
 
-    def solve(rhs2):
-        out = np.empty_like(rhs2)
-        for c in range(rhs2.shape[1]):
-            out[:, c] = solver(rhs2[:, c])
-        return out
 
-    system = TutteSystem(weights=w, solver=solve)
-    return U, system
+def tutte_backward(mesh: Mesh2D, params: TutteLayerParams, system: TutteSystem,
+                   U, dU):
+    """Raw-parameter gradients ``(d_edges, d_boundary)`` of one layer.
+
+    ``U`` holds the layer's solved vertex positions and ``dU`` their
+    cotangents.  With the adjoint ``lam`` (zero on the boundary), edge (i, j)
+    gets ``dL/dw = -(lam_i - lam_j) . (U_i - U_j)`` and boundary vertex p
+    gets ``w_cp lam_c`` from each interior neighbor c on top of ``dU_p``.
+    """
+    lam_int = system.solver(dU[mesh.interior_ids])
+    lam = np.zeros((mesh.num_vertices, 2))
+    lam[mesh.interior_ids] = lam_int
+    i, j = mesh.edges.T
+    d_w = -np.sum((lam[i] - lam[j]) * (U[i] - U[j]), axis=1)
+
+    r, c, p = mesh.rim_edges.T
+    d_b = dU[mesh.boundary_loop] + np.column_stack([
+        np.bincount(p, weights=system.weights[r] * lam_int[c, k],
+                    minlength=mesh.boundary_loop.size) for k in range(2)])
+    d_raw_edges = d_w * squash_derivative(params.raw_edge_weights, EDGE_WEIGHT_EPS)
+    return d_raw_edges, _boundary_chain(mesh, params, d_b)
+
+
+def _boundary_chain(mesh: Mesh2D, params: TutteLayerParams, d_b):
+    """Chain boundary-position gradients back to the raw increments."""
+    raw = params.raw_boundary_increments
+    beta, below, totals = _boundary_angles(mesh, raw)
+
+    # d(point)/d(angle) on the square: the coordinate pinned at +-1 is
+    # locally constant, the other moves as the ray sweeps.  The selected
+    # branch always has denominator >= 1/2, so no guard is needed beyond
+    # evaluating each branch only where it applies.
+    c, sn = np.cos(beta), np.sin(beta)
+    on_vertical = np.abs(c) >= np.abs(sn)  # left/right edges of the square
+    db_dbeta = np.zeros((beta.size, 2))
+    v, h = on_vertical, ~on_vertical
+    db_dbeta[v, 1] = np.sign(c[v]) / c[v] ** 2
+    db_dbeta[h, 0] = -np.sign(sn[h]) / sn[h] ** 2
+    g_beta = np.sum(d_b * db_dbeta, axis=1).reshape(4, -1)
+
+    # beta_j = corner + (pi/2) C_j / T with C_j the partial sum below j.
+    rev = np.cumsum(g_beta[:, ::-1], axis=1)[:, ::-1]
+    tail = np.concatenate([rev[:, 1:], np.zeros((4, 1))], axis=1)
+    weighted = np.sum(g_beta * below, axis=1, keepdims=True)
+    d_s = 0.5 * np.pi * (tail / totals - weighted / totals ** 2)
+    return d_s.ravel() * squash_derivative(raw, BOUNDARY_EPS)
 
 
 def solve_tutte_with_system(mesh: Mesh2D, params: TutteLayerParams):
@@ -242,10 +287,10 @@ def solve_tutte_with_system(mesh: Mesh2D, params: TutteLayerParams):
 def solve_tutte(mesh: Mesh2D, params: TutteLayerParams) -> PLMap2D:
     """Injective PL map of the square from raw layer parameters.
 
-    Factorizes the interior system once (direct sparse factorization) and
-    solves both coordinates against it.  The returned map carries strictly
-    positive per-triangle determinants; a violation raises InternalError
-    because the construction is supposed to make it impossible.
+    Factorizes the interior system once (banded Cholesky) and solves both
+    coordinates against it.  The returned map carries strictly positive
+    per-triangle determinants; a violation raises InternalError because the
+    construction is supposed to make it impossible.
     """
     plmap, _ = solve_tutte_with_system(mesh, params)
     return plmap

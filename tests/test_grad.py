@@ -6,6 +6,7 @@ from tuttedeform import grad as grad_module
 from tuttedeform.deform import PointSet, forward, forward_trace, jacobians, realize
 from tuttedeform.energy import (HandleConstraint, LossWeights,
                                 layer_regularization, strain_energy_density)
+from tuttedeform.errors import NumericalError
 from tuttedeform.grad import FitTarget, LossConfig, evaluate, evaluate_with_gradient
 from tuttedeform.mesh2d import build_mesh
 from tuttedeform.optim import pack_params, unpack_params
@@ -189,3 +190,13 @@ def test_package_exports_resolve():
                         "layer_regularization", "strain_energy_density",
                         "FitTarget", "LossConfig", "LossValues", "ParamGradient",
                         "evaluate", "evaluate_with_gradient"}
+
+
+def test_layer_backward_rejects_non_finite_cotangents():
+    _, mesh, params, frames = build_setup(seed=3)
+    net = realize(mesh, params, frames)
+    for vertex, value in ((mesh.interior_ids[0], np.nan), (mesh.boundary_loop[2], np.inf)):
+        dU = np.zeros((mesh.num_vertices, 2))
+        dU[vertex, 0] = value
+        with pytest.raises(NumericalError, match="layer 1"), np.errstate(invalid="ignore"):
+            grad_module._finalize_layer(net, 1, dU)

@@ -9,10 +9,12 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
-from tracing import OP, SPANS, Tracer  # noqa: E402
-from tuttedeform import deform, optim  # noqa: E402
+from tracing import ADJOINT, OP, SPANS, Tracer  # noqa: E402
+from tuttedeform import deform, grad, optim  # noqa: E402
+from tuttedeform.deform import PointSet  # noqa: E402
+from tuttedeform.energy import HandleConstraint  # noqa: E402
 
-from conftest import random_net  # noqa: E402
+from conftest import fibonacci_sphere, random_net  # noqa: E402
 
 
 def test_tracer_wraps_and_restores_every_name():
@@ -30,3 +32,16 @@ def test_tracer_wraps_and_restores_every_name():
         assert owner.__dict__[attr] is fn, f"{owner.__name__}.{attr}"
     names = {span[0] for span in tracer.spans}
     assert {OP, "deform.forward", "mesh2d.locate_points"} <= names
+
+
+def test_one_adjoint_span_per_layer():
+    tracer = Tracer(layers=True)
+    with tracer.installed():
+        net = random_net(np.random.default_rng(1), resolution=5, layers=2)
+        handle = HandleConstraint(PointSet(fibonacci_sphere(20)),
+                                  translation=np.array([0.05, 0.0, 0.0]))
+        config = grad.LossConfig(constraints=[handle])
+        with tracer.root(OP):
+            grad.evaluate_with_gradient(net, config)
+    names = [span[0] for span in tracer.spans]
+    assert names.count(ADJOINT) == 2

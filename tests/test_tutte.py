@@ -1,11 +1,15 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tuttedeform.mesh2d import build_mesh
 from tuttedeform.tutte import (BOUNDARY_EPS, EDGE_WEIGHT_EPS, TutteLayerParams,
-                               build_boundary, identity_params, solve_tutte,
-                               squash, squash_derivative, validate_params)
+                               assemble_laplacian, build_boundary, identity_params,
+                               solve_tutte, squash, squash_derivative,
+                               validate_params)
 
 from conftest import random_params
 
@@ -33,7 +37,7 @@ def test_squash_derivative_matches_fd(x, eps):
 
 
 def test_identity_params_reproduce_rest_mesh():
-    for n in (3, 5, 9):
+    for n in (2, 3, 5, 9):
         mesh = build_mesh(n)
         plmap = solve_tutte(mesh, identity_params(mesh))
         assert np.abs(plmap.vertex_positions - mesh.vertices).max() < 1e-9
@@ -71,17 +75,18 @@ def test_boundary_corners_pinned():
 
 def test_interior_equilibrium():
     # the solve must satisfy the weighted mean-value property exactly
-    mesh = build_mesh(7)
-    rng = np.random.default_rng(2)
-    params = random_params(rng, mesh, scale=2.0)
-    plmap = solve_tutte(mesh, params)
-    w = squash(params.raw_edge_weights, EDGE_WEIGHT_EPS)
-    U = plmap.vertex_positions
-    residual = np.zeros_like(U)
-    for (i, j), wij in zip(mesh.edges, w):
-        residual[i] += wij * (U[j] - U[i])
-        residual[j] += wij * (U[i] - U[j])
-    assert np.abs(residual[mesh.interior_ids]).max() < 1e-10
+    for n in (7, 25):
+        mesh = build_mesh(n)
+        rng = np.random.default_rng(2)
+        params = random_params(rng, mesh, scale=2.0)
+        plmap = solve_tutte(mesh, params)
+        w = squash(params.raw_edge_weights, EDGE_WEIGHT_EPS)
+        U = plmap.vertex_positions
+        residual = np.zeros_like(U)
+        for (i, j), wij in zip(mesh.edges, w):
+            residual[i] += wij * (U[j] - U[i])
+            residual[j] += wij * (U[i] - U[j])
+        assert np.abs(residual[mesh.interior_ids]).max() < 1e-10
 
 
 def test_edge_weights_in_open_interval():
@@ -94,7 +99,7 @@ def test_edge_weights_in_open_interval():
 def test_injectivity_certificate_over_random_draws():
     rng = np.random.default_rng(3)
     worst = np.inf
-    for n in (3, 5, 9, 13):
+    for n in (3, 5, 9, 13, 2):
         mesh = build_mesh(n)
         for _ in range(12):
             plmap = solve_tutte(mesh, random_params(rng, mesh, scale=1.5))
@@ -125,13 +130,41 @@ def test_validate_params_rejects_wrong_sizes():
 
 
 def test_laplacian_interior_block_spd():
-    import scipy.sparse as sp
-    from tuttedeform.tutte import assemble_laplacian
-    mesh = build_mesh(6)
     rng = np.random.default_rng(5)
-    w, K = assemble_laplacian(mesh, random_params(rng, mesh, scale=2.0))
-    assert np.all(w > 0)
-    dense = K.toarray()
-    assert np.allclose(dense, dense.T)
-    eigs = np.linalg.eigvalsh(dense)
-    assert eigs.min() > 0
+    for n_res in (6, 3):
+        mesh = build_mesh(n_res)
+        w, band = assemble_laplacian(mesh, random_params(rng, mesh, scale=2.0))
+        assert np.all(w > 0)
+        n = mesh.interior_ids.size
+        u = mesh.resolution - 1
+        assert band.shape == (u + 1, n)
+
+        # Oracle: the interior block assembled edge by edge.
+        pos = {int(v): k for k, v in enumerate(mesh.interior_ids)}
+        oracle = np.zeros((n, n))
+        for (i, j), wij in zip(mesh.edges, w):
+            for a, b in ((int(i), int(j)), (int(j), int(i))):
+                if a in pos:
+                    oracle[pos[a], pos[a]] += wij
+                    if b in pos:
+                        oracle[pos[a], pos[b]] -= wij
+
+        # Upper band storage: band[u + a - b, b] = K[a, b] for b - u <= a <= b;
+        # the slots above the matrix are unused and stay zero.
+        dense = np.zeros((n, n))
+        for d in range(u + 1):
+            cols = np.arange(d, n)
+            dense[cols - d, cols] = band[u - d, d:]
+            assert np.all(band[u - d, :d] == 0)
+        dense = np.triu(dense) + np.triu(dense, 1).T
+        assert np.abs(dense - oracle).max() < 1e-14
+        assert np.array_equal(dense, dense.T)
+        assert np.linalg.eigvalsh(dense).min() > 0
+
+
+def test_import_loads_no_sparse_module():
+    code = ("import sys, tuttedeform; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
