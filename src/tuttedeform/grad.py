@@ -181,6 +181,8 @@ def _affine_to_vertices(mesh: Mesh2D, dA):
 
 def _finalize_layer(net, l, dU_total):
     """Raw-parameter gradients of layer ``l`` from its vertex cotangents."""
+    if not np.all(np.isfinite(dU_total)):
+        raise NumericalError(f"non-finite gradient in layer {l}")
     d_raw_edges, d_raw_boundary = tutte_backward(
         net.mesh, net.params[l], net.systems[l],
         net.layers[l].plmap.vertex_positions, dU_total)

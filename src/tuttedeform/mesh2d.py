@@ -8,8 +8,8 @@ triangle before its upper one, so every ordering is a deterministic function
 of the resolution alone.
 
 A :class:`PLMap2D` carries the realized piecewise-linear map for one layer:
-per-triangle affine factors ``A_t``, offsets ``delta_t``, determinants, and
-inverses.  Meshes and maps are immutable after construction (arrays are
+the deformed vertex positions, per-triangle linear factors ``A_t`` and their
+determinants.  Meshes and maps are immutable after construction (arrays are
 marked read-only), which makes them safe to share across threads.
 """
 
@@ -157,7 +157,7 @@ def _axis_cells(mesh, coords):
 
     A coordinate exactly on an interior gridline is assigned to the cell on
     its lower side with local fraction 1.0, which realizes the lowest-index
-    tie-break of :func:`locate_triangle`.
+    tie-break of :func:`locate_points`.
     """
     n = mesh.resolution
     grid = mesh.grid
@@ -178,8 +178,11 @@ def locate_points(mesh, points, layer_index=None):
 
     Returns ``(tri, bary)`` with ``tri`` of shape (N,) and ``bary`` of shape
     (N, 3) giving barycentric coordinates w.r.t. the located triangle's
-    vertex order.  Points within DOMAIN_TOL outside the square are clamped;
-    beyond that an OutOfDomainError identifies the first offender.
+    vertex order.  For a point incident to several triangles (on a shared
+    edge or vertex) the lowest-index incident triangle is returned.  Points
+    within DOMAIN_TOL outside the square are clamped; beyond that an
+    OutOfDomainError identifies the first offender.  A single point (shape
+    (2,)) gives an ``int`` triangle and a (3,) barycentric vector.
     """
     pts = np.asarray(points, dtype=np.float64)
     scalar_input = pts.ndim == 1
@@ -215,22 +218,12 @@ def locate_points(mesh, points, layer_index=None):
     return tri, bary
 
 
-def locate_triangle(mesh, q) -> int:
-    """Index of the triangle containing ``q``.
-
-    For a point incident to several triangles (on a shared edge or vertex)
-    the lowest-index incident triangle is returned, so the choice is
-    deterministic and consistent across calls.
-    """
-    tri, _ = locate_points(mesh, q)
-    return tri
-
-
 @dataclass
 class PLMap2D:
     """Realized piecewise-linear map of the square, one entry per triangle.
 
-    On each rest triangle t the map acts as ``q -> A[t] @ q + delta[t]``.
+    On each rest triangle t the map is affine with linear part ``A[t]``; it
+    is evaluated by barycentric interpolation of ``vertex_positions``.
     ``det`` holds the per-triangle determinants; a map realized from a Tutte
     embedding has all determinants strictly positive.  Instances are frozen
     in practice: arrays are read-only and the image-side locator is the only
@@ -240,9 +233,7 @@ class PLMap2D:
     mesh: Mesh2D
     vertex_positions: np.ndarray  # (V, 2) deformed vertex positions
     A: np.ndarray                 # (T, 2, 2)
-    delta: np.ndarray             # (T, 2)
     det: np.ndarray               # (T,)
-    A_inv: np.ndarray             # (T, 2, 2), NaN where det == 0
     _locator: object = field(default=None, repr=False, compare=False)
 
     def image_locator(self):
@@ -253,10 +244,10 @@ class PLMap2D:
 
 
 def realize_plmap(mesh: Mesh2D, vertex_positions) -> PLMap2D:
-    """Realize per-triangle affine factors from deformed vertex positions.
+    """Realize per-triangle linear factors from deformed vertex positions.
 
-    Solves ``A_t v_i + delta_t = u_i`` per triangle from the two rest edge
-    vectors; exact for the data that produced it by construction.
+    ``A_t`` maps each rest triangle's two edge vectors onto its deformed
+    ones.
     """
     U = np.asarray(vertex_positions, dtype=np.float64)
     if U.shape != (mesh.num_vertices, 2):
@@ -269,17 +260,11 @@ def realize_plmap(mesh: Mesh2D, vertex_positions) -> PLMap2D:
     deformed_edges = np.stack(
         [tri_u[:, 1] - tri_u[:, 0], tri_u[:, 2] - tri_u[:, 0]], axis=-1)
     A = deformed_edges @ mesh.edge_inverse
-    v0 = mesh.vertices[mesh.triangles[:, 0]]
-    delta = tri_u[:, 0] - np.einsum("tij,tj->ti", A, v0)
-    det = _det22(A)
-    A_inv = _inv22(A)
     return PLMap2D(
         mesh=mesh,
         vertex_positions=_readonly(U.copy()),
         A=_readonly(A),
-        delta=_readonly(delta),
-        det=_readonly(det),
-        A_inv=_readonly(A_inv),
+        det=_readonly(_det22(A)),
     )
 
 
@@ -301,19 +286,29 @@ def map_points(plmap: PLMap2D, points, layer_index=None):
 class _ImageLocator:
     """Uniform bin grid over the deformed mesh for image-side point location.
 
-    Each background cell stores the (ascending) indices of triangles whose
-    image bounding box touches it; queries test candidates in index order so
-    the lowest-index tie-break matches the forward locator.
+    Each background cell stores the ascending indices of the triangles whose
+    padded image bounding box touches it.  A query tests every candidate in
+    its point's cell and takes the first (lowest-index) one that holds the
+    point within _BARY_STRICT, which matches the forward locator's
+    tie-break; failing that, the candidate whose smallest barycentric is
+    largest (lowest index on ties), if that is within _BARY_FALLBACK.
+
+    The padding makes the cell's candidates cover every triangle that could
+    be accepted: if all barycentrics of p are >= -eps then, per axis,
+    ``p - max = sum_i l_i (x_i - max)`` takes only the (at most two)
+    negative ``l_i``, so p lies at most ``2 eps width`` outside the
+    triangle's bounding box, and ``width <= span`` (the 1e-12 absorbs
+    rounding).  So a scan over all triangles would pick the same one, and a
+    point whose cell is empty is outside the mesh.
     """
 
     def __init__(self, plmap: PLMap2D):
         mesh = plmap.mesh
         U = plmap.vertex_positions
         tri_u = U[mesh.triangles]  # (T, 3, 2)
-        self.plmap = plmap
         self.tri_u0 = np.ascontiguousarray(tri_u[:, 0])
-        # Inverse of the deformed edge matrix: B_img = B_rest @ A_inv.
-        self.B_img = mesh.edge_inverse @ plmap.A_inv
+        # Inverse of the deformed edge matrix: B_rest @ inv(A).
+        self.B_img = mesh.edge_inverse @ _inv22(plmap.A)
 
         self.lo = U.min(axis=0)
         hi = U.max(axis=0)
@@ -321,7 +316,7 @@ class _ImageLocator:
         self.ncell = max(mesh.resolution - 1, 1)
         self.cell = span / self.ncell
 
-        pad = 1e-12 + 1e-9 * span
+        pad = 1e-12 + 2.0 * _BARY_FALLBACK * span
         blo = np.floor((tri_u.min(axis=1) - pad - self.lo) / self.cell).astype(np.int64)
         bhi = np.floor((tri_u.max(axis=1) + pad - self.lo) / self.cell).astype(np.int64)
         blo = np.clip(blo, 0, self.ncell - 1)
@@ -343,11 +338,6 @@ class _ImageLocator:
         self.bucket_start = np.searchsorted(
             cell_ids[order], np.arange(self.ncell * self.ncell + 1))
 
-    def _bary(self, pts, tris):
-        local = np.einsum(
-            "nij,nj->ni", self.B_img[tris], pts - self.tri_u0[tris])
-        return np.column_stack([1.0 - local[:, 0] - local[:, 1], local])
-
     def query(self, points, layer_index=None):
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         n = pts.shape[0]
@@ -356,43 +346,36 @@ class _ImageLocator:
         cells = cidx[:, 1] * self.ncell + cidx[:, 0]
         start = self.bucket_start[cells]
         length = self.bucket_start[cells + 1] - start
-        kmax = int(length.max()) if n else 0
 
-        tri = np.full(n, -1, dtype=np.int64)
-        bary = np.zeros((n, 3))
-        if kmax:
-            k = np.arange(kmax)
-            valid = k[None, :] < length[:, None]
-            flat_idx = start[:, None] + np.minimum(k, np.maximum(length[:, None] - 1, 0))
-            flat_idx = np.minimum(flat_idx, self.bucket_tris.size - 1)
-            cand = np.where(valid, self.bucket_tris[flat_idx], 0)
-            flat_pts = np.repeat(pts, kmax, axis=0)
-            b = self._bary(flat_pts, cand.ravel()).reshape(n, kmax, 3)
-            inside = valid & (b.min(axis=2) >= -_BARY_STRICT)
-            first = inside.argmax(axis=1)
-            hit = inside.any(axis=1)
-            tri[hit] = cand[hit, first[hit]]
-            bary[hit] = b[hit, first[hit]]
+        # One row per (point, candidate): points in order, each point's
+        # candidates in ascending triangle index.
+        owner = np.repeat(np.arange(n), length)
+        head = np.cumsum(length) - length  # each point's first row
+        m = owner.size
+        rows = np.arange(m)
+        cand = self.bucket_tris[np.repeat(start - head, length) + rows]
+        local = np.einsum(
+            "nij,nj->ni", self.B_img[cand], pts[owner] - self.tri_u0[cand])
+        bary = np.column_stack([1.0 - local[:, 0] - local[:, 1], local])
+        score = bary.min(axis=1)
 
-        miss = np.flatnonzero(tri < 0)
-        if miss.size:
-            # Rare: points at the polygon boundary whose bin candidates all
-            # failed the strict test.  Scan every triangle for those few.
-            T = self.plmap.mesh.num_triangles
-            all_tris = np.arange(T)
-            for i in miss:
-                b = self._bary(np.repeat(pts[i:i + 1], T, axis=0), all_tris)
-                scores = b.min(axis=1)
-                best = int(scores.argmax())
-                if scores[best] < -_BARY_FALLBACK:
-                    raise NotInImageError(
-                        f"point {pts[i]} is outside the deformed mesh "
-                        f"(best containment violation {-scores[best]:.3e})",
-                        point=pts[i].copy(), layer_index=layer_index,
-                        point_index=int(i))
-                tri[i] = best
-                bary[i] = b[best]
-        return tri, bary
+        best = np.full(n, -np.inf)  # stays -inf for a point with no candidate
+        filled = length > 0
+        best[filled] = np.maximum.reduceat(score, head[filled])
+        bad = np.flatnonzero(best < -_BARY_FALLBACK)
+        if bad.size:
+            i = int(bad[0])
+            raise NotInImageError(
+                f"point {pts[i]} is outside the deformed mesh "
+                f"(best containment violation {-best[i]:.3e})",
+                point=pts[i].copy(), layer_index=layer_index, point_index=i)
+
+        # A strict hit keys as its row, a best-score row as row + m, so the
+        # smallest key is the first strict hit, else the first best score.
+        key = np.where(score >= -_BARY_STRICT, rows,
+                       np.where(score == best[owner], rows + m, 2 * m))
+        pick = np.minimum.reduceat(key, head) % max(m, 1)
+        return cand[pick], bary[pick]
 
 
 def locate_image_points(plmap: PLMap2D, points, layer_index=None):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -198,5 +200,6 @@ def test_layer_backward_rejects_non_finite_cotangents():
     for vertex, value in ((mesh.interior_ids[0], np.nan), (mesh.boundary_loop[2], np.inf)):
         dU = np.zeros((mesh.num_vertices, 2))
         dU[vertex, 0] = value
-        with pytest.raises(NumericalError, match="layer 1"), np.errstate(invalid="ignore"):
+        with pytest.raises(NumericalError, match="layer 1"), warnings.catch_warnings():
+            warnings.simplefilter("error")
             grad_module._finalize_layer(net, 1, dU)
