@@ -39,6 +39,7 @@ from .energy import (HandleConstraint, LossWeights, distortion_multipliers,
                      triangle_gradient_frames)
 from .errors import NumericalError
 from .mesh2d import Mesh2D
+from .prism import _t
 from .tutte import tutte_backward
 
 
@@ -140,12 +141,12 @@ def _backward_points(net: DeformationNet, trace: OrbitTrace, acc: _Accumulator,
     tris3 = net.mesh.triangles
     for l in range(net.num_layers - 1, -1, -1):
         layer = net.layers[l]
-        R = layer.frame.rotation
+        frame = layer.frame
         tri = trace.tris[l]
         bary = trace.barys[l]
         A = layer.plmap.A[tri]
 
-        g_loc = g @ R
+        g_loc = frame.to_local(g)
         # Direct contribution to this layer's deformed vertices.
         vals = bary[:, :, None] * g_loc[:, None, :2]  # (N, 3, 2)
         verts = tris3[tri]
@@ -153,13 +154,14 @@ def _backward_points(net: DeformationNet, trace: OrbitTrace, acc: _Accumulator,
             _scatter_rows(acc.dU[l], verts[:, k], vals[:, k])
         # Continue the chain: local-out xy = q_xy @ A^T + delta.
         g_xy = np.einsum("ni,nij->nj", g_loc[:, :2], A)
-        g = np.column_stack([g_xy, g_loc[:, 2]]) @ R.T
+        g = frame.to_world(np.column_stack([g_xy, g_loc[:, 2]]))
 
         if g_jac is not None:
             M = prism.cell_jacobians(layer, tri)
             P = trace.prefixes[l]
-            dM = np.einsum("nji,njk,nlk->nil", S, g_jac, P)
-            dA_loc = np.einsum("ji,njk,kl->nil", R, dM, R)[:, :2, :2]
+            dM = _t(S) @ g_jac @ _t(P)
+            # R^T dM R = ((dM R)^T R)^T, each product over the last axis.
+            dA_loc = _t(frame.to_local(_t(frame.to_local(dM))))[:, :2, :2]
             for a in range(2):
                 for b in range(2):
                     acc.dA[l][:, a, b] += np.bincount(

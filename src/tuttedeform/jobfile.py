@@ -46,7 +46,9 @@ _REGION = {
     "required": ["kind"],
     "properties": {
         "kind": {"enum": ["sphere", "box", "halfspace"]},
-        "center": _VEC3, "radius": {"type": "number", "exclusiveMinimum": 0},
+        # A larger radius would overflow when squared in Region.contains.
+        "center": _VEC3, "radius": {"type": "number", "exclusiveMinimum": 0,
+                                    "maximum": 1e150},
         "min": _VEC3, "max": _VEC3,
         "normal": _VEC3, "offset": {"type": "number"},
     },
@@ -170,7 +172,11 @@ class Region:
     def contains(self, points) -> np.ndarray:
         p = np.asarray(points, dtype=np.float64)
         if self.kind == "sphere":
-            return np.sum((p - self.center) ** 2, axis=1) <= self.radius ** 2
+            # A squared distance that overflows to inf is beyond any radius
+            # the schema allows, so the point is correctly outside.
+            with np.errstate(over="ignore"):
+                d2 = np.sum((p - self.center) ** 2, axis=1)
+            return d2 <= self.radius ** 2
         if self.kind == "box":
             return np.all((p >= self.lo) & (p <= self.hi), axis=1)
         return p @ self.normal >= self.offset
@@ -211,8 +217,16 @@ class Motion:
     def in_normalized(self, transform):
         """Conjugate by ``q = (p - center) * scale``; rotation is unchanged."""
         R, c, s = self.rotation, transform.center, transform.scale
-        t = s * (R @ c + self.translation - c)
-        return R, t
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = s * (R @ c + self.translation - c)
+        return R, _finite(t, "motion translation in normalized coordinates")
+
+
+def _finite(v, what):
+    """``v`` if every entry is finite, else ConfigError naming ``what``."""
+    if not np.all(np.isfinite(v)):
+        raise ConfigError(f"{what} overflows float64")
+    return v
 
 
 def _parse_motion(d, path) -> Motion:
@@ -223,7 +237,9 @@ def _parse_motion(d, path) -> Motion:
     if angle != 0.0 and np.linalg.norm(axis) == 0:
         raise ConfigError(f"{path}: rotation axis must be nonzero")
     R = frame_from_axis_angle(axis, angle).rotation if angle != 0.0 else np.eye(3)
-    return Motion(rotation=R, translation=R @ (-pivot) + pivot + tr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = R @ (-pivot) + pivot + tr
+    return Motion(rotation=R, translation=_finite(t, f"{path}.translation"))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -57,18 +58,42 @@ class AdamState:
 def adam_step(state: AdamState, params, grad, lr: float):
     """One Adam update; returns the new parameter vector.
 
-    Aborts with NumericalError on non-finite gradients so a diverged run
-    fails loudly instead of writing garbage checkpoints.
+    Aborts with NumericalError on non-finite gradients, and on an update
+    whose moments or parameters overflow (the state is then left as it
+    was), so a diverged run fails loudly instead of writing garbage
+    checkpoints.
     """
     grad = np.asarray(grad)
     if not np.all(np.isfinite(grad)):
         raise NumericalError("non-finite gradient passed to the optimizer")
-    state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    return params - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    t = state.t + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = state.beta1 * state.m + (1.0 - state.beta1) * grad
+        v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
+        m_hat = m / (1.0 - state.beta1 ** t)
+        v_hat = v / (1.0 - state.beta2 ** t)
+        new = params - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(new))):
+        raise NumericalError(f"Adam update {t} overflows float64")
+    state.t, state.m, state.v = t, m, v
+    return new
+
+
+@contextmanager
+def _numerically_checked(when: str):
+    """Turn a floating-point overflow, invalid operation or division by zero
+    inside the block into NumericalError instead of a NumPy warning."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as e:
+        raise NumericalError(f"{e} {when}") from None
+
+
+def _check_total(loss, when: str):
+    if not np.isfinite(loss.total):
+        raise NumericalError(f"loss total is {loss.total} {when}")
+    return loss.total
 
 
 def pack_params(params: Sequence[TutteLayerParams]):
@@ -164,13 +189,14 @@ def _run(mesh, spec: NetSpec, make_config: Callable[[int], LossConfig],
     for step in range(stop.max_steps):
         params = unpack_params(mesh, flat, spec.layers)
         net = realize(mesh, params, frames)
-        loss, grad = evaluate_with_gradient(net, make_config(step))
-        history.append(loss.total)
-        rate = lr.at(step)
-        if log_every and step % log_every == 0:
-            _log_line(step, loss, rate,
-                      f" max_distortion={loss.max_distortion:.6g}")
-        flat = adam_step(adam, flat, grad.flat(), rate)
+        with _numerically_checked(f"at step {step}"):
+            loss, grad = evaluate_with_gradient(net, make_config(step))
+            history.append(_check_total(loss, f"at step {step}"))
+            rate = lr.at(step)
+            if log_every and step % log_every == 0:
+                _log_line(step, loss, rate,
+                          f" max_distortion={loss.max_distortion:.6g}")
+            flat = adam_step(adam, flat, grad.flat(), rate)
         if stop.should_stop(history):
             break
 
@@ -218,17 +244,19 @@ def run_elastic(job: ElasticJob):
     # points first, gives the handle residuals and the strain energies.
     pts = np.concatenate([c.points.points for c in job.constraints]
                          + [job.free_samples.points])
-    trace = forward_trace(net, pts, need_jacobian=True)
-    energies = strain_energy_density(trace.jac)
-    hist = np.histogram(energies, bins=20)
-    n = len(pts) - len(job.free_samples)
-    handle_rms = 0.0
-    if n:
-        d = trace.outputs[:n] - np.concatenate([c.targets() for c in job.constraints])
-        handle_rms = float(np.sqrt(np.mean(np.sum(d * d, axis=1))))
+    with _numerically_checked("on the final net"):
+        trace = forward_trace(net, pts, need_jacobian=True)
+        energies = strain_energy_density(trace.jac)
+        hist = np.histogram(energies, bins=20)
+        n = len(pts) - len(job.free_samples)
+        handle_rms = 0.0
+        if n:
+            d = trace.outputs[:n] - np.concatenate([c.targets() for c in job.constraints])
+            handle_rms = float(np.sqrt(np.mean(np.sum(d * d, axis=1))))
+        # With zero steps no step loss exists; report the initial net's loss.
+        final_loss = history[-1] if history else _check_total(
+            evaluate(net, make_config(0)), "on the final net")
     injective = all(np.all(l.plmap.det > 0) for l in net.layers)
-    # With zero steps no step loss exists; report the initial net's loss.
-    final_loss = history[-1] if history else evaluate(net, make_config(0)).total
     report = RunReport(
         steps_run=steps, final_loss=final_loss, injective=injective,
         elapsed_seconds=elapsed, handle_rms=handle_rms,
@@ -276,7 +304,9 @@ def run_fit(job: FitJob):
         mesh, job.spec, make_config, job.lr,
         StopRule(job.max_steps, job.rel_tol, job.window), job.log_every)
 
-    final = evaluate(net, make_config(steps))
+    with _numerically_checked("on the final net"):
+        final = evaluate(net, make_config(steps))
+    _check_total(final, "on the final net")
     injective = all(np.all(l.plmap.det > 0) for l in net.layers)
     report = RunReport(
         steps_run=steps, final_loss=final.total, injective=injective,

@@ -10,11 +10,19 @@ Because the 2D map is injective on the square and z is preserved, each layer
 is injective on its slab domain.  Its Jacobian at p is the constant matrix
 ``R @ lifted(A_t) @ R^T`` of the prism cell containing p, with singular
 value exactly 1 along the frame's extrusion axis.
+
+Every product with a frame rotation goes through ``Frame.to_local`` and
+``Frame.to_world``.  Triplane frames, the only kind a job file can ask for,
+are permutation matrices, and for a signed permutation both methods pick and
+negate columns: exact, and free of BLAS calls.  Any other rotation takes the
+matmul path, because the library API and checkpoints with explicit frame
+matrices still accept arbitrary rotations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -24,9 +32,20 @@ from .mesh2d import PLMap2D, _readonly
 
 @dataclass(frozen=True)
 class Frame:
-    """A proper rotation fixing a layer's extrusion axis (local z)."""
+    """A proper rotation fixing a layer's extrusion axis (local z).
+
+    ``to_local`` and ``to_world`` are the frame's only products with
+    ``rotation``.  When the rotation is a signed permutation, as every
+    triplane frame is, ``__post_init__`` records each output column's source
+    column and sign, and both methods index instead of multiplying: the same
+    values, without a BLAS call.  Any other rotation keeps the matmul, the
+    only path for the arbitrary rotations that the library API and explicit
+    checkpoint frames accept.
+    """
 
     rotation: np.ndarray  # (3, 3)
+    _local: Optional[tuple] = field(init=False, repr=False, compare=False, default=None)
+    _world: Optional[tuple] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         R = np.asarray(self.rotation, dtype=np.float64)
@@ -35,11 +54,44 @@ class Frame:
         if np.abs(R @ R.T - np.eye(3)).max() > 1e-10 or np.linalg.det(R) < 0.0:
             raise ValueError("frame rotation must be a proper rotation (R R^T = I, det +1)")
         object.__setattr__(self, "rotation", _readonly(R))
+        # Orthogonal with entries in {-1, 0, 1}: one nonzero per row and column.
+        if set(R.flat) <= {-1.0, 0.0, 1.0}:
+            object.__setattr__(self, "_local", _column_picks(R))
+            object.__setattr__(self, "_world", _column_picks(R.T))
 
     @property
     def axis(self):
         """The extrusion axis in world coordinates (local z)."""
         return self.rotation[:, 2]
+
+    def to_local(self, x):
+        """``x @ R`` over the last axis: world coordinates into the frame."""
+        return _times(x, self.rotation, self._local)
+
+    def to_world(self, x):
+        """``x @ R^T`` over the last axis: frame coordinates back to world."""
+        return _times(x, self.rotation.T, self._world)
+
+
+def _column_picks(M):
+    """``(cols, signs)`` with ``(x @ M)[..., j] == signs[j] * x[..., cols[j]]``
+    for a signed permutation ``M``; ``signs`` is None when all are +1."""
+    cols = np.abs(M).argmax(axis=0)
+    signs = M[cols, np.arange(3)]
+    return cols, (None if np.all(signs > 0) else signs)
+
+
+def _times(x, M, picks):
+    if picks is None:
+        return x @ M
+    cols, signs = picks
+    out = x[..., cols]
+    return out if signs is None else out * signs
+
+
+def _t(M):
+    """Transpose the last two axes of a stack of matrices."""
+    return np.swapaxes(M, -1, -2)
 
 
 def frame_from_axis_angle(axis, angle_rad: float) -> Frame:
@@ -55,18 +107,19 @@ def frame_from_axis_angle(axis, angle_rad: float) -> Frame:
 
 
 # Proper rotations whose local z-axis is the world x, y, z axis respectively.
-_TRIPLANE = (
-    np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-    np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
+# Frames are immutable, so every triplane net shares these three.
+_TRIPLANE = tuple(Frame(rotation=np.array(R)) for R in (
+    [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+    [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
     np.eye(3),
-)
+))
 
 
 def triplane_frames(count: int):
     """``count`` frames cycling the world x, y, z axes as extrusion axis."""
     if count < 1:
         raise ValueError(f"frame count must be >= 1, got {count}")
-    return [Frame(rotation=_TRIPLANE[i % 3].copy()) for i in range(count)]
+    return [_TRIPLANE[i % 3] for i in range(count)]
 
 
 @dataclass(frozen=True)
@@ -80,24 +133,24 @@ class PrismLayer:
 
 def forward_step(layer: PrismLayer, points):
     """Images of an (N, 3) batch plus the cell ``(tri, bary)`` of each point."""
-    R = layer.frame.rotation
-    local = np.asarray(points, dtype=np.float64) @ R  # row-wise R^T p
+    frame = layer.frame
+    local = frame.to_local(np.asarray(points, dtype=np.float64))  # row-wise R^T p
     tri, bary = mesh2d.locate_points(layer.plmap.mesh, local[:, :2],
                                      layer_index=layer.layer_index)
     xy = mesh2d.interpolate(layer.plmap.vertex_positions,
                             layer.plmap.mesh.triangles, tri, bary)
-    return np.column_stack([xy, local[:, 2]]) @ R.T, tri, bary
+    return frame.to_world(np.column_stack([xy, local[:, 2]])), tri, bary
 
 
 def inverse_step(layer: PrismLayer, points):
     """Preimages of an (N, 3) batch in the layer's image, plus each cell ``tri``."""
-    R = layer.frame.rotation
-    local = np.asarray(points, dtype=np.float64) @ R
+    frame = layer.frame
+    local = frame.to_local(np.asarray(points, dtype=np.float64))
     tri, bary = mesh2d.locate_image_points(layer.plmap, local[:, :2],
                                            layer_index=layer.layer_index)
     xy = mesh2d.interpolate(layer.plmap.mesh.vertices,
                             layer.plmap.mesh.triangles, tri, bary)
-    return np.column_stack([xy, local[:, 2]]) @ R.T, tri
+    return frame.to_world(np.column_stack([xy, local[:, 2]])), tri
 
 
 def cell_jacobians(layer: PrismLayer, tri):
@@ -106,8 +159,9 @@ def cell_jacobians(layer: PrismLayer, tri):
     lifted = np.zeros((A.shape[0], 3, 3))
     lifted[:, :2, :2] = A
     lifted[:, 2, 2] = 1.0
-    R = layer.frame.rotation
-    return np.einsum("ij,njk,lk->nil", R, lifted, R)
+    # R M R^T = ((M R^T)^T R^T)^T, each product over the last axis.
+    to_world = layer.frame.to_world
+    return _t(to_world(_t(to_world(lifted))))
 
 
 def map_points(layer: PrismLayer, points):

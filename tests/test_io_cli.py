@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from tuttedeform import cli
 
 from tuttedeform import checkpoint as ckpt
 from tuttedeform.fileio import (Normalization, fit_normalization, load_geometry,
@@ -430,3 +436,85 @@ def test_cli_malformed_geometry_is_config_error(cli_workdir):
         r = run_cli("report", str(cli_workdir / "report_bad.json"))
         assert r.returncode == 2, (name, r.stderr)
         assert "Traceback" not in r.stderr, name
+
+
+# ------------------------------------------------------- extreme-value jobs
+
+_HUGE = [1e150, 1e200, 1e300, 1e308, sys.float_info.max]
+_TINY = [5e-324, 1e-300, 1e-150]
+
+
+def _extreme(nonneg=False):
+    """Finite floats, biased towards the magnitudes that overflow."""
+    mags = st.sampled_from(_HUGE + _TINY + [0.0, 0.05, 1.0])
+    if not nonneg:
+        mags = st.builds(lambda m, neg: -m if neg else m, mags, st.booleans())
+    return st.one_of(mags, st.floats(min_value=0.0 if nonneg else None,
+                                     allow_nan=False, allow_infinity=False))
+
+
+def _vec3(component):
+    return st.lists(component, min_size=3, max_size=3)
+
+
+@pytest.fixture(scope="module")
+def extreme_workdir(tmp_path_factory):
+    work = tmp_path_factory.mktemp("extreme")
+    rng = np.random.default_rng(8)
+    _write_obj(work / "bar.obj",
+               rng.uniform([-0.15, -0.15, -0.6], [0.15, 0.15, 0.6], size=(300, 3)))
+    return work
+
+
+@settings(max_examples=50, deadline=None)
+@given(layers=st.integers(1, 2), res=st.integers(2, 5), steps=st.integers(0, 3),
+       budget=st.integers(1, 200),
+       center=st.one_of(st.just([0.0, 0.0, 0.5]), _vec3(_extreme())),
+       radius=st.one_of(st.just(0.2), _extreme(nonneg=True).filter(lambda r: r > 0)),
+       translation=st.one_of(st.just([0.05, 0.0, 0.0]), _vec3(_extreme())),
+       elastic=st.one_of(st.just(0.004), _extreme(nonneg=True)))
+@example(layers=1, res=3, steps=3, budget=100, center=[0.0, 0.0, 0.5], radius=0.2,
+         translation=[1e200, 0.0, 0.0], elastic=0.004)
+@example(layers=1, res=3, steps=3, budget=100, center=[0.0, 0.0, 0.5], radius=0.2,
+         translation=[0.05, 0.0, 0.0], elastic=1e308)
+@example(layers=1, res=3, steps=3, budget=100, center=[0.0, 0.0, 0.0], radius=1e308,
+         translation=[0.05, 0.0, 0.0], elastic=0.004)
+@example(layers=1, res=3, steps=0, budget=100, center=[0.0, 0.0, 0.5], radius=0.2,
+         translation=[1e200, 0.0, 0.0], elastic=0.004)
+def test_cli_extreme_values_exit_cleanly(extreme_workdir, layers, res, steps,
+                                         budget, center, radius, translation,
+                                         elastic):
+    """Schema-valid elastic jobs with extreme floats in the region, the
+    motion and the elastic weight run, or fail with a documented exit code,
+    without a traceback or a NumPy warning."""
+    job = {
+        "workflow": "elastic",
+        "net": {"layers": layers, "resolution": res},
+        "optimizer": {"max_steps": steps, "log_every": 1},
+        "loss": {"elastic": {"initial": elastic}},
+        "samples": {"moving": budget, "static": budget, "free": budget},
+        "constraints": [
+            {"region": {"kind": "halfspace", "normal": [0, 0, -1], "offset": 0.35},
+             "static": True},
+            {"region": {"kind": "sphere", "center": center, "radius": radius},
+             "motion": {"translation": translation}},
+        ],
+        "input": {"geometry": "bar.obj"},
+        "output": {"checkpoint": "x.ckpt.json", "report": "x.csv"},
+    }
+    path = extreme_workdir / "job.json"
+    path.write_text(json.dumps(job))
+    (extreme_workdir / "x.csv").unlink(missing_ok=True)
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(["elastic", str(path), "--quiet"])
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
+        [str(w.message) for w in caught]
+    if code == 0:
+        rows = dict(row.split(",", 1) for row in
+                    (extreme_workdir / "x.csv").read_text().splitlines())
+        assert np.isfinite(float(rows["final_loss"]))

@@ -4,6 +4,7 @@ import pytest
 from tuttedeform import optim
 from tuttedeform.deform import PointSet, forward, realize
 from tuttedeform.energy import HandleConstraint, LossWeights
+from tuttedeform.errors import NumericalError
 from tuttedeform.mesh2d import build_mesh
 from tuttedeform.optim import (AdamState, ElasticJob, FitJob, LearningRate,
                                NetSpec, StopRule, adam_step, init_params,
@@ -38,6 +39,29 @@ def test_adam_minimizes_quadratic():
     for _ in range(400):
         x = adam_step(state, x, 2 * (x - target), lr=0.05)
     assert np.abs(x - target).max() < 1e-3
+
+
+def test_adam_overflow_raises_and_keeps_the_state():
+    state = AdamState(size=2)
+    x = adam_step(state, np.zeros(2), np.array([1.0, -1.0]), lr=0.1)
+    m, v = state.m.copy(), state.v.copy()
+    # finite, but its square overflows the second moment
+    with pytest.raises(NumericalError):
+        adam_step(state, x, np.array([1e300, 0.0]), lr=0.1)
+    assert state.t == 1
+    assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
+
+def test_run_elastic_rejects_an_overflowing_loss():
+    pts = np.random.default_rng(3).uniform(-0.4, 0.4, size=(60, 3))
+    far = HandleConstraint(points=PointSet(pts[:20]),
+                           translation=np.array([1e200, 0.0, 0.0]))
+    for steps, where in ((3, "at step 0"), (0, "on the final net")):
+        job = ElasticJob(constraints=[far], free_samples=PointSet(pts[20:]),
+                         spec=NetSpec(layers=1, resolution=3),
+                         max_steps=steps, log_every=1000)
+        with pytest.raises(NumericalError, match=where):
+            run_elastic(job)
 
 
 def test_stop_rule():

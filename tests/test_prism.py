@@ -1,15 +1,42 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
 from tuttedeform.errors import NotInImageError
 from tuttedeform.mesh2d import build_mesh
-from tuttedeform.prism import (Frame, PrismLayer, frame_from_axis_angle,
-                               invert_points, jacobians, map_points,
-                               triplane_frames)
+from tuttedeform.prism import (Frame, PrismLayer, cell_jacobians,
+                               frame_from_axis_angle, invert_points, jacobians,
+                               map_points, triplane_frames)
 from tuttedeform.tutte import identity_params, solve_tutte
 
 from conftest import random_params
+
+
+def signed_permutations():
+    """The 24 proper rotations with entries in {-1, 0, 1}."""
+    out = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            R = np.zeros((3, 3))
+            R[range(3), perm] = signs
+            if np.linalg.det(R) > 0:
+                out.append(R)
+    return out
+
+
+def is_permutation(R):
+    return set(R.flat) <= {-1.0, 0.0, 1.0}
+
+
+PERMUTATIONS = signed_permutations()
+# A quarter turn about z is a permutation only up to cos(pi/2) = 6e-17, so
+# it must take the matmul path; the others are far from any permutation.
+NON_PERMUTATIONS = [frame_from_axis_angle([0, 0, 1], np.pi / 2).rotation,
+                    frame_from_axis_angle([1, 2, 3], 0.9).rotation,
+                    frame_from_axis_angle([0.3, -1.0, 2.0], -1.2).rotation]
+ALL_FRAMES = PERMUTATIONS + NON_PERMUTATIONS
 
 
 def make_layer(rng=None, resolution=7, frame=None, scale=1.5, index=0):
@@ -49,19 +76,52 @@ def test_triplane_cycle():
     assert np.allclose(frames[2].rotation, np.eye(3))
 
 
+def test_signed_permutations_are_the_24_proper_ones():
+    assert len(PERMUTATIONS) == 24
+    assert len({R.tobytes() for R in PERMUTATIONS}) == 24
+    assert all(triplane.rotation.tobytes() in {R.tobytes() for R in PERMUTATIONS}
+               for triplane in triplane_frames(3))
+
+
+def test_frame_products_equal_matmul():
+    # Both paths, index picks and matmul, must give the matmul's bits.  Mixed
+    # magnitudes make a 6e-17 entry of the quarter turn show in the bits.
+    rng = np.random.default_rng(7)
+    for R in ALL_FRAMES:
+        frame = Frame(R)
+        for shape in ((50, 3), (50, 3, 3)):
+            x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+            assert np.array_equal(frame.to_local(x), x @ frame.rotation)
+            assert np.array_equal(frame.to_world(x), x @ frame.rotation.T)
+
+
+def test_cell_jacobians_equal_conjugated_lift():
+    # exact for permutations; rotated frames round in another order
+    rng = np.random.default_rng(8)
+    for R in ALL_FRAMES:
+        layer = make_layer(rng, frame=Frame(R))
+        tri = np.arange(layer.plmap.mesh.num_triangles)
+        lifted = np.zeros((tri.size, 3, 3))
+        lifted[:, :2, :2] = layer.plmap.A[tri]
+        lifted[:, 2, 2] = 1.0
+        err = np.abs(cell_jacobians(layer, tri) - R @ lifted @ R.T).max()
+        assert err == 0.0 if is_permutation(R) else err < 1e-14
+
+
 def test_identity_layer_is_identity():
-    layer = make_layer()
     pts = np.random.default_rng(1).uniform(-1, 1, size=(200, 3))
-    assert np.abs(map_points(layer, pts) - pts).max() < 1e-9
+    for R in ALL_FRAMES:
+        layer = make_layer(frame=Frame(R))
+        # half the box keeps rotated frames' local coordinates in the square
+        p = pts if is_permutation(R) else 0.5 * pts
+        assert np.abs(map_points(layer, p) - p).max() < 1e-9
 
 
 def test_frame_axis_coordinate_preserved():
     # the coordinate along the frame's local z never changes
     rng = np.random.default_rng(2)
-    for axis_angle in [(np.array([0, 0, 1.0]), 0.0),
-                       (np.array([1.0, 1.0, 0.0]), 0.7),
-                       (np.array([0.3, -1.0, 2.0]), -1.2)]:
-        frame = frame_from_axis_angle(*axis_angle)
+    for R in ALL_FRAMES + [frame_from_axis_angle([1.0, 1.0, 0.0], 0.7).rotation]:
+        frame = Frame(R)
         layer = make_layer(rng, frame=frame)
         pts = rng.uniform(-0.6, 0.6, size=(100, 3))
         out = map_points(layer, pts)
@@ -70,31 +130,33 @@ def test_frame_axis_coordinate_preserved():
 
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(3)
-    layer = make_layer(rng, frame=frame_from_axis_angle([1, 2, 3], 0.9))
-    pts = rng.uniform(-0.5, 0.5, size=(40, 3))
-    J = jacobians(layer, pts)
-    h = 1e-7
-    for k in range(len(pts)):
-        fd = np.empty((3, 3))
-        for c in range(3):
-            e = np.zeros(3)
-            e[c] = h
-            fd[:, c] = (map_points(layer, (pts[k] + e)[None])[0]
-                        - map_points(layer, (pts[k] - e)[None])[0]) / (2 * h)
-        rel = np.abs(J[k] - fd).max() / max(1.0, np.abs(fd).max())
-        assert rel < 5e-7
+    for R in [PERMUTATIONS[5], PERMUTATIONS[17]] + NON_PERMUTATIONS:
+        layer = make_layer(rng, frame=Frame(R))
+        pts = rng.uniform(-0.5, 0.5, size=(40, 3))
+        J = jacobians(layer, pts)
+        h = 1e-7
+        for k in range(len(pts)):
+            fd = np.empty((3, 3))
+            for c in range(3):
+                e = np.zeros(3)
+                e[c] = h
+                fd[:, c] = (map_points(layer, (pts[k] + e)[None])[0]
+                            - map_points(layer, (pts[k] - e)[None])[0]) / (2 * h)
+            rel = np.abs(J[k] - fd).max() / max(1.0, np.abs(fd).max())
+            assert rel < 5e-7
 
 
 def test_invert_roundtrip():
     rng = np.random.default_rng(4)
-    layer = make_layer(rng, frame=frame_from_axis_angle([0, 1, 0], 1.1), scale=2.0)
-    # a rotated frame maps the box to a rotated box; sample inside the
-    # inscribed ball so local coordinates stay in [-1, 1]^2
-    pts = rng.uniform(-1, 1, size=(500, 3))
-    pts = 0.9 * pts / np.maximum(1.0, np.linalg.norm(pts, axis=1, keepdims=True))
-    out = map_points(layer, pts)
-    back = invert_points(layer, out)
-    assert np.abs(back - pts).max() < 1e-10
+    for R in [frame_from_axis_angle([0, 1, 0], 1.1).rotation] + ALL_FRAMES:
+        layer = make_layer(rng, frame=Frame(R), scale=2.0)
+        # a rotated frame maps the box to a rotated box; sample inside the
+        # inscribed ball so local coordinates stay in [-1, 1]^2
+        pts = rng.uniform(-1, 1, size=(500, 3))
+        pts = 0.9 * pts / np.maximum(1.0, np.linalg.norm(pts, axis=1, keepdims=True))
+        out = map_points(layer, pts)
+        back = invert_points(layer, out)
+        assert np.abs(back - pts).max() < 1e-10
 
 
 def test_out_of_image_error_carries_layer_index():
@@ -108,8 +170,8 @@ def test_out_of_image_error_carries_layer_index():
 def test_box_preserved():
     # prism layers are bijections of the box; outputs stay inside it
     rng = np.random.default_rng(6)
-    for i in range(3):
-        layer = make_layer(rng, frame=triplane_frames(3)[i], scale=2.5)
+    for R in PERMUTATIONS:
+        layer = make_layer(rng, frame=Frame(R), scale=2.5)
         pts = rng.uniform(-1, 1, size=(400, 3))
         out = map_points(layer, pts)
         assert np.abs(out).max() <= 1.0 + 1e-12
