@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import prism
-from .mesh2d import Mesh2D, _readonly
+from .mesh2d import Mesh2D, _readonly, _reject_non_finite
 from .prism import Frame, PrismLayer
 from .tutte import TutteLayerParams, solve_tutte_with_system
 
@@ -95,7 +95,9 @@ def realize(mesh: Mesh2D, params: Sequence[TutteLayerParams],
 def _as_array(points):
     if isinstance(points, PointSet):
         return points.points, points.weights
-    return np.asarray(points, dtype=np.float64), None
+    pts = np.asarray(points, dtype=np.float64)
+    _reject_non_finite(pts)
+    return pts, None
 
 
 def _walk(net: DeformationNet, pts):

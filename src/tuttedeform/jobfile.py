@@ -200,10 +200,12 @@ def _parse_region(d, path) -> Region:
     if "normal" not in d or "offset" not in d:
         raise ConfigError(f"{path}: halfspace region needs normal and offset")
     n = np.asarray(d["normal"], dtype=np.float64)
-    norm = np.linalg.norm(n)
-    if norm == 0:
-        raise ConfigError(f"{path}: halfspace normal must be nonzero")
-    return Region(kind, normal=n / norm, offset=float(d["offset"]) / norm)
+    with np.errstate(over="ignore"):
+        norm = _finite(np.linalg.norm(n), f"{path}.normal norm")
+        if norm == 0:
+            raise ConfigError(f"{path}: halfspace normal must be nonzero")
+        offset = _finite(float(d["offset"]) / norm, f"{path}.offset over the normal's norm")
+    return Region(kind, normal=n / norm, offset=offset)
 
 
 @dataclass(frozen=True)
@@ -231,11 +233,14 @@ def _finite(v, what):
 
 def _parse_motion(d, path) -> Motion:
     axis = np.asarray(d.get("axis", [0.0, 0.0, 1.0]), dtype=np.float64)
-    angle = float(d.get("angle_degrees", 0.0)) * np.pi / 180.0
+    angle = _finite(float(d.get("angle_degrees", 0.0)) * np.pi / 180.0,
+                    f"{path}.angle_degrees in radians")
     pivot = np.asarray(d.get("pivot", [0.0, 0.0, 0.0]), dtype=np.float64)
     tr = np.asarray(d.get("translation", [0.0, 0.0, 0.0]), dtype=np.float64)
-    if angle != 0.0 and np.linalg.norm(axis) == 0:
-        raise ConfigError(f"{path}: rotation axis must be nonzero")
+    if angle != 0.0:
+        with np.errstate(over="ignore"):
+            if _finite(np.linalg.norm(axis), f"{path}.axis norm") == 0:
+                raise ConfigError(f"{path}: rotation axis must be nonzero")
     R = frame_from_axis_angle(axis, angle).rotation if angle != 0.0 else np.eye(3)
     with np.errstate(over="ignore", invalid="ignore"):
         t = R @ (-pivot) + pivot + tr

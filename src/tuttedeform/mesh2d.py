@@ -152,6 +152,15 @@ def _inv22(m):
     return out
 
 
+def _reject_non_finite(pts):
+    """Raise ValueError naming the first row of ``pts`` with a NaN or inf."""
+    finite = np.isfinite(pts)
+    if not finite.all():  # the per-row search runs only on the error path
+        rows = np.atleast_2d(pts)
+        i = int(np.flatnonzero(~np.all(np.atleast_2d(finite), axis=1))[0])
+        raise ValueError(f"point {i} is not finite: {rows[i]}")
+
+
 def _axis_cells(mesh, coords):
     """Cell index and local fraction along one axis, with exact gridline ties.
 
@@ -181,7 +190,8 @@ def locate_points(mesh, points, layer_index=None):
     vertex order.  For a point incident to several triangles (on a shared
     edge or vertex) the lowest-index incident triangle is returned.  Points
     within DOMAIN_TOL outside the square are clamped; beyond that an
-    OutOfDomainError identifies the first offender.  A single point (shape
+    OutOfDomainError identifies the first offender.  A non-finite point
+    raises ValueError.  A single point (shape
     (2,)) gives an ``int`` triangle and a (3,) barycentric vector.
     """
     pts = np.asarray(points, dtype=np.float64)
@@ -191,9 +201,9 @@ def locate_points(mesh, points, layer_index=None):
         raise ValueError(f"expected 2D points, got shape {pts.shape}")
 
     over = np.abs(pts) - 1.0
-    bad = np.flatnonzero(np.any(over > DOMAIN_TOL, axis=1))
-    if bad.size:
-        i = int(bad[0])
+    if not over.max(initial=-1.0) <= DOMAIN_TOL:  # also taken on a NaN
+        _reject_non_finite(pts)
+        i = int(np.flatnonzero(np.any(over > DOMAIN_TOL, axis=1))[0])
         raise OutOfDomainError(
             f"point {pts[i]} lies outside [-1,1]^2 by {float(np.max(over[i])):.3e}",
             point=pts[i].copy(), layer_index=layer_index, point_index=i,
@@ -287,11 +297,12 @@ class _ImageLocator:
     """Uniform bin grid over the deformed mesh for image-side point location.
 
     Each background cell stores the ascending indices of the triangles whose
-    padded image bounding box touches it.  A query tests every candidate in
-    its point's cell and takes the first (lowest-index) one that holds the
-    point within _BARY_STRICT, which matches the forward locator's
-    tie-break; failing that, the candidate whose smallest barycentric is
-    largest (lowest index on ties), if that is within _BARY_FALLBACK.
+    padded image bounding box touches it.  A query scores every candidate in
+    its point's cell by its smallest barycentric and takes the first
+    (lowest-index) one scoring at least ``min(best, -_BARY_STRICT)``: the
+    first that holds the point within _BARY_STRICT, which matches the
+    forward locator's tie-break, or failing that the first with the best
+    score, if that is within _BARY_FALLBACK.
 
     The padding makes the cell's candidates cover every triangle that could
     be accepted: if all barycentrics of p are >= -eps then, per axis,
@@ -306,9 +317,12 @@ class _ImageLocator:
         mesh = plmap.mesh
         U = plmap.vertex_positions
         tri_u = U[mesh.triangles]  # (T, 3, 2)
-        self.tri_u0 = np.ascontiguousarray(tri_u[:, 0])
-        # Inverse of the deformed edge matrix: B_rest @ inv(A).
-        self.B_img = mesh.edge_inverse @ _inv22(plmap.A)
+        # Per-triangle columns: the first corner, and the inverse of the
+        # deformed edge matrix, B_rest @ inv(A), entry by entry.
+        self.u0x, self.u0y = np.ascontiguousarray(tri_u[:, 0].T)
+        B = mesh.edge_inverse @ _inv22(plmap.A)
+        self.b00, self.b01, self.b10, self.b11 = np.ascontiguousarray(
+            B.reshape(-1, 4).T)
 
         self.lo = U.min(axis=0)
         hi = U.max(axis=0)
@@ -340,6 +354,7 @@ class _ImageLocator:
 
     def query(self, points, layer_index=None):
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        _reject_non_finite(pts)
         n = pts.shape[0]
         cidx = np.clip(
             np.floor((pts - self.lo) / self.cell).astype(np.int64), 0, self.ncell - 1)
@@ -349,15 +364,14 @@ class _ImageLocator:
 
         # One row per (point, candidate): points in order, each point's
         # candidates in ascending triangle index.
-        owner = np.repeat(np.arange(n), length)
         head = np.cumsum(length) - length  # each point's first row
-        m = owner.size
-        rows = np.arange(m)
-        cand = self.bucket_tris[np.repeat(start - head, length) + rows]
-        local = np.einsum(
-            "nij,nj->ni", self.B_img[cand], pts[owner] - self.tri_u0[cand])
-        bary = np.column_stack([1.0 - local[:, 0] - local[:, 1], local])
-        score = bary.min(axis=1)
+        cand = self.bucket_tris[np.repeat(start - head, length) + np.arange(length.sum())]
+        dx = np.repeat(pts[:, 0], length) - self.u0x[cand]
+        dy = np.repeat(pts[:, 1], length) - self.u0y[cand]
+        l1 = self.b00[cand] * dx + self.b01[cand] * dy
+        l2 = self.b10[cand] * dx + self.b11[cand] * dy
+        l0 = 1.0 - l1 - l2
+        score = np.minimum(np.minimum(l0, l1), l2)
 
         best = np.full(n, -np.inf)  # stays -inf for a point with no candidate
         filled = length > 0
@@ -370,12 +384,12 @@ class _ImageLocator:
                 f"(best containment violation {-best[i]:.3e})",
                 point=pts[i].copy(), layer_index=layer_index, point_index=i)
 
-        # A strict hit keys as its row, a best-score row as row + m, so the
-        # smallest key is the first strict hit, else the first best score.
-        key = np.where(score >= -_BARY_STRICT, rows,
-                       np.where(score == best[owner], rows + m, 2 * m))
-        pick = np.minimum.reduceat(key, head) % max(m, 1)
-        return cand[pick], bary[pick]
+        # A point's rows at or above its threshold are its strict hits if it
+        # has one, else its best-score rows; take the first of them.
+        threshold = np.minimum(best, -_BARY_STRICT)
+        hit = np.flatnonzero(score >= np.repeat(threshold, length))
+        pick = hit[np.searchsorted(hit, head)]
+        return cand[pick], np.column_stack([l0[pick], l1[pick], l2[pick]])
 
 
 def locate_image_points(plmap: PLMap2D, points, layer_index=None):

@@ -4,7 +4,7 @@ import pytest
 from tuttedeform.deform import (PointSet, forward, forward_trace, inverse,
                                 inverse_jacobians, jacobians, realize)
 from tuttedeform.errors import OutOfDomainError
-from tuttedeform.mesh2d import build_mesh
+from tuttedeform.mesh2d import build_mesh, locate_image_points, locate_points
 from tuttedeform.prism import triplane_frames
 from tuttedeform.tutte import identity_params
 
@@ -137,6 +137,21 @@ def test_out_of_domain_reports_index():
     with pytest.raises(OutOfDomainError) as ei:
         forward(net, bad)
     assert ei.value.point_index == 1
+
+
+def test_non_finite_points_are_rejected():
+    net = random_net(np.random.default_rng(9), resolution=5, layers=2)
+    # Row 1 is out of domain, but the first non-finite row is named first.
+    pts = np.array([[0.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.1, np.nan, 0.3],
+                    [np.inf, 0.0, 0.0]])
+    for fn in (forward, inverse, jacobians, inverse_jacobians):
+        with pytest.raises(ValueError, match=r"point 2 is not finite: \[0\.1 +nan +0\.3\]"):
+            fn(net, pts)
+    local = np.array([[0.0, 0.0], [-np.inf, 0.0], [np.nan, 0.0]])
+    with pytest.raises(ValueError, match="point 1 is not finite"):
+        locate_image_points(net.layers[0].plmap, local)
+    with pytest.raises(ValueError, match="point 1 is not finite"):
+        locate_points(net.mesh, local)
 
 
 def test_forward_is_deterministic():

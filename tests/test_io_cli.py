@@ -249,6 +249,23 @@ def test_motion_conjugation():
     assert np.allclose(R @ tr.apply(p) + t, tr.apply(raw_target))
 
 
+def test_overflowing_region_and_motion_name_the_field():
+    from tuttedeform.jobfile import _parse_motion, _parse_region
+    probes = [
+        (_parse_region, {"kind": "halfspace", "normal": [1e308, 1e308, 0], "offset": 0},
+         "normal"),
+        (_parse_region, {"kind": "halfspace", "normal": [1e-150, 0, 0], "offset": 1e308},
+         "offset"),
+        (_parse_motion, {"angle_degrees": 1e308}, "angle_degrees"),
+        (_parse_motion, {"axis": [1e308, 1e308, 0], "angle_degrees": 20}, "axis"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for parse, d, field in probes:
+            with pytest.raises(ConfigError, match=rf"\$\.{field}.* overflows float64"):
+                parse(d, "$")
+
+
 # --------------------------------------------------------------- checkpoint
 
 def test_checkpoint_roundtrip_bit_identical(tmp_path):
@@ -472,19 +489,36 @@ def extreme_workdir(tmp_path_factory):
        center=st.one_of(st.just([0.0, 0.0, 0.5]), _vec3(_extreme())),
        radius=st.one_of(st.just(0.2), _extreme(nonneg=True).filter(lambda r: r > 0)),
        translation=st.one_of(st.just([0.05, 0.0, 0.0]), _vec3(_extreme())),
-       elastic=st.one_of(st.just(0.004), _extreme(nonneg=True)))
+       elastic=st.one_of(st.just(0.004), _extreme(nonneg=True)),
+       normal=st.one_of(st.just([0.0, 0.0, -1.0]), _vec3(_extreme())),
+       offset=st.one_of(st.just(0.35), _extreme()),
+       angle=st.one_of(st.just(0.0), _extreme()),
+       axis=st.one_of(st.just([0.0, 0.0, 1.0]), _vec3(_extreme())))
 @example(layers=1, res=3, steps=3, budget=100, center=[0.0, 0.0, 0.5], radius=0.2,
-         translation=[1e200, 0.0, 0.0], elastic=0.004)
+         translation=[1e200, 0.0, 0.0], elastic=0.004,
+         normal=[0.0, 0.0, -1.0], offset=0.35, angle=0.0, axis=[0.0, 0.0, 1.0])
 @example(layers=1, res=3, steps=3, budget=100, center=[0.0, 0.0, 0.5], radius=0.2,
-         translation=[0.05, 0.0, 0.0], elastic=1e308)
+         translation=[0.05, 0.0, 0.0], elastic=1e308,
+         normal=[0.0, 0.0, -1.0], offset=0.35, angle=0.0, axis=[0.0, 0.0, 1.0])
 @example(layers=1, res=3, steps=3, budget=100, center=[0.0, 0.0, 0.0], radius=1e308,
-         translation=[0.05, 0.0, 0.0], elastic=0.004)
+         translation=[0.05, 0.0, 0.0], elastic=0.004,
+         normal=[0.0, 0.0, -1.0], offset=0.35, angle=0.0, axis=[0.0, 0.0, 1.0])
 @example(layers=1, res=3, steps=0, budget=100, center=[0.0, 0.0, 0.5], radius=0.2,
-         translation=[1e200, 0.0, 0.0], elastic=0.004)
+         translation=[1e200, 0.0, 0.0], elastic=0.004,
+         normal=[0.0, 0.0, -1.0], offset=0.35, angle=0.0, axis=[0.0, 0.0, 1.0])
+@example(layers=1, res=3, steps=3, budget=100, center=[0.0, 0.0, 0.5], radius=0.2,
+         translation=[0.05, 0.0, 0.0], elastic=0.004,
+         normal=[1e308, 1e308, 0.0], offset=0.0, angle=0.0, axis=[0.0, 0.0, 1.0])
+@example(layers=1, res=3, steps=3, budget=100, center=[0.0, 0.0, 0.5], radius=0.2,
+         translation=[0.05, 0.0, 0.0], elastic=0.004,
+         normal=[0.0, 0.0, -1.0], offset=0.35, angle=1e308, axis=[0.0, 0.0, 1.0])
+@example(layers=1, res=3, steps=3, budget=100, center=[0.0, 0.0, 0.5], radius=0.2,
+         translation=[0.05, 0.0, 0.0], elastic=0.004,
+         normal=[0.0, 0.0, -1.0], offset=0.35, angle=20.0, axis=[1e308, 1e308, 0.0])
 def test_cli_extreme_values_exit_cleanly(extreme_workdir, layers, res, steps,
                                          budget, center, radius, translation,
-                                         elastic):
-    """Schema-valid elastic jobs with extreme floats in the region, the
+                                         elastic, normal, offset, angle, axis):
+    """Schema-valid elastic jobs with extreme floats in the regions, the
     motion and the elastic weight run, or fail with a documented exit code,
     without a traceback or a NumPy warning."""
     job = {
@@ -494,10 +528,11 @@ def test_cli_extreme_values_exit_cleanly(extreme_workdir, layers, res, steps,
         "loss": {"elastic": {"initial": elastic}},
         "samples": {"moving": budget, "static": budget, "free": budget},
         "constraints": [
-            {"region": {"kind": "halfspace", "normal": [0, 0, -1], "offset": 0.35},
+            {"region": {"kind": "halfspace", "normal": normal, "offset": offset},
              "static": True},
             {"region": {"kind": "sphere", "center": center, "radius": radius},
-             "motion": {"translation": translation}},
+             "motion": {"translation": translation, "angle_degrees": angle,
+                        "axis": axis}},
         ],
         "input": {"geometry": "bar.obj"},
         "output": {"checkpoint": "x.ckpt.json", "report": "x.csv"},

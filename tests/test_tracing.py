@@ -27,11 +27,13 @@ def test_tracer_wraps_and_restores_every_name():
             assert owner.__dict__[attr] is not fn, f"{owner.__name__}.{attr}"
         net = random_net(np.random.default_rng(0), resolution=5, layers=2)
         with tracer.root(OP):
-            deform.forward(net, np.zeros((4, 3)))
+            images = deform.forward(net, np.zeros((4, 3)))
+            deform.inverse(net, images)
     for (owner, attr), fn in zip(targets, before):
         assert owner.__dict__[attr] is fn, f"{owner.__name__}.{attr}"
     names = {span[0] for span in tracer.spans}
-    assert {OP, "deform.forward", "mesh2d.locate_points"} <= names
+    assert {OP, "deform.forward", "mesh2d.locate_points", "deform.inverse",
+            "mesh2d.locate_image_points", "mesh2d.image_locator"} <= names
 
 
 def test_one_adjoint_span_per_layer():
