@@ -19,9 +19,9 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import logging
-import os
 import sys
 
 import numpy as np
@@ -30,7 +30,8 @@ from . import checkpoint as ckpt
 from .deform import PointSet, forward, inverse, jacobians
 from .energy import HandleConstraint, strain_energy_density
 from .errors import InternalError, NotInImageError, NumericalError, OutOfDomainError
-from .fileio import load_geometry, normalize_jointly, save_geometry
+from .fileio import (atomic_write_text, load_geometry, normalize_jointly,
+                     save_geometry)
 from .jobfile import ConfigError, JobFile, load_jobfile
 from .optim import ElasticJob, FitJob, run_elastic, run_fit
 
@@ -91,12 +92,9 @@ def _split_by_constraints(job: JobFile, geo):
 
 
 def _write_report_csv(path, rows):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        writer.writerows(rows)
-    os.replace(tmp, path)
+    buf = io.StringIO()
+    csv.writer(buf).writerows([["metric", "value"]] + rows)
+    atomic_write_text(path, buf.getvalue())
 
 
 def _report_rows(net, report=None, sample_points=None):

@@ -125,12 +125,20 @@ def forward(net: DeformationNet, points):
     return out
 
 
+def _walk_back(net: DeformationNet, pts):
+    """Yield ``(layer, tri, out)`` per layer, last layer first: the image-side
+    cell of each point and its preimage.  The reverse of ``_walk``."""
+    out = pts
+    for layer in reversed(net.layers):
+        out, tri = prism.inverse_step(layer, out)
+        yield layer, tri, out
+
+
 def inverse(net: DeformationNet, points):
     """Apply the inverse composition (layers inverted in reverse order)."""
     pts, weights = _as_array(points)
-    out = pts
-    for layer in reversed(net.layers):
-        out = prism.invert_points(layer, out)
+    for _, _, out in _walk_back(net, pts):
+        pass
     if isinstance(points, PointSet):
         return PointSet(points=out, weights=weights)
     return out
@@ -152,15 +160,13 @@ def jacobians(net: DeformationNet, points):
 def inverse_jacobians(net: DeformationNet, points):
     """(N, 3, 3) Jacobians of the inverse map at image-space points.
 
-    Each layer inverts the Jacobian of the cell its image-side locator found.
+    Each layer contributes the inverse Jacobian of the cell its image-side
+    locator found; the chain multiplies out as M_1^-1 ... M_k^-1.
     """
     pts, _ = _as_array(points)
     J = _identities(pts.shape[0])
-    cur = pts
-    for layer in reversed(net.layers):
-        cur, tri = prism.inverse_step(layer, cur)
-        # The inverse chain multiplies out as M_1^-1 ... M_k^-1.
-        J = np.linalg.inv(prism.cell_jacobians(layer, tri)) @ J
+    for layer, tri, _ in _walk_back(net, pts):
+        J = prism.inverse_cell_jacobians(layer, tri) @ J
     return J
 
 

@@ -36,6 +36,12 @@ def strain_energy_density(J):
     return np.sum(G * G, axis=(-2, -1))
 
 
+def _quarter_strain_gradient(J):
+    """``J (J^T J - I)``: a quarter of the derivative of
+    :func:`strain_energy_density` with respect to ``J``, for a batch."""
+    return J @ (np.swapaxes(J, -1, -2) @ J - np.eye(J.shape[-1]))
+
+
 def distortion_multipliers(energies,
                            thresholds=DISTORTION_THRESHOLDS,
                            multipliers=DISTORTION_MULTIPLIERS):

@@ -1,15 +1,17 @@
 """Exact gradients of the losses with respect to raw layer parameters.
 
-The chain has three stages.  Stage 1 lives here:
+One reverse sweep runs the chain's three stages layer by layer, from the
+last layer to the first.  Stage 1 lives here:
 
-1.  Point and Jacobian cotangents are pulled back through the layer stack to
-    per-layer cotangents on deformed vertex positions (``dL/dU``).  A
-    point's triangle memberships are piecewise constant in the parameters,
-    so away from cell crossings the exact gradient treats them as fixed;
-    barycentric weights recorded in the forward trace do the bookkeeping.
+1.  Point and Jacobian cotangents are pulled back through the layer to
+    cotangents on its deformed vertex positions (``dL/dU``), and the
+    regularizer adds its own.  A point's triangle memberships are piecewise
+    constant in the parameters, so away from cell crossings the exact
+    gradient treats them as fixed; barycentric weights recorded in the
+    forward trace do the bookkeeping.
 
 Stages 2 and 3 belong to the Tutte solve and live in
-:func:`tutte.tutte_backward`, called once per layer:
+:func:`tutte.tutte_backward`:
 
 2.  Each layer's ``dL/dU`` is converted into gradients of its edge weights
     and boundary positions by an adjoint solve against the layer's stored
@@ -22,7 +24,8 @@ Stages 2 and 3 belong to the Tutte solve and live in
 
 Parameters of different layers never mix outside stage 1: perturbing one
 layer's weights changes other layers' losses only through the transported
-points, which is exactly what the stage-1 sweep accounts for.
+points, which is exactly what the stage-1 pullback accounts for.  A
+non-finite gradient is reported at the highest layer that has one.
 """
 
 from __future__ import annotations
@@ -34,11 +37,10 @@ import numpy as np
 
 from . import prism
 from .deform import DeformationNet, OrbitTrace, PointSet, forward_trace
-from .energy import (HandleConstraint, LossWeights, distortion_multipliers,
-                     layer_regularization, strain_energy_density,
-                     triangle_gradient_frames)
+from .energy import (HandleConstraint, LossWeights, _quarter_strain_gradient,
+                     distortion_multipliers, layer_regularization,
+                     strain_energy_density, triangle_gradient_frames)
 from .errors import NumericalError
-from .mesh2d import Mesh2D
 from .prism import _t
 from .tutte import tutte_backward
 
@@ -108,77 +110,76 @@ class LossValues:
     max_distortion: float = 0.0
 
 
-class _Accumulator:
-    """Per-layer cotangent stores shared by all loss terms."""
-
-    def __init__(self, net: DeformationNet):
-        V = net.mesh.num_vertices
-        T = net.mesh.num_triangles
-        self.dU = [np.zeros((V, 2)) for _ in range(net.num_layers)]
-        self.dA = [np.zeros((T, 2, 2)) for _ in range(net.num_layers)]
-
-
-def _scatter_rows(out, idx, vals):
-    # out: (V, 2); idx: (N,); vals: (N, 2).  bincount is deterministic and
-    # much faster than np.add.at for our sizes.
-    out[:, 0] += np.bincount(idx, weights=vals[:, 0], minlength=out.shape[0])
-    out[:, 1] += np.bincount(idx, weights=vals[:, 1], minlength=out.shape[0])
+def _add_edge_cotangents(out, triangles, dE):
+    """Add cotangents ``dE`` (T, d, 2) of the edge matrices
+    ``[v1 - v0, v2 - v0]`` of ``triangles`` to vertex cotangents ``out``
+    (V, d), in place; returns ``out``.  Like every scatter-add here it uses
+    bincount: deterministic, and much faster than np.add.at for our sizes."""
+    n = out.shape[0]
+    for c in range(out.shape[1]):
+        out[:, c] += np.bincount(triangles[:, 1], weights=dE[:, c, 0], minlength=n)
+        out[:, c] += np.bincount(triangles[:, 2], weights=dE[:, c, 1], minlength=n)
+        out[:, c] -= np.bincount(triangles[:, 0], weights=dE[:, c, 0] + dE[:, c, 1],
+                                 minlength=n)
+    return out
 
 
-def _backward_points(net: DeformationNet, trace: OrbitTrace, acc: _Accumulator,
-                     g_out, g_jac):
-    """Pull point/Jacobian cotangents back through the layers.
+def _backward_sweep(net: DeformationNet, trace: Optional[OrbitTrace], g_out, g_jac,
+                    reg_coef):
+    """Raw-parameter gradients ``(d_edges, d_boundary)`` of every layer.
 
-    ``g_out`` is dL/d(final points), ``g_jac`` dL/d(composite Jacobian) or
-    None.  Accumulates into ``acc`` in place.
+    ``g_out`` is dL/d(final points), None with ``trace`` when there are no
+    points; ``g_jac`` is dL/d(composite Jacobian) or None.  ``reg_coef``
+    scales the regularizer's cotangent, None when it is off.
     """
-    n = trace.points.shape[0]
-    g = g_out.copy()
-    S = None
-    if g_jac is not None:
-        S = np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
+    mesh = net.mesh
+    V, T = mesh.num_vertices, mesh.num_triangles
+    tris3 = mesh.triangles
+    edge_inverse_t = np.swapaxes(mesh.edge_inverse, -1, -2)
+    g = None if trace is None else g_out.copy()
+    S = None if g_jac is None else np.broadcast_to(np.eye(3), (g.shape[0], 3, 3)).copy()
 
-    tris3 = net.mesh.triangles
+    grads = []
     for l in range(net.num_layers - 1, -1, -1):
         layer = net.layers[l]
-        frame = layer.frame
-        tri = trace.tris[l]
-        bary = trace.barys[l]
-        A = layer.plmap.A[tri]
+        dU = np.zeros((V, 2))
+        dA = np.zeros((T, 2, 2))  # cotangents of the layer's affine factors
+        if g is not None:
+            frame = layer.frame
+            tri = trace.tris[l]
+            bary = trace.barys[l]
+            A = layer.plmap.A[tri]
 
-        g_loc = frame.to_local(g)
-        # Direct contribution to this layer's deformed vertices.
-        vals = bary[:, :, None] * g_loc[:, None, :2]  # (N, 3, 2)
-        verts = tris3[tri]
-        for k in range(3):
-            _scatter_rows(acc.dU[l], verts[:, k], vals[:, k])
-        # Continue the chain: local-out xy = q_xy @ A^T + delta.
-        g_xy = np.einsum("ni,nij->nj", g_loc[:, :2], A)
-        g = frame.to_world(np.column_stack([g_xy, g_loc[:, 2]]))
+            g_loc = frame.to_local(g)
+            # Direct contribution to this layer's deformed vertices.
+            vals = bary[:, :, None] * g_loc[:, None, :2]  # (N, 3, 2)
+            verts = tris3[tri]
+            for k in range(3):
+                for c in range(2):
+                    dU[:, c] += np.bincount(verts[:, k], weights=vals[:, k, c], minlength=V)
+            # Continue the chain: local-out xy = q_xy @ A^T + delta.
+            g_xy = np.einsum("ni,nij->nj", g_loc[:, :2], A)
+            g = frame.to_world(np.column_stack([g_xy, g_loc[:, 2]]))
 
-        if g_jac is not None:
-            M = prism.cell_jacobians(layer, tri)
-            P = trace.prefixes[l]
-            dM = _t(S) @ g_jac @ _t(P)
-            # R^T dM R = ((dM R)^T R)^T, each product over the last axis.
-            dA_loc = _t(frame.to_local(_t(frame.to_local(dM))))[:, :2, :2]
-            for a in range(2):
-                for b in range(2):
-                    acc.dA[l][:, a, b] += np.bincount(
-                        tri, weights=dA_loc[:, a, b],
-                        minlength=acc.dA[l].shape[0])
-            S = S @ M
+            if S is not None:
+                M = prism.cell_jacobians(layer, tri)
+                P = trace.prefixes[l]
+                dM = _t(S) @ g_jac @ _t(P)
+                # R^T dM R = ((dM R)^T R)^T, each product over the last axis.
+                dA_loc = _t(frame.to_local(_t(frame.to_local(dM))))[:, :2, :2]
+                for a in range(2):
+                    for b in range(2):
+                        dA[:, a, b] += np.bincount(tri, weights=dA_loc[:, a, b],
+                                                   minlength=T)
+                S = S @ M
 
-
-def _affine_to_vertices(mesh: Mesh2D, dA):
-    """Convert per-triangle affine cotangents (T, 2, 2) to vertex ones."""
-    dUe = dA @ np.swapaxes(mesh.edge_inverse, -1, -2)  # dL/d[u1-u0, u2-u0]
-    out = np.zeros((mesh.num_vertices, 2))
-    t = mesh.triangles
-    _scatter_rows(out, t[:, 1], dUe[:, :, 0])
-    _scatter_rows(out, t[:, 2], dUe[:, :, 1])
-    _scatter_rows(out, t[:, 0], -(dUe[:, :, 0] + dUe[:, :, 1]))
-    return out
+        if reg_coef is not None:
+            dA += reg_coef * mesh.areas[:, None, None] * _quarter_strain_gradient(
+                layer.plmap.A)
+        # dA @ edge_inverse^T is dL/d[u1 - u0, u2 - u0].
+        dU_total = dU + _add_edge_cotangents(np.zeros((V, 2)), tris3, dA @ edge_inverse_t)
+        grads.append(_finalize_layer(net, l, dU_total))
+    return grads[::-1]
 
 
 def _finalize_layer(net, l, dU_total):
@@ -238,9 +239,8 @@ def _trace_terms(net: DeformationNet, config: LossConfig):
         values["elastic"] = float(np.mean(m * weights * e))
         values["max_distortion"] = float(e.max())
         coef = (w_el * m * weights / e.size)
-        JtJ = np.swapaxes(J, -1, -2) @ J - np.eye(3)
         g_jac = np.zeros(trace.jac.shape)
-        g_jac[:n_el] = 4.0 * coef[:, None, None] * (J @ JtJ)
+        g_jac[:n_el] = 4.0 * coef[:, None, None] * _quarter_strain_gradient(J)
 
     if fit is not None:
         f0 = len(batch) - len(fit.source)
@@ -263,13 +263,7 @@ def _trace_terms(net: DeformationNet, config: LossConfig):
             values["fit_gradient"] = float(np.mean(np.sum(diff ** 2, axis=(1, 2))))
             dEd = (fit.gradient_weight * 2.0 / tris.shape[0]) * (
                 diff @ np.swapaxes(P, -1, -2))  # (T, 3, 2)
-            for k, col in ((1, 0), (2, 1)):
-                for c in range(3):
-                    g_fit[:, c] += np.bincount(
-                        tris[:, k], weights=dEd[:, c, col], minlength=n)
-            for c in range(3):
-                g_fit[:, c] -= np.bincount(
-                    tris[:, 0], weights=dEd[:, c, 0] + dEd[:, c, 1], minlength=n)
+            _add_edge_cotangents(g_fit, tris, dEd)
 
     if config.use_regularization:
         for layer in net.layers:
@@ -297,24 +291,8 @@ def evaluate_with_gradient(net: DeformationNet, config: LossConfig):
     almost everywhere.
     """
     loss, trace, g_out, g_jac = _trace_terms(net, config)
-    acc = _Accumulator(net)
-    if trace is not None:
-        _backward_points(net, trace, acc, g_out, g_jac)
-
-    if config.use_regularization:
-        w = config.weights
-        L = net.num_layers
-        for l, layer in enumerate(net.layers):
-            A = layer.plmap.A
-            G = A @ (np.swapaxes(A, -1, -2) @ A - np.eye(2))
-            acc.dA[l] += (4.0 * w.reg / L) * net.mesh.areas[:, None, None] * G
-
-    edge_grads, boundary_grads = [], []
-    for l in range(net.num_layers):
-        dU_total = acc.dU[l] + _affine_to_vertices(net.mesh, acc.dA[l])
-        de, db = _finalize_layer(net, l, dU_total)
-        edge_grads.append(de)
-        boundary_grads.append(db)
-    grad = ParamGradient(edge_weights=tuple(edge_grads),
-                         boundary_increments=tuple(boundary_grads))
-    return loss, grad
+    reg_coef = (4.0 * config.weights.reg / net.num_layers
+                if config.use_regularization else None)
+    edge_grads, boundary_grads = zip(*_backward_sweep(net, trace, g_out, g_jac, reg_coef))
+    return loss, ParamGradient(edge_weights=edge_grads,
+                               boundary_increments=boundary_grads)

@@ -41,14 +41,17 @@ class ConfigError(DeformError):
 _VEC3 = {"type": "array", "items": {"type": "number"},
          "minItems": 3, "maxItems": 3}
 
+# Cap on lengths that get squared: the sphere radius in Region.contains, a
+# motion's offsets in the handle loss.
+_MAX_LENGTH = 1e150
+
 _REGION = {
     "type": "object", "additionalProperties": False,
     "required": ["kind"],
     "properties": {
         "kind": {"enum": ["sphere", "box", "halfspace"]},
-        # A larger radius would overflow when squared in Region.contains.
         "center": _VEC3, "radius": {"type": "number", "exclusiveMinimum": 0,
-                                    "maximum": 1e150},
+                                    "maximum": _MAX_LENGTH},
         "min": _VEC3, "max": _VEC3,
         "normal": _VEC3, "offset": {"type": "number"},
     },
@@ -221,13 +224,22 @@ class Motion:
         R, c, s = self.rotation, transform.center, transform.scale
         with np.errstate(over="ignore", invalid="ignore"):
             t = s * (R @ c + self.translation - c)
-        return R, _finite(t, "motion translation in normalized coordinates")
+        return R, _squarable(t, "motion translation in normalized coordinates")
 
 
 def _finite(v, what):
     """``v`` if every entry is finite, else ConfigError naming ``what``."""
     if not np.all(np.isfinite(v)):
         raise ConfigError(f"{what} overflows float64")
+    return v
+
+
+def _squarable(v, what):
+    """``v`` if its length is at most _MAX_LENGTH, else ConfigError naming ``what``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.linalg.norm(v) <= _MAX_LENGTH:
+            raise ConfigError(
+                f"{what} is longer than {_MAX_LENGTH:g}: its square overflows float64")
     return v
 
 
@@ -243,8 +255,10 @@ def _parse_motion(d, path) -> Motion:
                 raise ConfigError(f"{path}: rotation axis must be nonzero")
     R = frame_from_axis_angle(axis, angle).rotation if angle != 0.0 else np.eye(3)
     with np.errstate(over="ignore", invalid="ignore"):
-        t = R @ (-pivot) + pivot + tr
-    return Motion(rotation=R, translation=_finite(t, f"{path}.translation"))
+        offset = R @ (-pivot) + pivot
+    offset = _squarable(offset, f"{path}.pivot's rotation offset (I - R) pivot")
+    tr = _squarable(tr, f"{path}.translation")
+    return Motion(rotation=R, translation=offset + tr)
 
 
 @dataclass(frozen=True)

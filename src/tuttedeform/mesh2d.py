@@ -286,13 +286,6 @@ def interpolate(positions, triangles, tri, bary):
     return np.einsum("nk,nkd->nd", bary, positions[triangles[tri]])
 
 
-def map_points(plmap: PLMap2D, points, layer_index=None):
-    """Apply the PL map to a batch of points; returns (N, 2) images."""
-    tri, bary = locate_points(plmap.mesh, points, layer_index=layer_index)
-    return interpolate(plmap.vertex_positions, plmap.mesh.triangles,
-                       np.atleast_1d(tri), np.atleast_2d(bary))
-
-
 class _ImageLocator:
     """Uniform bin grid over the deformed mesh for image-side point location.
 
@@ -395,9 +388,3 @@ class _ImageLocator:
 def locate_image_points(plmap: PLMap2D, points, layer_index=None):
     """Triangle indices and barycentrics of points in the deformed mesh."""
     return plmap.image_locator().query(points, layer_index=layer_index)
-
-
-def invert_points(plmap: PLMap2D, points, layer_index=None):
-    """Preimages of image-space points under the PL map, batched."""
-    tri, bary = locate_image_points(plmap, points, layer_index=layer_index)
-    return interpolate(plmap.mesh.vertices, plmap.mesh.triangles, tri, bary)

@@ -153,15 +153,23 @@ def inverse_step(layer: PrismLayer, points):
     return frame.to_world(np.column_stack([xy, local[:, 2]])), tri
 
 
-def cell_jacobians(layer: PrismLayer, tri):
-    """(N, 3, 3) Jacobians ``R lift(A_t) R^T`` of the prism cells ``tri``."""
-    A = layer.plmap.A[tri]
+def _lift_to_world(frame: Frame, A):
+    """(N, 3, 3) matrices ``R lift(A) R^T`` of (N, 2, 2) in-plane blocks."""
     lifted = np.zeros((A.shape[0], 3, 3))
     lifted[:, :2, :2] = A
     lifted[:, 2, 2] = 1.0
     # R M R^T = ((M R^T)^T R^T)^T, each product over the last axis.
-    to_world = layer.frame.to_world
-    return _t(to_world(_t(to_world(lifted))))
+    return _t(frame.to_world(_t(frame.to_world(lifted))))
+
+
+def cell_jacobians(layer: PrismLayer, tri):
+    """(N, 3, 3) Jacobians ``R lift(A_t) R^T`` of the prism cells ``tri``."""
+    return _lift_to_world(layer.frame, layer.plmap.A[tri])
+
+
+def inverse_cell_jacobians(layer: PrismLayer, tri):
+    """(N, 3, 3) inverse Jacobians ``R lift(A_t^-1) R^T`` of the cells ``tri``."""
+    return _lift_to_world(layer.frame, mesh2d._inv22(layer.plmap.A[tri]))
 
 
 def map_points(layer: PrismLayer, points):

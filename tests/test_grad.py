@@ -164,7 +164,7 @@ def test_gradient_values_match_total_loss():
 def test_one_trace_and_one_sweep_per_evaluation(monkeypatch):
     rng, mesh, params, frames = build_setup(seed=9)
     net = realize(mesh, params, frames)
-    calls = {"forward_trace": 0, "_backward_points": 0}
+    calls = {"forward_trace": 0, "_backward_sweep": 0}
     for name in calls:
         def counted(*args, _fn=getattr(grad_module, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -175,9 +175,53 @@ def test_one_trace_and_one_sweep_per_evaluation(monkeypatch):
     config = LossConfig(constraints=[c], use_regularization=True,
                         elastic_samples=PointSet(rng.uniform(-0.5, 0.5, size=(12, 3))))
     loss, _ = evaluate_with_gradient(net, config)
-    assert calls == {"forward_trace": 1, "_backward_points": 1}
+    assert calls == {"forward_trace": 1, "_backward_sweep": 1}
     assert evaluate(net, config) == loss
-    assert calls == {"forward_trace": 2, "_backward_points": 1}
+    assert calls == {"forward_trace": 2, "_backward_sweep": 1}
+
+
+def test_combined_gradient_is_the_sum_of_the_terms():
+    rng, mesh, params, frames = build_setup(seed=12, layers=3)
+    net = realize(mesh, params, frames)
+    handle = HandleConstraint(points=PointSet(rng.uniform(-0.3, 0.3, size=(15, 3))),
+                              translation=np.array([0.02, 0.0, -0.01]))
+    samples = PointSet(rng.uniform(-0.5, 0.5, size=(20, 3)), rng.uniform(0.2, 3.0, 20))
+    src = rng.uniform(-0.4, 0.4, size=(12, 3))
+    tris = np.array([[i, (i + 1) % 12, (i + 5) % 12] for i in range(12)])
+    fit = FitTarget(PointSet(src), 1.1 * src + 0.02, triangles=tris, gradient_weight=0.4)
+    w = LossWeights(handle=1.5, elastic=0.3, reg=0.05)
+    alone = [
+        LossConfig(weights=w, constraints=[handle], use_regularization=False),
+        # handle=0 leaves the handle points in the elastic term only.
+        LossConfig(weights=LossWeights(handle=0.0, elastic=0.3), constraints=[handle],
+                   elastic_samples=samples, use_regularization=False),
+        LossConfig(weights=w, fit=fit, use_regularization=False),
+        LossConfig(weights=w),
+    ]
+    combined = LossConfig(weights=w, constraints=[handle], elastic_samples=samples,
+                          fit=fit)
+    loss, grad = evaluate_with_gradient(net, combined)
+    parts = [evaluate_with_gradient(net, c) for c in alone]
+    assert np.isclose(loss.total, sum(p[0].total for p in parts), rtol=1e-12, atol=0)
+    total = grad.flat()
+    summed = np.sum([p[1].flat() for p in parts], axis=0)
+    assert np.all(np.array([np.abs(p[1].flat()).max() for p in parts]) > 0)
+    assert np.abs(total - summed).max() <= 1e-12 * np.abs(total).max()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_edge_cotangent_scatter_matches_add_at(d):
+    rng = np.random.default_rng(d)
+    V, T = 9, 25
+    triangles = rng.integers(0, V, size=(T, 3))
+    dE = rng.normal(size=(T, d, 2))
+    out = rng.normal(size=(V, d))
+    expected = out.copy()
+    np.add.at(expected, triangles[:, 1], dE[:, :, 0])
+    np.add.at(expected, triangles[:, 2], dE[:, :, 1])
+    np.add.at(expected, triangles[:, 0], -(dE[:, :, 0] + dE[:, :, 1]))
+    assert grad_module._add_edge_cotangents(out, triangles, dE) is out
+    assert np.allclose(out, expected, rtol=1e-13, atol=1e-13)
 
 
 def test_package_exports_resolve():

@@ -258,6 +258,8 @@ def test_overflowing_region_and_motion_name_the_field():
          "offset"),
         (_parse_motion, {"angle_degrees": 1e308}, "angle_degrees"),
         (_parse_motion, {"axis": [1e308, 1e308, 0], "angle_degrees": 20}, "axis"),
+        (_parse_motion, {"pivot": [1e308, 0, 0], "angle_degrees": 20}, "pivot"),
+        (_parse_motion, {"translation": [1e200, 0, 0]}, "translation"),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -493,31 +495,43 @@ def extreme_workdir(tmp_path_factory):
        normal=st.one_of(st.just([0.0, 0.0, -1.0]), _vec3(_extreme())),
        offset=st.one_of(st.just(0.35), _extreme()),
        angle=st.one_of(st.just(0.0), _extreme()),
-       axis=st.one_of(st.just([0.0, 0.0, 1.0]), _vec3(_extreme())))
+       axis=st.one_of(st.just([0.0, 0.0, 1.0]), _vec3(_extreme())),
+       pivot=st.one_of(st.just([0.0, 0.0, 0.0]), _vec3(_extreme())))
 @example(layers=1, res=3, steps=3, budget=100, center=[0.0, 0.0, 0.5], radius=0.2,
          translation=[1e200, 0.0, 0.0], elastic=0.004,
-         normal=[0.0, 0.0, -1.0], offset=0.35, angle=0.0, axis=[0.0, 0.0, 1.0])
+         normal=[0.0, 0.0, -1.0], offset=0.35, angle=0.0, axis=[0.0, 0.0, 1.0],
+         pivot=[0.0, 0.0, 0.0])
 @example(layers=1, res=3, steps=3, budget=100, center=[0.0, 0.0, 0.5], radius=0.2,
          translation=[0.05, 0.0, 0.0], elastic=1e308,
-         normal=[0.0, 0.0, -1.0], offset=0.35, angle=0.0, axis=[0.0, 0.0, 1.0])
+         normal=[0.0, 0.0, -1.0], offset=0.35, angle=0.0, axis=[0.0, 0.0, 1.0],
+         pivot=[0.0, 0.0, 0.0])
 @example(layers=1, res=3, steps=3, budget=100, center=[0.0, 0.0, 0.0], radius=1e308,
          translation=[0.05, 0.0, 0.0], elastic=0.004,
-         normal=[0.0, 0.0, -1.0], offset=0.35, angle=0.0, axis=[0.0, 0.0, 1.0])
+         normal=[0.0, 0.0, -1.0], offset=0.35, angle=0.0, axis=[0.0, 0.0, 1.0],
+         pivot=[0.0, 0.0, 0.0])
 @example(layers=1, res=3, steps=0, budget=100, center=[0.0, 0.0, 0.5], radius=0.2,
          translation=[1e200, 0.0, 0.0], elastic=0.004,
-         normal=[0.0, 0.0, -1.0], offset=0.35, angle=0.0, axis=[0.0, 0.0, 1.0])
+         normal=[0.0, 0.0, -1.0], offset=0.35, angle=0.0, axis=[0.0, 0.0, 1.0],
+         pivot=[0.0, 0.0, 0.0])
 @example(layers=1, res=3, steps=3, budget=100, center=[0.0, 0.0, 0.5], radius=0.2,
          translation=[0.05, 0.0, 0.0], elastic=0.004,
-         normal=[1e308, 1e308, 0.0], offset=0.0, angle=0.0, axis=[0.0, 0.0, 1.0])
+         normal=[1e308, 1e308, 0.0], offset=0.0, angle=0.0, axis=[0.0, 0.0, 1.0],
+         pivot=[0.0, 0.0, 0.0])
 @example(layers=1, res=3, steps=3, budget=100, center=[0.0, 0.0, 0.5], radius=0.2,
          translation=[0.05, 0.0, 0.0], elastic=0.004,
-         normal=[0.0, 0.0, -1.0], offset=0.35, angle=1e308, axis=[0.0, 0.0, 1.0])
+         normal=[0.0, 0.0, -1.0], offset=0.35, angle=1e308, axis=[0.0, 0.0, 1.0],
+         pivot=[0.0, 0.0, 0.0])
 @example(layers=1, res=3, steps=3, budget=100, center=[0.0, 0.0, 0.5], radius=0.2,
          translation=[0.05, 0.0, 0.0], elastic=0.004,
-         normal=[0.0, 0.0, -1.0], offset=0.35, angle=20.0, axis=[1e308, 1e308, 0.0])
+         normal=[0.0, 0.0, -1.0], offset=0.35, angle=20.0, axis=[1e308, 1e308, 0.0],
+         pivot=[0.0, 0.0, 0.0])
+@example(layers=1, res=3, steps=3, budget=100, center=[0.0, 0.0, 0.5], radius=0.2,
+         translation=[0.05, 0.0, 0.0], elastic=0.004,
+         normal=[0.0, 0.0, -1.0], offset=0.35, angle=20.0, axis=[0.0, 0.0, 1.0],
+         pivot=[1e308, 0.0, 0.0])
 def test_cli_extreme_values_exit_cleanly(extreme_workdir, layers, res, steps,
                                          budget, center, radius, translation,
-                                         elastic, normal, offset, angle, axis):
+                                         elastic, normal, offset, angle, axis, pivot):
     """Schema-valid elastic jobs with extreme floats in the regions, the
     motion and the elastic weight run, or fail with a documented exit code,
     without a traceback or a NumPy warning."""
@@ -532,7 +546,7 @@ def test_cli_extreme_values_exit_cleanly(extreme_workdir, layers, res, steps,
              "static": True},
             {"region": {"kind": "sphere", "center": center, "radius": radius},
              "motion": {"translation": translation, "angle_degrees": angle,
-                        "axis": axis}},
+                        "axis": axis, "pivot": pivot}},
         ],
         "input": {"geometry": "bar.obj"},
         "output": {"checkpoint": "x.ckpt.json", "report": "x.csv"},

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from tuttedeform.errors import NotInImageError, OutOfDomainError
 from tuttedeform.mesh2d import (_BARY_FALLBACK, _BARY_STRICT, build_mesh,
-                                locate_image_points, locate_points, map_points,
+                                interpolate, locate_image_points, locate_points,
                                 realize_plmap)
 from tuttedeform.tutte import solve_tutte
 
@@ -136,6 +136,12 @@ def test_scalar_point_roundtrip():
     assert bary.shape == (3,)
 
 
+def map_points(plmap, pts):
+    """Images of 2D points: forward location, then interpolation."""
+    tri, bary = locate_points(plmap.mesh, pts)
+    return interpolate(plmap.vertex_positions, plmap.mesh.triangles, tri, bary)
+
+
 def test_rest_realization_is_identity():
     mesh = build_mesh(6)
     plmap = realize_plmap(mesh, mesh.vertices)
@@ -146,7 +152,6 @@ def test_rest_realization_is_identity():
 
 
 def test_image_location_roundtrip():
-    from tuttedeform.mesh2d import invert_points
     from tuttedeform.tutte import solve_tutte, TutteLayerParams
     mesh = build_mesh(7)
     rng = np.random.default_rng(3)
@@ -155,7 +160,8 @@ def test_image_location_roundtrip():
     plmap = solve_tutte(mesh, params)
     pts = rng.uniform(-1, 1, size=(500, 2))
     images = map_points(plmap, pts)
-    back = invert_points(plmap, images)
+    tri, bary = locate_image_points(plmap, images)
+    back = interpolate(mesh.vertices, mesh.triangles, tri, bary)
     assert np.abs(back - pts).max() < 1e-10
 
 
