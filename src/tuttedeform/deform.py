@@ -28,9 +28,7 @@ class PointSet:
     weights: Optional[np.ndarray] = None  # (N,)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"points must have shape (N, 3), got {pts.shape}")
+        pts = _point_array(self.points)
         if not np.all(np.isfinite(pts)):
             raise ValueError("points contain non-finite values")
         object.__setattr__(self, "points", _readonly(pts))
@@ -92,10 +90,18 @@ def realize(mesh: Mesh2D, params: Sequence[TutteLayerParams],
                           layers=tuple(layers), systems=tuple(systems))
 
 
+def _point_array(points):
+    """``points`` as a float64 array; ValueError unless its shape is (N, 3)."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"points must have shape (N, 3), got {pts.shape}")
+    return pts
+
+
 def _as_array(points):
     if isinstance(points, PointSet):
         return points.points, points.weights
-    pts = np.asarray(points, dtype=np.float64)
+    pts = _point_array(points)
     _reject_non_finite(pts)
     return pts, None
 

@@ -168,17 +168,18 @@ def _axis_cells(mesh, coords):
     its lower side with local fraction 1.0, which realizes the lowest-index
     tie-break of :func:`locate_points`.
     """
-    n = mesh.resolution
     grid = mesh.grid
-    step = mesh.cell_size
-    idx = np.clip(((coords + 1.0) / step).astype(np.int64), 0, n - 2)
-    # Floating-point floor can land one cell off near gridlines; snap back.
-    idx = np.where(coords < grid[idx], idx - 1, idx)
-    idx = np.where(coords > grid[idx + 1], idx + 1, idx)
-    frac = (coords - grid[idx]) / (grid[idx + 1] - grid[idx])
-    on_lower_line = (coords == grid[idx]) & (idx > 0)
-    idx = np.where(on_lower_line, idx - 1, idx)
-    frac = np.where(on_lower_line, 1.0, frac)
+    idx = ((coords + 1.0) / mesh.cell_size).astype(np.int64)
+    np.clip(idx, 0, mesh.resolution - 2, out=idx)
+    # The floor can land one cell off near a gridline; snap back in place.
+    idx -= coords < grid[idx]
+    idx += coords > grid[1:][idx]
+    lo = grid[idx]
+    frac = coords - lo
+    frac /= np.diff(grid)[idx]
+    on_lower_line = (coords == lo) & (idx > 0)
+    idx -= on_lower_line
+    np.copyto(frac, 1.0, where=on_lower_line)
     return idx, frac
 
 
@@ -187,12 +188,13 @@ def locate_points(mesh, points, layer_index=None):
 
     Returns ``(tri, bary)`` with ``tri`` of shape (N,) and ``bary`` of shape
     (N, 3) giving barycentric coordinates w.r.t. the located triangle's
-    vertex order.  For a point incident to several triangles (on a shared
-    edge or vertex) the lowest-index incident triangle is returned.  Points
-    within DOMAIN_TOL outside the square are clamped; beyond that an
+    vertex order; ``bary`` may be a transposed (column-major) view of three
+    rows.  For a point incident to several triangles (on a shared edge or
+    vertex) the lowest-index incident triangle is returned.  Points within
+    DOMAIN_TOL outside the square are clamped; beyond that an
     OutOfDomainError identifies the first offender.  A non-finite point
-    raises ValueError.  A single point (shape
-    (2,)) gives an ``int`` triangle and a (3,) barycentric vector.
+    raises ValueError.  A single point (shape (2,)) gives an ``int``
+    triangle and a (3,) barycentric vector.
     """
     pts = np.asarray(points, dtype=np.float64)
     scalar_input = pts.ndim == 1
@@ -200,28 +202,38 @@ def locate_points(mesh, points, layer_index=None):
     if pts.shape[1] != 2:
         raise ValueError(f"expected 2D points, got shape {pts.shape}")
 
-    over = np.abs(pts) - 1.0
-    if not over.max(initial=-1.0) <= DOMAIN_TOL:  # also taken on a NaN
+    x = pts[:, 0].copy()
+    y = pts[:, 1].copy()
+    reach = np.abs([x.min(initial=0.0), x.max(initial=0.0),
+                    y.min(initial=0.0), y.max(initial=0.0)]).max()
+    if not reach - 1.0 <= DOMAIN_TOL:  # also taken on a NaN
         _reject_non_finite(pts)
+        over = np.abs(pts) - 1.0
         i = int(np.flatnonzero(np.any(over > DOMAIN_TOL, axis=1))[0])
         raise OutOfDomainError(
             f"point {pts[i]} lies outside [-1,1]^2 by {float(np.max(over[i])):.3e}",
             point=pts[i].copy(), layer_index=layer_index, point_index=i,
         )
-    x = np.clip(pts[:, 0], -1.0, 1.0)
-    y = np.clip(pts[:, 1], -1.0, 1.0)
+    np.clip(x, -1.0, 1.0, out=x)
+    np.clip(y, -1.0, 1.0, out=y)
 
     ix, fx = _axis_cells(mesh, x)
     iy, fy = _axis_cells(mesh, y)
-    lower = fx >= fy
-    tri = 2 * (iy * (mesh.resolution - 1) + ix) + np.where(lower, 0, 1)
+    upper = fx < fy
+    tri = iy * (mesh.resolution - 1)
+    tri += ix
+    tri *= 2
+    tri += upper
 
     # Lower triangle (v00, v10, v11): bary = (1-fx, fx-fy, fy).
     # Upper triangle (v00, v11, v01): bary = (1-fy, fx, fy-fx).
-    bary = np.empty((pts.shape[0], 3))
-    bary[:, 0] = np.where(lower, 1.0 - fx, 1.0 - fy)
-    bary[:, 1] = np.where(lower, fx - fy, fx)
-    bary[:, 2] = np.where(lower, fy, fy - fx)
+    # One contiguous row per barycentric; a product with the 0/1 mask
+    # subtracts an exact 0.0 where a term does not apply.
+    rows = np.empty((3, pts.shape[0]))
+    np.subtract(1.0, np.maximum(fx, fy), out=rows[0])
+    np.subtract(fx, np.multiply(fy, ~upper, out=rows[1]), out=rows[1])
+    np.subtract(fy, np.multiply(fx, upper, out=rows[2]), out=rows[2])
+    bary = rows.T
 
     if scalar_input:
         return int(tri[0]), bary[0]
@@ -281,9 +293,19 @@ def realize_plmap(mesh: Mesh2D, vertex_positions) -> PLMap2D:
 def interpolate(positions, triangles, tri, bary):
     """Barycentric combination of triangle corners taken from ``positions``.
 
-    Exact on vertices, so shared edges evaluate identically from either side.
+    Each output coordinate is ``b0*p0 + b1*p1 + b2*p2``, summed left to
+    right on 1-D columns: the order ``einsum("nk,nkd->nd")`` uses, so the
+    bits match it.  Exact on vertices, so shared edges evaluate identically
+    from either side.  Returns an (N, 2) transposed view of two rows.
     """
-    return np.einsum("nk,nkd->nd", bary, positions[triangles[tri]])
+    b = np.asarray(bary).T
+    out = np.empty((2, b.shape[1]))
+    for p, row in zip(positions.T, out):
+        corner = p[triangles.T]  # (3, T): this coordinate of each corner
+        np.multiply(b[0], corner[0][tri], out=row)
+        row += b[1] * corner[1][tri]
+        row += b[2] * corner[2][tri]
+    return out.T
 
 
 class _ImageLocator:

@@ -133,24 +133,25 @@ class PrismLayer:
 
 def forward_step(layer: PrismLayer, points):
     """Images of an (N, 3) batch plus the cell ``(tri, bary)`` of each point."""
-    frame = layer.frame
+    frame, plmap = layer.frame, layer.plmap
     local = frame.to_local(np.asarray(points, dtype=np.float64))  # row-wise R^T p
-    tri, bary = mesh2d.locate_points(layer.plmap.mesh, local[:, :2],
+    tri, bary = mesh2d.locate_points(plmap.mesh, local[:, :2],
                                      layer_index=layer.layer_index)
-    xy = mesh2d.interpolate(layer.plmap.vertex_positions,
-                            layer.plmap.mesh.triangles, tri, bary)
-    return frame.to_world(np.column_stack([xy, local[:, 2]])), tri, bary
+    # ``to_local`` made a new array, so the image overwrites its xy in place.
+    local[:, :2] = mesh2d.interpolate(plmap.vertex_positions, plmap.mesh.triangles,
+                                      tri, bary)
+    return frame.to_world(local), tri, bary
 
 
 def inverse_step(layer: PrismLayer, points):
     """Preimages of an (N, 3) batch in the layer's image, plus each cell ``tri``."""
-    frame = layer.frame
+    frame, plmap = layer.frame, layer.plmap
     local = frame.to_local(np.asarray(points, dtype=np.float64))
-    tri, bary = mesh2d.locate_image_points(layer.plmap, local[:, :2],
+    tri, bary = mesh2d.locate_image_points(plmap, local[:, :2],
                                            layer_index=layer.layer_index)
-    xy = mesh2d.interpolate(layer.plmap.mesh.vertices,
-                            layer.plmap.mesh.triangles, tri, bary)
-    return frame.to_world(np.column_stack([xy, local[:, 2]])), tri
+    local[:, :2] = mesh2d.interpolate(plmap.mesh.vertices, plmap.mesh.triangles,
+                                      tri, bary)
+    return frame.to_world(local), tri
 
 
 def _lift_to_world(frame: Frame, A):

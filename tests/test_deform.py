@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,15 @@ def test_non_finite_points_are_rejected():
         locate_image_points(net.layers[0].plmap, local)
     with pytest.raises(ValueError, match="point 1 is not finite"):
         locate_points(net.mesh, local)
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (3,), (5, 2)])
+@pytest.mark.parametrize("fn", [forward, inverse, jacobians, inverse_jacobians,
+                                forward_trace])
+def test_malformed_point_arrays_are_rejected(fn, shape):
+    net = random_net(np.random.default_rng(10), resolution=5, layers=3)
+    with pytest.raises(ValueError, match=re.escape(f"shape (N, 3), got {shape}")):
+        fn(net, np.zeros(shape))
 
 
 def test_forward_is_deterministic():

@@ -485,65 +485,78 @@ def extreme_workdir(tmp_path_factory):
     return work
 
 
+# The settings of a plain job; each probe below overrides some of them.
+_PLAIN = dict(layers=1, res=3, steps=3, budget=100, center=[0.0, 0.0, 0.5], radius=0.2,
+              translation=[0.05, 0.0, 0.0], elastic=0.004, normal=[0.0, 0.0, -1.0],
+              offset=0.35, angle=0.0, axis=[0.0, 0.0, 1.0], pivot=[0.0, 0.0, 0.0],
+              lr_initial=0.02, lr_final=0.0002, handle=1.0, reg=0.005,
+              decrement=0.001, floor=0.001, box=None)
+
+
+def _probe(**over):
+    return example(**{**_PLAIN, **over})
+
+
+def _plain_or(strategy, key):
+    return st.one_of(st.just(_PLAIN[key]), strategy)
+
+
+_POSITIVE = _extreme(nonneg=True).filter(lambda r: r > 0)
+
+
 @settings(max_examples=50, deadline=None)
 @given(layers=st.integers(1, 2), res=st.integers(2, 5), steps=st.integers(0, 3),
        budget=st.integers(1, 200),
-       center=st.one_of(st.just([0.0, 0.0, 0.5]), _vec3(_extreme())),
-       radius=st.one_of(st.just(0.2), _extreme(nonneg=True).filter(lambda r: r > 0)),
-       translation=st.one_of(st.just([0.05, 0.0, 0.0]), _vec3(_extreme())),
-       elastic=st.one_of(st.just(0.004), _extreme(nonneg=True)),
-       normal=st.one_of(st.just([0.0, 0.0, -1.0]), _vec3(_extreme())),
-       offset=st.one_of(st.just(0.35), _extreme()),
-       angle=st.one_of(st.just(0.0), _extreme()),
-       axis=st.one_of(st.just([0.0, 0.0, 1.0]), _vec3(_extreme())),
-       pivot=st.one_of(st.just([0.0, 0.0, 0.0]), _vec3(_extreme())))
-@example(layers=1, res=3, steps=3, budget=100, center=[0.0, 0.0, 0.5], radius=0.2,
-         translation=[1e200, 0.0, 0.0], elastic=0.004,
-         normal=[0.0, 0.0, -1.0], offset=0.35, angle=0.0, axis=[0.0, 0.0, 1.0],
-         pivot=[0.0, 0.0, 0.0])
-@example(layers=1, res=3, steps=3, budget=100, center=[0.0, 0.0, 0.5], radius=0.2,
-         translation=[0.05, 0.0, 0.0], elastic=1e308,
-         normal=[0.0, 0.0, -1.0], offset=0.35, angle=0.0, axis=[0.0, 0.0, 1.0],
-         pivot=[0.0, 0.0, 0.0])
-@example(layers=1, res=3, steps=3, budget=100, center=[0.0, 0.0, 0.0], radius=1e308,
-         translation=[0.05, 0.0, 0.0], elastic=0.004,
-         normal=[0.0, 0.0, -1.0], offset=0.35, angle=0.0, axis=[0.0, 0.0, 1.0],
-         pivot=[0.0, 0.0, 0.0])
-@example(layers=1, res=3, steps=0, budget=100, center=[0.0, 0.0, 0.5], radius=0.2,
-         translation=[1e200, 0.0, 0.0], elastic=0.004,
-         normal=[0.0, 0.0, -1.0], offset=0.35, angle=0.0, axis=[0.0, 0.0, 1.0],
-         pivot=[0.0, 0.0, 0.0])
-@example(layers=1, res=3, steps=3, budget=100, center=[0.0, 0.0, 0.5], radius=0.2,
-         translation=[0.05, 0.0, 0.0], elastic=0.004,
-         normal=[1e308, 1e308, 0.0], offset=0.0, angle=0.0, axis=[0.0, 0.0, 1.0],
-         pivot=[0.0, 0.0, 0.0])
-@example(layers=1, res=3, steps=3, budget=100, center=[0.0, 0.0, 0.5], radius=0.2,
-         translation=[0.05, 0.0, 0.0], elastic=0.004,
-         normal=[0.0, 0.0, -1.0], offset=0.35, angle=1e308, axis=[0.0, 0.0, 1.0],
-         pivot=[0.0, 0.0, 0.0])
-@example(layers=1, res=3, steps=3, budget=100, center=[0.0, 0.0, 0.5], radius=0.2,
-         translation=[0.05, 0.0, 0.0], elastic=0.004,
-         normal=[0.0, 0.0, -1.0], offset=0.35, angle=20.0, axis=[1e308, 1e308, 0.0],
-         pivot=[0.0, 0.0, 0.0])
-@example(layers=1, res=3, steps=3, budget=100, center=[0.0, 0.0, 0.5], radius=0.2,
-         translation=[0.05, 0.0, 0.0], elastic=0.004,
-         normal=[0.0, 0.0, -1.0], offset=0.35, angle=20.0, axis=[0.0, 0.0, 1.0],
-         pivot=[1e308, 0.0, 0.0])
+       center=_plain_or(_vec3(_extreme()), "center"),
+       radius=_plain_or(_POSITIVE, "radius"),
+       translation=_plain_or(_vec3(_extreme()), "translation"),
+       elastic=_plain_or(_extreme(nonneg=True), "elastic"),
+       normal=_plain_or(_vec3(_extreme()), "normal"),
+       offset=_plain_or(_extreme(), "offset"),
+       angle=_plain_or(_extreme(), "angle"),
+       axis=_plain_or(_vec3(_extreme()), "axis"),
+       pivot=_plain_or(_vec3(_extreme()), "pivot"),
+       lr_initial=_plain_or(_POSITIVE, "lr_initial"),
+       lr_final=_plain_or(_POSITIVE, "lr_final"),
+       handle=_plain_or(_extreme(nonneg=True), "handle"),
+       reg=_plain_or(_extreme(nonneg=True), "reg"),
+       decrement=_plain_or(_extreme(nonneg=True), "decrement"),
+       floor=_plain_or(_extreme(nonneg=True), "floor"),
+       box=_plain_or(st.tuples(_vec3(_extreme()), _vec3(_extreme())), "box"))
+@_probe(translation=[1e200, 0.0, 0.0])
+@_probe(elastic=1e308)
+@_probe(center=[0.0, 0.0, 0.0], radius=1e308)
+@_probe(steps=0, translation=[1e200, 0.0, 0.0])
+@_probe(normal=[1e308, 1e308, 0.0], offset=0.0)
+@_probe(angle=1e308)
+@_probe(angle=20.0, axis=[1e308, 1e308, 0.0])
+@_probe(angle=20.0, pivot=[1e308, 0.0, 0.0])
+@_probe(handle=1e308)
+@_probe(reg=1e308)
+@_probe(floor=1e308)
+@_probe(lr_initial=1e308)
+@_probe(box=([-1e308, -1e308, -1e308], [1e308, 1e308, 0.0]))
 def test_cli_extreme_values_exit_cleanly(extreme_workdir, layers, res, steps,
                                          budget, center, radius, translation,
-                                         elastic, normal, offset, angle, axis, pivot):
+                                         elastic, normal, offset, angle, axis, pivot,
+                                         lr_initial, lr_final, handle, reg,
+                                         decrement, floor, box):
     """Schema-valid elastic jobs with extreme floats in the regions, the
-    motion and the elastic weight run, or fail with a documented exit code,
-    without a traceback or a NumPy warning."""
+    motion, the learning rates and the loss weights run, or fail with a
+    documented exit code, without a traceback or a NumPy warning."""
+    static = ({"kind": "halfspace", "normal": normal, "offset": offset} if box is None
+              else {"kind": "box", "min": box[0], "max": box[1]})
     job = {
         "workflow": "elastic",
         "net": {"layers": layers, "resolution": res},
-        "optimizer": {"max_steps": steps, "log_every": 1},
-        "loss": {"elastic": {"initial": elastic}},
+        "optimizer": {"max_steps": steps, "log_every": 1,
+                      "learning_rate": {"initial": lr_initial, "final": lr_final}},
+        "loss": {"handle": handle, "regularization": reg,
+                 "elastic": {"initial": elastic, "decrement": decrement,
+                             "floor": floor}},
         "samples": {"moving": budget, "static": budget, "free": budget},
         "constraints": [
-            {"region": {"kind": "halfspace", "normal": normal, "offset": offset},
-             "static": True},
+            {"region": static, "static": True},
             {"region": {"kind": "sphere", "center": center, "radius": radius},
              "motion": {"translation": translation, "angle_degrees": angle,
                         "axis": axis, "pivot": pivot}},

@@ -131,9 +131,11 @@ def test_out_of_domain_raises_with_point():
 
 def test_scalar_point_roundtrip():
     mesh = build_mesh(4)
-    t, bary = locate_points(mesh, np.array([0.1, -0.2]))
+    p = np.array([0.1, -0.2])
+    t, bary = locate_points(mesh, p)
     assert isinstance(t, int) and 0 <= t < mesh.num_triangles
     assert bary.shape == (3,)
+    assert np.array_equal(bary, locate_points(mesh, p[None])[1][0])
 
 
 def map_points(plmap, pts):
@@ -172,6 +174,65 @@ def face_points(rng, k):
     corners = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
     return np.concatenate([corners, np.column_stack([t, -one]), np.column_stack([one, t]),
                            np.column_stack([t, one]), np.column_stack([-one, t])])
+
+
+def probe_points(mesh, rng):
+    """Random points, every vertex, edge midpoints, points on gridlines and
+    points on the faces of the square."""
+    g = mesh.grid
+    k = 200
+    mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
+    on_x = np.column_stack([g[rng.integers(0, g.size, k)], rng.uniform(-1, 1, k)])
+    on_y = np.column_stack([rng.uniform(-1, 1, k), g[rng.integers(0, g.size, k)]])
+    return np.concatenate([rng.uniform(-1, 1, (1000, 2)), mesh.vertices, mids,
+                           on_x, on_y, face_points(rng, k)])
+
+
+@pytest.mark.parametrize("res", [2, 5, 25])
+def test_interpolate_matches_einsum_bit_for_bit(res):
+    rng = np.random.default_rng(20 + res)
+    mesh = build_mesh(res)
+    pts = probe_points(mesh, rng)
+    tri, bary = locate_points(mesh, pts)
+    # Arbitrary weights on arbitrary triangles too, where rounding differs more.
+    n = 2000
+    tri = np.concatenate([tri, rng.integers(0, mesh.num_triangles, n)])
+    bary = np.concatenate([bary, rng.dirichlet(np.ones(3), n)])
+    deformed = solve_tutte(mesh, random_params(rng, mesh, scale=2.0)).vertex_positions
+    for positions in (mesh.vertices, deformed):
+        oracle = np.einsum("nk,nkd->nd", bary, positions[mesh.triangles[tri]])
+        assert np.array_equal(interpolate(positions, mesh.triangles, tri, bary), oracle)
+
+
+@pytest.mark.parametrize("res", [2, 5, 25])
+def test_locate_barycentrics_are_exact_on_ties(res):
+    rng = np.random.default_rng(30 + res)
+    mesh = build_mesh(res)
+    tri, bary = locate_points(mesh, probe_points(mesh, rng))
+    assert np.abs(bary.sum(axis=1) - 1.0).max() <= 1e-15
+    assert np.all(bary >= 0.0)
+
+    # A vertex gets one weight of exactly 1 and two of exactly 0.
+    _, bary = locate_points(mesh, mesh.vertices)
+    assert np.array_equal(np.sort(bary, axis=1),
+                          np.tile([0.0, 0.0, 1.0], (mesh.num_vertices, 1)))
+    # On a cell's diagonal the lower triangle (v00, v10, v11) is taken, and
+    # the weight of v10, opposite the shared edge, is exactly 0.
+    c = np.concatenate([rng.uniform(-1, 1, 300), mesh.grid])
+    tri, bary = locate_points(mesh, np.column_stack([c, c]))
+    assert np.all(tri % 2 == 0)
+    assert np.all(bary[:, 1] == 0.0)
+    # On an interior gridline the cell below or to the left is taken, and
+    # the weight of its v00, opposite the shared edge, is exactly 0.
+    inner = mesh.grid[1:-1]
+    if inner.size:
+        line = inner[rng.integers(0, inner.size, 300)]
+        free = rng.uniform(-1, 1, 300)
+        for pts, parity in ((np.column_stack([line, free]), 0),
+                            (np.column_stack([free, line]), 1)):
+            tri, bary = locate_points(mesh, pts)
+            assert np.all(tri % 2 == parity)
+            assert np.all(bary[:, 0] == 0.0)
 
 
 def test_image_location_matches_all_triangle_reference():
