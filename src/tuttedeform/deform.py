@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import prism
-from .mesh2d import Mesh2D, _readonly, _reject_non_finite
+from .mesh2d import Mesh2D, _inv22, _readonly, _reject_non_finite
 from .prism import Frame, PrismLayer
 from .tutte import TutteLayerParams, solve_tutte_with_system
 
@@ -159,7 +159,7 @@ def jacobians(net: DeformationNet, points):
     pts, _ = _as_array(points)
     J = _identities(pts.shape[0])
     for layer, tri, _, _ in _walk(net, pts):
-        J = prism.cell_jacobians(layer, tri) @ J
+        J = prism.apply_lifted(layer.frame, layer.plmap.A[tri], J)
     return J
 
 
@@ -172,7 +172,7 @@ def inverse_jacobians(net: DeformationNet, points):
     pts, _ = _as_array(points)
     J = _identities(pts.shape[0])
     for layer, tri, _ in _walk_back(net, pts):
-        J = prism.inverse_cell_jacobians(layer, tri) @ J
+        J = prism.apply_lifted(layer.frame, _inv22(layer.plmap.A[tri]), J)
     return J
 
 
@@ -209,6 +209,6 @@ def forward_trace(net: DeformationNet, points, need_jacobian: bool = False) -> O
         barys[l] = bary
         if need_jacobian:
             prefixes[l] = J
-            J = prism.cell_jacobians(layer, tri) @ J
+            J = prism.apply_lifted(layer.frame, layer.plmap.A[tri], J)
     return OrbitTrace(points=pts, outputs=out, tris=tris, barys=barys,
                       jac=J, prefixes=prefixes)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .deform import PointSet
-from .mesh2d import _readonly
+from .mesh2d import _det22, _edge_matrices, _inv22, _readonly
 from .prism import PrismLayer
 
 # Distortion-adaptive reweighting: samples whose strain energy exceeds the
@@ -124,16 +124,10 @@ def triangle_gradient_frames(vertices, triangles):
     """
     v = np.asarray(vertices, dtype=np.float64)
     t = np.asarray(triangles, dtype=np.int64)
-    tv = v[t]
-    E = np.stack([tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]], axis=-1)
+    E = _edge_matrices(v, t)
     G = np.swapaxes(E, -1, -2) @ E  # (T, 2, 2) Gram matrices
-    det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
+    det = _det22(G)
     if np.any(det <= 0) or not np.all(np.isfinite(det)):
         raise ValueError("source mesh contains degenerate triangles")
-    Ginv = np.empty_like(G)
-    Ginv[:, 0, 0] = G[:, 1, 1] / det
-    Ginv[:, 1, 1] = G[:, 0, 0] / det
-    Ginv[:, 0, 1] = -G[:, 0, 1] / det
-    Ginv[:, 1, 0] = -G[:, 1, 0] / det
-    P = Ginv @ np.swapaxes(E, -1, -2)
+    P = _inv22(G) @ np.swapaxes(E, -1, -2)
     return E, P

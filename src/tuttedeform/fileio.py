@@ -56,12 +56,21 @@ class Normalization:
 
 
 def fit_normalization(points) -> Normalization:
-    """Transform putting the bounding box of ``points`` into the target box."""
+    """Transform putting the bounding box of ``points`` into the target box.
+
+    Raises ValueError when the box's center, extent or the scale overflows,
+    or the scale underflows to 0.
+    """
     p = np.asarray(points, dtype=np.float64)
     lo, hi = p.min(axis=0), p.max(axis=0)
-    center = 0.5 * (lo + hi)
-    half = float(np.max(hi - lo)) * 0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        center = 0.5 * (lo + hi)
+        half = float(np.max(hi - lo)) * 0.5
     scale = TARGET_HALF_EXTENT / half if half > 0 else 1.0
+    if not (np.all(np.isfinite(center)) and np.isfinite(half)
+            and np.isfinite(scale) and scale > 0):
+        raise ValueError(f"geometry cannot be normalized: bounding box "
+                         f"[{lo}, {hi}] gives center {center} and scale {scale}")
     return Normalization(center=center, scale=scale)
 
 

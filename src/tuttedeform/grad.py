@@ -8,7 +8,11 @@ last layer to the first.  Stage 1 lives here:
     regularizer adds its own.  A point's triangle memberships are piecewise
     constant in the parameters, so away from cell crossings the exact
     gradient treats them as fixed; barycentric weights recorded in the
-    forward trace do the bookkeeping.
+    forward trace do the bookkeeping.  For the Jacobian loss the sweep
+    carries ``H``, the cotangent of the Jacobian product ``M_l ... M_0``
+    leaving layer l (``dL/dJ`` at the last layer).  Layer l's Jacobian gets
+    ``H P_l^T`` with the traced prefix ``P_l = M_{l-1} ... M_0``, and H
+    moves on as ``M_l^T H``, through the transposed 2x2 block, as g does.
 
 Stages 2 and 3 belong to the Tutte solve and live in
 :func:`tutte.tutte_backward`:
@@ -41,6 +45,7 @@ from .energy import (HandleConstraint, LossWeights, _quarter_strain_gradient,
                      distortion_multipliers, layer_regularization,
                      strain_energy_density, triangle_gradient_frames)
 from .errors import NumericalError
+from .mesh2d import _edge_matrices
 from .prism import _t
 from .tutte import tutte_backward
 
@@ -137,7 +142,7 @@ def _backward_sweep(net: DeformationNet, trace: Optional[OrbitTrace], g_out, g_j
     tris3 = mesh.triangles
     edge_inverse_t = np.swapaxes(mesh.edge_inverse, -1, -2)
     g = None if trace is None else g_out.copy()
-    S = None if g_jac is None else np.broadcast_to(np.eye(3), (g.shape[0], 3, 3)).copy()
+    H = g_jac  # the Jacobian's cotangent, pulled back layer by layer
 
     grads = []
     for l in range(net.num_layers - 1, -1, -1):
@@ -161,17 +166,16 @@ def _backward_sweep(net: DeformationNet, trace: Optional[OrbitTrace], g_out, g_j
             g_xy = np.einsum("ni,nij->nj", g_loc[:, :2], A)
             g = frame.to_world(np.column_stack([g_xy, g_loc[:, 2]]))
 
-            if S is not None:
-                M = prism.cell_jacobians(layer, tri)
+            if H is not None:
+                # H P^T's in-plane block in the frame: (R^T H)[:2] (P^T R)[:, :2].
                 P = trace.prefixes[l]
-                dM = _t(S) @ g_jac @ _t(P)
-                # R^T dM R = ((dM R)^T R)^T, each product over the last axis.
-                dA_loc = _t(frame.to_local(_t(frame.to_local(dM))))[:, :2, :2]
+                dA_loc = (_t(frame.to_local(_t(H)))[:, :2]
+                          @ frame.to_local(_t(P))[:, :, :2])
                 for a in range(2):
                     for b in range(2):
                         dA[:, a, b] += np.bincount(tri, weights=dA_loc[:, a, b],
                                                    minlength=T)
-                S = S @ M
+                H = prism.apply_lifted(frame, _t(A), H)
 
         if reg_coef is not None:
             dA += reg_coef * mesh.areas[:, None, None] * _quarter_strain_gradient(
@@ -254,11 +258,8 @@ def _trace_terms(net: DeformationNet, config: LossConfig):
         if fit.triangles is not None and len(fit.triangles):
             tris = np.asarray(fit.triangles, dtype=np.int64)
             _, P = triangle_gradient_frames(fit.source.points, tris)
-            def edges_of(v):
-                tv = v[tris]
-                return np.stack([tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]], axis=-1)
-            F = edges_of(mapped) @ P
-            F_target = edges_of(target) @ P
+            F = _edge_matrices(mapped, tris) @ P
+            F_target = _edge_matrices(target, tris) @ P
             diff = F - F_target
             values["fit_gradient"] = float(np.mean(np.sum(diff ** 2, axis=(1, 2))))
             dEd = (fit.gradient_weight * 2.0 / tris.shape[0]) * (

@@ -311,11 +311,16 @@ def load_jobfile(path) -> JobFile:
     """Parse, schema-validate, and resolve a job file.
 
     Raises ConfigError with a JSON path for any schema violation (including
-    unknown keys) and for missing inputs the workflow requires.
+    unknown keys), for the non-standard literals ``NaN``, ``Infinity`` and
+    ``-Infinity``, and for missing inputs the workflow requires.
     """
+    def reject_constant(literal):
+        # Python's json accepts these, and a schema "minimum" lets NaN pass.
+        raise ConfigError(f"{path}: {literal} is not a JSON number")
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=reject_constant)
     except OSError as e:
         raise ConfigError(f"cannot read job file {path}: {e}") from e
     except json.JSONDecodeError as e:

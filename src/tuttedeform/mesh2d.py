@@ -115,8 +115,7 @@ def build_mesh(resolution: int) -> Mesh2D:
     rim_edges = np.column_stack(
         [np.flatnonzero(rim), np.maximum(a, b)[rim], -1 - np.minimum(a, b)[rim]])
 
-    tri_v = vertices[triangles]
-    rest_edges = np.stack([tri_v[:, 1] - tri_v[:, 0], tri_v[:, 2] - tri_v[:, 0]], axis=-1)
+    rest_edges = _edge_matrices(vertices, triangles)
     edge_inverse = _inv22(rest_edges)
     areas = 0.5 * _det22(rest_edges)
     if not np.all(areas > 0):
@@ -135,6 +134,13 @@ def build_mesh(resolution: int) -> Mesh2D:
         interior_edges=_readonly(interior_edges),
         rim_edges=_readonly(rim_edges),
     )
+
+
+def _edge_matrices(positions, triangles):
+    """(T, d, 2) edge matrices ``[v1 - v0, v2 - v0]`` of ``triangles``, with
+    corners taken from the (V, d) ``positions``."""
+    tv = positions[triangles]
+    return np.stack([tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]], axis=-1)
 
 
 def _det22(m):
@@ -278,10 +284,7 @@ def realize_plmap(mesh: Mesh2D, vertex_positions) -> PLMap2D:
     if not np.all(np.isfinite(U)):
         raise ValueError("vertex positions contain non-finite values")
 
-    tri_u = U[mesh.triangles]
-    deformed_edges = np.stack(
-        [tri_u[:, 1] - tri_u[:, 0], tri_u[:, 2] - tri_u[:, 0]], axis=-1)
-    A = deformed_edges @ mesh.edge_inverse
+    A = _edge_matrices(U, mesh.triangles) @ mesh.edge_inverse
     return PLMap2D(
         mesh=mesh,
         vertex_positions=_readonly(U.copy()),

@@ -9,7 +9,8 @@ through unchanged, and rotating back:
 Because the 2D map is injective on the square and z is preserved, each layer
 is injective on its slab domain.  Its Jacobian at p is the constant matrix
 ``R @ lifted(A_t) @ R^T`` of the prism cell containing p, with singular
-value exactly 1 along the frame's extrusion axis.
+value exactly 1 along the frame's extrusion axis; ``apply_lifted`` applies
+it through the 2x2 block ``A_t`` alone.
 
 Every product with a frame rotation goes through ``Frame.to_local`` and
 ``Frame.to_world``.  Triplane frames, the only kind a job file can ask for,
@@ -154,23 +155,13 @@ def inverse_step(layer: PrismLayer, points):
     return frame.to_world(local), tri
 
 
-def _lift_to_world(frame: Frame, A):
-    """(N, 3, 3) matrices ``R lift(A) R^T`` of (N, 2, 2) in-plane blocks."""
-    lifted = np.zeros((A.shape[0], 3, 3))
-    lifted[:, :2, :2] = A
-    lifted[:, 2, 2] = 1.0
-    # R M R^T = ((M R^T)^T R^T)^T, each product over the last axis.
-    return _t(frame.to_world(_t(frame.to_world(lifted))))
-
-
-def cell_jacobians(layer: PrismLayer, tri):
-    """(N, 3, 3) Jacobians ``R lift(A_t) R^T`` of the prism cells ``tri``."""
-    return _lift_to_world(layer.frame, layer.plmap.A[tri])
-
-
-def inverse_cell_jacobians(layer: PrismLayer, tri):
-    """(N, 3, 3) inverse Jacobians ``R lift(A_t^-1) R^T`` of the cells ``tri``."""
-    return _lift_to_world(layer.frame, mesh2d._inv22(layer.plmap.A[tri]))
+def apply_lifted(frame: Frame, A, X):
+    """``R lift(A) R^T X`` for (N, 2, 2) blocks ``A`` and (N, 3, k) stacks ``X``:
+    the only product with a layer Jacobian (``A_t``), its inverse or its
+    transpose.  ``A`` mixes the two in-plane rows of X in the frame."""
+    K = _t(frame.to_local(_t(X)))  # R^T X = (X^T R)^T, a new array
+    K[:, :2] = A @ K[:, :2]
+    return _t(frame.to_world(_t(K)))
 
 
 def map_points(layer: PrismLayer, points):
@@ -180,7 +171,9 @@ def map_points(layer: PrismLayer, points):
 
 def jacobians(layer: PrismLayer, points):
     """Per-point 3x3 Jacobians ``R lift(A_t) R^T`` for an (N, 3) batch."""
-    return cell_jacobians(layer, forward_step(layer, points)[1])
+    tri = forward_step(layer, points)[1]
+    return apply_lifted(layer.frame, layer.plmap.A[tri],
+                        np.broadcast_to(np.eye(3), (tri.size, 3, 3)))
 
 
 def invert_points(layer: PrismLayer, points):

@@ -7,7 +7,7 @@ from tuttedeform.deform import (PointSet, forward, forward_trace, inverse,
                                 inverse_jacobians, jacobians, realize)
 from tuttedeform.errors import OutOfDomainError
 from tuttedeform.mesh2d import build_mesh, locate_image_points, locate_points
-from tuttedeform.prism import triplane_frames
+from tuttedeform.prism import frame_from_axis_angle, triplane_frames
 from tuttedeform.tutte import identity_params
 
 from conftest import random_net
@@ -57,20 +57,28 @@ def test_pointset_passthrough():
 
 
 def test_jacobian_matches_finite_differences():
+    # triplane frames, then frames off every permutation (the matmul path)
     rng = np.random.default_rng(3)
-    net = random_net(rng, resolution=7, layers=6, scale=1.2)
-    pts = rng.uniform(-0.5, 0.5, size=(25, 3))
-    J = jacobians(net, pts)
-    h = 1e-7
-    for k in range(len(pts)):
-        fd = np.empty((3, 3))
-        for c in range(3):
-            e = np.zeros(3)
-            e[c] = h
-            fd[:, c] = (forward(net, (pts[k] + e)[None])[0]
-                        - forward(net, (pts[k] - e)[None])[0]) / (2 * h)
-        rel = np.abs(J[k] - fd).max() / max(1.0, np.abs(fd).max())
-        assert rel < 1e-5
+
+    def tilted():
+        frames = [frame_from_axis_angle(rng.normal(size=3), rng.uniform(-3, 3))
+                  for _ in range(4)]
+        return random_net(rng, resolution=7, layers=4, scale=1.2, frames=frames)
+
+    for make in (lambda: random_net(rng, resolution=7, layers=6, scale=1.2), tilted):
+        net = make()
+        pts = rng.uniform(-0.5, 0.5, size=(25, 3))
+        J = jacobians(net, pts)
+        h = 1e-7
+        for k in range(len(pts)):
+            fd = np.empty((3, 3))
+            for c in range(3):
+                e = np.zeros(3)
+                e[c] = h
+                fd[:, c] = (forward(net, (pts[k] + e)[None])[0]
+                            - forward(net, (pts[k] - e)[None])[0]) / (2 * h)
+            rel = np.abs(J[k] - fd).max() / max(1.0, np.abs(fd).max())
+            assert rel < 1e-5
 
 
 def test_inverse_jacobians_invert_forward_jacobians():

@@ -12,7 +12,7 @@ from tuttedeform.errors import NumericalError
 from tuttedeform.grad import FitTarget, LossConfig, evaluate, evaluate_with_gradient
 from tuttedeform.mesh2d import build_mesh
 from tuttedeform.optim import pack_params, unpack_params
-from tuttedeform.prism import triplane_frames
+from tuttedeform.prism import frame_from_axis_angle, triplane_frames
 from tuttedeform.tutte import TutteLayerParams
 
 from conftest import random_params
@@ -93,12 +93,15 @@ def test_handle_gradient_matches_fd():
 
 
 def test_elastic_gradient_matches_fd():
+    # triplane frames, then frames off every permutation (the matmul path)
     rng, mesh, params, frames = build_setup(seed=3)
-    pts = rng.uniform(-0.5, 0.5, size=(20, 3))
-    samples = PointSet(pts, rng.uniform(0.5, 1.5, size=20))
-    config = LossConfig(elastic_samples=samples, use_regularization=False,
-                        weights=LossWeights(elastic=1.0))
-    fd_gradient_check(mesh, params, frames, config, pts)
+    for frames in (frames, [frame_from_axis_angle([1, 2, 3], 0.9),
+                            frame_from_axis_angle([0.3, -1.0, 2.0], -1.2)]):
+        pts = rng.uniform(-0.5, 0.5, size=(20, 3))
+        samples = PointSet(pts, rng.uniform(0.5, 1.5, size=20))
+        config = LossConfig(elastic_samples=samples, use_regularization=False,
+                            weights=LossWeights(elastic=1.0))
+        fd_gradient_check(mesh, params, frames, config, pts)
 
 
 def test_regularization_gradient_matches_fd():

@@ -476,6 +476,17 @@ def _vec3(component):
     return st.lists(component, min_size=3, max_size=3)
 
 
+def _run_main(*args):
+    """``cli.main`` in process: exit code, stderr text and RuntimeWarnings."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main([*args, "--quiet"])
+    return code, err.getvalue(), [str(w.message) for w in caught
+                                  if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.fixture(scope="module")
 def extreme_workdir(tmp_path_factory):
     work = tmp_path_factory.mktemp("extreme")
@@ -567,16 +578,70 @@ def test_cli_extreme_values_exit_cleanly(extreme_workdir, layers, res, steps,
     path = extreme_workdir / "job.json"
     path.write_text(json.dumps(job))
     (extreme_workdir / "x.csv").unlink(missing_ok=True)
-    err = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")
-        code = cli.main(["elastic", str(path), "--quiet"])
-    assert code in (0, 2, 3), err.getvalue()
-    assert "Traceback" not in err.getvalue()
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
-        [str(w.message) for w in caught]
+    code, err, warned = _run_main("elastic", str(path))
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    assert not warned, warned
     if code == 0:
         rows = dict(row.split(",", 1) for row in
                     (extreme_workdir / "x.csv").read_text().splitlines())
         assert np.isfinite(float(rows["final_loss"]))
+
+
+def _plain_job(geometry="bar.obj"):
+    return {
+        "workflow": "elastic",
+        "net": {"layers": 1, "resolution": 3},
+        "optimizer": {"max_steps": 2},
+        "samples": {"moving": 50, "static": 50, "free": 50},
+        "constraints": [
+            {"region": {"kind": "halfspace", "normal": [0, 0, -1], "offset": 0.35},
+             "static": True},
+            {"region": {"kind": "halfspace", "normal": [0, 0, 1], "offset": 0.35},
+             "motion": {"translation": [0.05, 0, 0]}},
+        ],
+        "input": {"geometry": geometry},
+        "output": {"checkpoint": "x.ckpt.json"},
+    }
+
+
+@pytest.mark.parametrize("keys, literal", [
+    (("loss", "handle"), "NaN"),
+    (("loss", "elastic", "floor"), "NaN"),
+    (("optimizer", "stop_rel_tol"), "NaN"),
+    (("samples", "grid_threshold"), "NaN"),
+    (("constraints", 0, "region", "offset"), "NaN"),
+    (("loss", "handle"), "Infinity"),
+    (("constraints", 1, "motion", "translation", 0), "-Infinity"),
+])
+def test_jobfile_non_finite_literals_are_config_errors(extreme_workdir, keys, literal):
+    # Python's json reads these literals as floats, and a schema "minimum"
+    # lets NaN through, so only the parser can reject them.
+    job = _plain_job()
+    node = job
+    for k in keys[:-1]:
+        node = node.setdefault(k, {}) if isinstance(node, dict) else node[k]
+    node[keys[-1]] = float(literal.replace("Infinity", "inf"))
+    path = extreme_workdir / "literal.json"
+    path.write_text(json.dumps(job))
+    assert literal in path.read_text()
+    code, err, warned = _run_main("elastic", str(path))
+    assert code == 2, err
+    assert f"{literal} is not a JSON number" in err
+    assert "Traceback" not in err and not warned
+
+
+@pytest.mark.parametrize("name, pts", [
+    ("huge.obj", 1e308 * np.random.default_rng(9).uniform(-1, 1, size=(40, 3))),
+    ("tiny.obj", 1e-320 * np.random.default_rng(9).uniform(0, 1, size=(40, 3))),
+])
+def test_geometry_that_cannot_be_normalized_is_config_error(extreme_workdir, name, pts):
+    with pytest.raises(ValueError, match="cannot be normalized"):
+        fit_normalization(pts)
+    _write_obj(extreme_workdir / name, pts)
+    path = extreme_workdir / "extent.json"
+    path.write_text(json.dumps(_plain_job(name)))
+    code, err, warned = _run_main("elastic", str(path))
+    assert code == 2, err
+    assert "cannot be normalized" in err
+    assert "Traceback" not in err and not warned

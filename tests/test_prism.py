@@ -6,7 +6,7 @@ from scipy.spatial.transform import Rotation
 
 from tuttedeform.errors import NotInImageError
 from tuttedeform.mesh2d import build_mesh
-from tuttedeform.prism import (Frame, PrismLayer, cell_jacobians,
+from tuttedeform.prism import (Frame, PrismLayer, apply_lifted,
                                frame_from_axis_angle, invert_points, jacobians,
                                map_points, triplane_frames)
 from tuttedeform.tutte import identity_params, solve_tutte
@@ -95,17 +95,27 @@ def test_frame_products_equal_matmul():
             assert np.array_equal(frame.to_world(x), x @ frame.rotation.T)
 
 
-def test_cell_jacobians_equal_conjugated_lift():
-    # exact for permutations; rotated frames round in another order
+def test_apply_lifted_equals_conjugated_lift():
+    # R lift(A) R^T X, with lift(A) the 3x3 that holds A and a 1 on local z.
+    # Exact on identity stacks through permutation frames; elsewhere the
+    # helper rounds in another order than the 3x3 products.
     rng = np.random.default_rng(8)
+    A = rng.normal(size=(40, 2, 2))
+    lifted = np.zeros((40, 3, 3))
+    lifted[:, :2, :2] = A
+    lifted[:, 2, 2] = 1.0
     for R in ALL_FRAMES:
-        layer = make_layer(rng, frame=Frame(R))
-        tri = np.arange(layer.plmap.mesh.num_triangles)
-        lifted = np.zeros((tri.size, 3, 3))
-        lifted[:, :2, :2] = layer.plmap.A[tri]
-        lifted[:, 2, 2] = 1.0
-        err = np.abs(cell_jacobians(layer, tri) - R @ lifted @ R.T).max()
-        assert err == 0.0 if is_permutation(R) else err < 1e-14
+        M = R @ lifted @ R.T
+        for k in (1, 3):
+            X = rng.normal(size=(40, 3, k))
+            got = apply_lifted(Frame(R), A, X)
+            assert got.shape == X.shape
+            assert np.abs(got - M @ X).max() <= 1e-15 * np.abs(M @ X).max()
+        got = apply_lifted(Frame(R), A, np.broadcast_to(np.eye(3), (40, 3, 3)))
+        if is_permutation(R):
+            assert np.array_equal(got, M)
+        else:
+            assert np.abs(got - M).max() <= 1e-15 * np.abs(M).max()
 
 
 def test_identity_layer_is_identity():
