@@ -196,8 +196,21 @@ def _parse_ply(text):
     return verts, weights, faces
 
 
-def _parse_grid(text, threshold):
-    d = json.loads(text)
+def parse_json(text, source):
+    """Parse JSON ``text`` read from ``source`` (a path, for messages).
+
+    Python's json reads ``NaN``, ``Infinity`` and ``-Infinity`` as floats,
+    though they are not JSON numbers; every input file of the package is
+    read here, and these literals raise ValueError naming the literal and
+    ``source``.
+    """
+    def reject_constant(literal):
+        raise ValueError(f"{source}: {literal} is not a JSON number")
+    return json.loads(text, parse_constant=reject_constant)
+
+
+def _parse_grid(text, threshold, source):
+    d = parse_json(text, source)
     if not isinstance(d, dict):
         raise ValueError("grid file must hold a JSON object")
     for key in ("dims", "origin", "spacing", "values"):
@@ -246,7 +259,7 @@ def load_geometry(path, grid_threshold: float = 1.0, normalize: bool = True) -> 
     elif lower.endswith(".ply"):
         points, weights, triangles = _parse_ply(text)
     elif lower.endswith(".json"):
-        points, weights = _parse_grid(text, grid_threshold)
+        points, weights = _parse_grid(text, grid_threshold, path)
     else:
         raise ValueError(f"unsupported geometry extension: {path}")
     if not np.all(np.isfinite(points)):

@@ -30,6 +30,7 @@ from jsonschema import Draft202012Validator
 
 from .energy import LossWeights
 from .errors import DeformError
+from .fileio import parse_json
 from .optim import LearningRate, NetSpec
 from .prism import frame_from_axis_angle
 
@@ -314,17 +315,15 @@ def load_jobfile(path) -> JobFile:
     unknown keys), for the non-standard literals ``NaN``, ``Infinity`` and
     ``-Infinity``, and for missing inputs the workflow requires.
     """
-    def reject_constant(literal):
-        # Python's json accepts these, and a schema "minimum" lets NaN pass.
-        raise ConfigError(f"{path}: {literal} is not a JSON number")
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, parse_constant=reject_constant)
+            raw = parse_json(fh.read(), path)
     except OSError as e:
         raise ConfigError(f"cannot read job file {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path} is not valid JSON: {e}") from e
+    except ValueError as e:  # a NaN or Infinity literal; a schema "minimum" lets NaN pass
+        raise ConfigError(str(e)) from e
 
     errors = sorted(_VALIDATOR.iter_errors(raw), key=lambda e: e.json_path)
     if errors:

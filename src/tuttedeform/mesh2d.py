@@ -26,6 +26,10 @@ DOMAIN_TOL = 1e-9
 # Containment slack (barycentric units) for image-side point location.
 _BARY_STRICT = 1e-12
 _BARY_FALLBACK = 1e-9
+# The image-side walk's full Newton steps, then its half steps, before a
+# point falls back to the bins.
+_NEWTON_STEPS = 4
+_HALF_STEPS = 8
 
 
 def _readonly(a):
@@ -189,6 +193,22 @@ def _axis_cells(mesh, coords):
     return idx, frac
 
 
+def _grid_cells(mesh, x, y):
+    """Rest triangle of each point of the square, with the lowest-index
+    tie-break, plus its cell fractions ``fx``, ``fy`` and the ``upper`` mask.
+
+    ``x`` and ``y`` are coordinate columns already clamped to [-1, 1].
+    """
+    ix, fx = _axis_cells(mesh, x)
+    iy, fy = _axis_cells(mesh, y)
+    upper = fx < fy
+    tri = iy * (mesh.resolution - 1)
+    tri += ix
+    tri *= 2
+    tri += upper
+    return tri, fx, fy, upper
+
+
 def locate_points(mesh, points, layer_index=None):
     """Vectorized triangle location for points in [-1, 1]^2.
 
@@ -223,13 +243,7 @@ def locate_points(mesh, points, layer_index=None):
     np.clip(x, -1.0, 1.0, out=x)
     np.clip(y, -1.0, 1.0, out=y)
 
-    ix, fx = _axis_cells(mesh, x)
-    iy, fy = _axis_cells(mesh, y)
-    upper = fx < fy
-    tri = iy * (mesh.resolution - 1)
-    tri += ix
-    tri *= 2
-    tri += upper
+    tri, fx, fy, upper = _grid_cells(mesh, x, y)
 
     # Lower triangle (v00, v10, v11): bary = (1-fx, fx-fy, fy).
     # Upper triangle (v00, v11, v01): bary = (1-fy, fx, fy-fx).
@@ -312,19 +326,72 @@ def interpolate(positions, triangles, tri, bary):
 
 
 class _ImageLocator:
-    """Uniform bin grid over the deformed mesh for image-side point location.
+    """Image-side point location: a certified walk on the rest grid, with a
+    bin query as the fallback.
 
-    Each background cell stores the ascending indices of the triangles whose
-    padded image bounding box touches it.  A query scores every candidate in
-    its point's cell by its smallest barycentric and takes the first
-    (lowest-index) one scoring at least ``min(best, -_BARY_STRICT)``: the
-    first that holds the point within _BARY_STRICT, which matches the
-    forward locator's tie-break, or failing that the first with the best
-    score, if that is within _BARY_FALLBACK.
+    **The rule.**  A triangle t scores an image point y by its smallest
+    barycentric, computed from six per-triangle columns (the first image
+    corner ``u0`` and the inverse deformed edge matrix ``B``) as
+    ``l1 = b00*dx + b01*dy``, ``l2 = b10*dx + b11*dy``, ``l0 = 1 - l1 - l2``
+    with ``(dx, dy) = y - u0``.  y goes to the first (lowest-index) triangle
+    scoring at least ``min(best, -_BARY_STRICT)``, where ``best`` is the
+    largest score over all triangles: the first that holds y within
+    _BARY_STRICT, which matches the forward locator's tie-break, or failing
+    that the first with the best score, if that is within _BARY_FALLBACK.
 
-    The padding makes the cell's candidates cover every triangle that could
-    be accepted: if all barycentrics of p are >= -eps then, per axis,
-    ``p - max = sum_i l_i (x_i - max)`` takes only the (at most two)
+    **The walk** is Newton's method on the piecewise-linear map.  It starts
+    at x = y clamped to the square, takes x's rest triangle t (O(1) on the
+    regular grid), scores y in t with the rule's expressions, and accepts t
+    if the score s reaches ``thr[t]``; otherwise it moves x to t's affine
+    preimage of y, ``v0 + l1 e1 + l2 e2`` over t's rest corner and edges,
+    clamped.  After _NEWTON_STEPS such moves it moves only halfway there,
+    for _HALF_STEPS more scores: clamping and the kinks of the map make
+    some walks near the boundary jump back and forth between two triangles
+    on either side of y's, and the half steps land between them.  Points
+    it leaves (ties on deformed edges and vertices, points outside the
+    image, walks that still cycle) go to the bin query, which applies the
+    rule itself.
+
+    **The certificate.**  ``s >= thr[t]`` proves that no other triangle
+    scores >= -eps (eps = _BARY_STRICT), so t is the rule's pick, and its
+    barycentrics are the rule's bits.  With D(t') = |e1|_1 + |e2|_1 over
+    the edges of an image triangle t' from its first corner, which bounds
+    its diameter, and h(t) the smallest altitude of t:
+
+    - if y's exact barycentrics in t' are all >= -eta, then with q the
+      point of t' whose barycentrics are the positive parts, normalized,
+      ``y - q = sum_i |l_i| (q - v_i)`` over the (at most two) negative
+      ones, so dist(y, t') <= 2 eta D(t');
+    - computed barycentrics are within delta(t') of the exact ones (below),
+      so a computed score >= -eps means eta = eps + delta(t');
+    - if y's exact smallest barycentric in t is s > 0, y is at least
+      ``s h(t)`` from t's edges, and the map is injective, so every other
+      triangle lies outside t and at least that far from y.
+
+    So ``s h(t) > K = max_t' 2 (eps + delta(t')) D(t')`` rules out every
+    t', and ``thr[t] = delta(t) + 2 K / h_lo(t)`` with ``h_lo`` a lower
+    bound on h(t) suffices; the factor 2 absorbs the rounding of D, h_lo
+    and thr.  delta bounds the rounding, with u the unit roundoff.  A
+    triangle's ``B`` is not the exact inverse of its edge matrix E: the
+    residual ``B E - I``, computed and padded by its own rounding, gives
+    ``rho >= |B E - I|_inf``, so for a point within ``2 eta D`` of the
+    triangle (where |l| <= 2; farther away every error grows with |l|, so
+    no far point scores high) ``B d`` is within ``2 rho`` of (l1, l2).  The
+    roundings of d, of the products and of the sum put the computed l1 and
+    l2 within ``3u beta |d|`` of ``B d``, with ``beta = |B|_inf`` and
+    ``|d| <= 2D``, and l0 adds both errors and rounds twice more; ``delta
+    = 5 rho + 16 u (beta D + 1)`` covers all three.  Injectivity is checked, not
+    assumed: the walk runs only when every image triangle is positively
+    oriented beyond its rounding and the boundary polygon is simple (see
+    ``_star_shaped_loop``), which makes the map injective; otherwise every
+    point takes the bin query.
+
+    **The bins**, built on a map's first fallback, are a uniform grid over
+    the image.  Each cell stores the ascending indices of the triangles
+    whose padded image bounding box touches it, and a point's candidates
+    are those of its cell.  The padding makes these cover every triangle
+    that could be accepted: if all barycentrics of p are >= -eps then, per
+    axis, ``p - max = sum_i l_i (x_i - max)`` takes only the (at most two)
     negative ``l_i``, so p lies at most ``2 eps width`` outside the
     triangle's bounding box, and ``width <= span`` (the 1e-12 absorbs
     rounding).  So a scan over all triangles would pick the same one, and a
@@ -332,58 +399,114 @@ class _ImageLocator:
     """
 
     def __init__(self, plmap: PLMap2D):
-        mesh = plmap.mesh
-        U = plmap.vertex_positions
-        tri_u = U[mesh.triangles]  # (T, 3, 2)
+        mesh = self.mesh = plmap.mesh
+        U = self.positions = plmap.vertex_positions
+        corners = mesh.triangles.T.copy()  # (3, T)
+        ux, uy = U[:, 0][corners], U[:, 1][corners]
         # Per-triangle columns: the first corner, and the inverse of the
         # deformed edge matrix, B_rest @ inv(A), entry by entry.
-        self.u0x, self.u0y = np.ascontiguousarray(tri_u[:, 0].T)
+        self.u0x, self.u0y = ux[0], uy[0]
         B = mesh.edge_inverse @ _inv22(plmap.A)
         self.b00, self.b01, self.b10, self.b11 = np.ascontiguousarray(
             B.reshape(-1, 4).T)
+        # The walk's rest columns: the first corner and the two edges.
+        rx, ry = mesh.vertices[:, 0][corners], mesh.vertices[:, 1][corners]
+        self.r0x, self.r0y = rx[0], ry[0]
+        self.e1x, self.e2x = rx[1:] - rx[0]
+        self.e1y, self.e2y = ry[1:] - ry[0]
+        self.thr = self._thresholds(ux[1:] - ux[0], uy[1:] - uy[0])
+        self._bins = None
 
-        self.lo = U.min(axis=0)
-        hi = U.max(axis=0)
-        span = np.maximum(hi - self.lo, 1e-30)
-        self.ncell = max(mesh.resolution - 1, 1)
-        self.cell = span / self.ncell
-
-        pad = 1e-12 + 2.0 * _BARY_FALLBACK * span
-        blo = np.floor((tri_u.min(axis=1) - pad - self.lo) / self.cell).astype(np.int64)
-        bhi = np.floor((tri_u.max(axis=1) + pad - self.lo) / self.cell).astype(np.int64)
-        blo = np.clip(blo, 0, self.ncell - 1)
-        bhi = np.clip(bhi, 0, self.ncell - 1)
-
-        nx = bhi[:, 0] - blo[:, 0] + 1
-        ny = bhi[:, 1] - blo[:, 1] + 1
-        counts = nx * ny
-        tri_ids = np.repeat(np.arange(mesh.num_triangles), counts)
-        # Enumerate covered cells per triangle without a Python loop.
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        local = np.arange(counts.sum()) - offsets[tri_ids]
-        cx = blo[tri_ids, 0] + local % nx[tri_ids]
-        cy = blo[tri_ids, 1] + local // nx[tri_ids]
-        cell_ids = cy * self.ncell + cx
-
-        order = np.lexsort((tri_ids, cell_ids))
-        self.bucket_tris = tri_ids[order]
-        self.bucket_start = np.searchsorted(
-            cell_ids[order], np.arange(self.ncell * self.ncell + 1))
+    def _thresholds(self, ex, ey):
+        """Per-triangle walk thresholds from the (2, T) image edge columns,
+        or None when the map is not certified injective (see the class
+        docstring)."""
+        u = 0.5 * np.finfo(np.float64).eps
+        (e1x, e2x), (e1y, e2y) = ex, ey
+        p, q = e1x * e2y, e1y * e2x
+        cross_lo = p - q - 8.0 * u * (np.abs(p) + np.abs(q))  # 2 area, low side
+        if not np.all(cross_lo > 0.0) or not _star_shaped_loop(
+                self.positions[self.mesh.boundary_loop]):
+            return None
+        b00, b01, b10, b11 = self.b00, self.b01, self.b10, self.b11
+        with np.errstate(over="ignore", invalid="ignore"):
+            D = np.abs(e1x) + np.abs(e1y) + np.abs(e2x) + np.abs(e2y)
+            beta = np.maximum(np.abs(b00) + np.abs(b01), np.abs(b10) + np.abs(b11))
+            rho = np.maximum(
+                np.abs(b00 * e1x + b01 * e1y - 1.0) + np.abs(b00 * e2x + b01 * e2y),
+                np.abs(b10 * e1x + b11 * e1y) + np.abs(b10 * e2x + b11 * e2y - 1.0))
+            rho += 16.0 * u * beta * D
+            delta = 5.0 * rho + 16.0 * u * (beta * D + 1.0)
+            K = 2.0 * np.max((_BARY_STRICT + delta) * D)
+            thr = delta + 2.0 * K * D / cross_lo
+        return thr if np.all(np.isfinite(thr)) else None
 
     def query(self, points, layer_index=None):
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         _reject_non_finite(pts)
         n = pts.shape[0]
-        cidx = np.clip(
-            np.floor((pts - self.lo) / self.cell).astype(np.int64), 0, self.ncell - 1)
-        cells = cidx[:, 1] * self.ncell + cidx[:, 0]
-        start = self.bucket_start[cells]
-        length = self.bucket_start[cells + 1] - start
+        tri = np.empty(n, dtype=np.int64)
+        cols = np.empty((3, n))  # l0, l1, l2
+        rows = np.arange(n)  # the points not yet located
+        at = slice(None)  # where this step's results go: all, then ``rows``
+        if self.thr is not None and n:
+            # Each step writes every point it scores; a later step or the
+            # fallback overwrites the ones it does not accept.
+            qx, qy = pts[:, 0].copy(), pts[:, 1].copy()
+            x, y = np.clip(qx, -1.0, 1.0), np.clip(qy, -1.0, 1.0)
+            for step in range(_NEWTON_STEPS + _HALF_STEPS):
+                t = _grid_cells(self.mesh, x, y)[0]
+                # The bin query's expressions, in its order: the same bits.
+                dx = qx - self.u0x[t]
+                dy = qy - self.u0y[t]
+                l1 = self.b00[t] * dx
+                l1 += self.b01[t] * dy
+                l2 = self.b10[t] * dx
+                l2 += self.b11[t] * dy
+                l0 = 1.0 - l1
+                l0 -= l2
+                tri[at] = t
+                for col, l in zip(cols, (l0, l1, l2)):
+                    col[at] = l
+                left = np.flatnonzero(np.minimum(np.minimum(l0, l1), l2) < self.thr[t])
+                rows = at = rows[left]
+                if not rows.size:
+                    break
+                qx, qy, t, l1, l2 = (a[left] for a in (qx, qy, t, l1, l2))
+                to_x = self.r0x[t] + l1 * self.e1x[t] + l2 * self.e2x[t]
+                to_y = self.r0y[t] + l1 * self.e1y[t] + l2 * self.e2y[t]
+                np.clip(to_x, -1.0, 1.0, out=to_x)
+                np.clip(to_y, -1.0, 1.0, out=to_y)
+                if step >= _NEWTON_STEPS:  # go halfway: breaks two-cycles
+                    to_x += x[left]
+                    to_x *= 0.5
+                    to_y += y[left]
+                    to_y *= 0.5
+                x, y = to_x, to_y
+        if rows.size:
+            tri[rows], cols[:, rows] = self._bin_query(pts[rows], rows, layer_index)
+        return tri, cols.T
+
+    def _bin_query(self, pts, rows, layer_index):
+        """The rule over each point's bin candidates: ``(tri, (l0, l1, l2))``.
+
+        ``rows`` are the points' indices in the caller's batch, for the
+        error; they ascend, so the first point outside the image is the
+        batch's first.
+        """
+        if self._bins is None:
+            self._bins = self._build_bins()
+        lo, cell, ncell, bucket_tris, bucket_start = self._bins
+        n = pts.shape[0]
+        cidx = np.clip(np.floor((pts - lo) / cell).astype(np.int64), 0, ncell - 1)
+        cells = cidx[:, 1] * ncell + cidx[:, 0]
+        start = bucket_start[cells]
+        length = bucket_start[cells + 1] - start
 
         # One row per (point, candidate): points in order, each point's
         # candidates in ascending triangle index.
         head = np.cumsum(length) - length  # each point's first row
-        cand = self.bucket_tris[np.repeat(start - head, length) + np.arange(length.sum())]
+        cand = bucket_tris[np.repeat(start - head, length) + np.arange(length.sum())]
         dx = np.repeat(pts[:, 0], length) - self.u0x[cand]
         dy = np.repeat(pts[:, 1], length) - self.u0y[cand]
         l1 = self.b00[cand] * dx + self.b01[cand] * dy
@@ -400,14 +523,58 @@ class _ImageLocator:
             raise NotInImageError(
                 f"point {pts[i]} is outside the deformed mesh "
                 f"(best containment violation {-best[i]:.3e})",
-                point=pts[i].copy(), layer_index=layer_index, point_index=i)
+                point=pts[i].copy(), layer_index=layer_index,
+                point_index=int(rows[i]))
 
         # A point's rows at or above its threshold are its strict hits if it
         # has one, else its best-score rows; take the first of them.
         threshold = np.minimum(best, -_BARY_STRICT)
         hit = np.flatnonzero(score >= np.repeat(threshold, length))
         pick = hit[np.searchsorted(hit, head)]
-        return cand[pick], np.column_stack([l0[pick], l1[pick], l2[pick]])
+        return cand[pick], (l0[pick], l1[pick], l2[pick])
+
+    def _build_bins(self):
+        """``(lo, cell, ncell, bucket_tris, bucket_start)`` of the bin grid."""
+        mesh, U = self.mesh, self.positions
+        tri_u = U[mesh.triangles]
+        lo = U.min(axis=0)
+        span = np.maximum(U.max(axis=0) - lo, 1e-30)
+        ncell = max(mesh.resolution - 1, 1)
+        cell = span / ncell
+
+        pad = 1e-12 + 2.0 * _BARY_FALLBACK * span
+        blo = np.floor((tri_u.min(axis=1) - pad - lo) / cell).astype(np.int64)
+        bhi = np.floor((tri_u.max(axis=1) + pad - lo) / cell).astype(np.int64)
+        blo = np.clip(blo, 0, ncell - 1)
+        bhi = np.clip(bhi, 0, ncell - 1)
+
+        nx = bhi[:, 0] - blo[:, 0] + 1
+        ny = bhi[:, 1] - blo[:, 1] + 1
+        counts = nx * ny
+        tri_ids = np.repeat(np.arange(mesh.num_triangles), counts)
+        # Enumerate covered cells per triangle without a Python loop.
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        local = np.arange(counts.sum()) - offsets[tri_ids]
+        cx = blo[tri_ids, 0] + local % nx[tri_ids]
+        cy = blo[tri_ids, 1] + local // nx[tri_ids]
+        cell_ids = cy * ncell + cx
+
+        order = np.lexsort((tri_ids, cell_ids))
+        bucket_start = np.searchsorted(cell_ids[order], np.arange(ncell * ncell + 1))
+        return lo, cell, ncell, tri_ids[order], bucket_start
+
+
+def _star_shaped_loop(P):
+    """True when every edge of the closed polygon P turns counterclockwise
+    about P's vertex mean c, beyond rounding, and P goes round c once: then
+    each ray from c crosses P once, so P is simple."""
+    u = 0.5 * np.finfo(np.float64).eps
+    ax, ay = (P - P.mean(axis=0)).T
+    bx, by = np.roll(ax, -1), np.roll(ay, -1)
+    p, q = ax * by, ay * bx
+    if not np.all(p - q - 8.0 * u * (np.abs(p) + np.abs(q)) > 0.0):
+        return False
+    return bool(np.arctan2(p - q, ax * bx + ay * by).sum() < 3.0 * np.pi)
 
 
 def locate_image_points(plmap: PLMap2D, points, layer_index=None):

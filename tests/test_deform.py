@@ -1,13 +1,16 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from tuttedeform.deform import (PointSet, forward, forward_trace, inverse,
-                                inverse_jacobians, jacobians, realize)
+from tuttedeform.deform import (DeformationNet, PointSet, forward, forward_trace,
+                                inverse, inverse_jacobians, jacobians, realize)
 from tuttedeform.errors import OutOfDomainError
-from tuttedeform.mesh2d import build_mesh, locate_image_points, locate_points
-from tuttedeform.prism import frame_from_axis_angle, triplane_frames
+from tuttedeform.mesh2d import (_ImageLocator, _inv22, build_mesh, interpolate,
+                                locate_image_points, locate_points, realize_plmap)
+from tuttedeform.prism import (PrismLayer, apply_lifted, frame_from_axis_angle,
+                               triplane_frames)
 from tuttedeform.tutte import identity_params
 
 from conftest import random_net
@@ -104,6 +107,47 @@ def test_inverse_jacobians_on_grid_aligned_points():
         J = jacobians(net, pts)
         Ji = inverse_jacobians(net, forward(net, pts))
         assert np.abs(Ji @ J - np.eye(3)).max() < 1e-8
+
+
+def test_tie_heavy_inverse_takes_the_bin_rule(monkeypatch):
+    # Identity layers put every lattice point on a vertex, edge or cell
+    # diagonal of every layer's image mesh, where no triangle can be
+    # certified: each point at each layer takes the locator's bin rule.
+    mesh = build_mesh(7)
+    frames = triplane_frames(6)
+    layers = tuple(PrismLayer(frame=f, plmap=realize_plmap(mesh, mesh.vertices),
+                              layer_index=i) for i, f in enumerate(frames))
+    net = DeformationNet(mesh=mesh, params=(), frames=tuple(frames),
+                         layers=layers, systems=())
+    g = mesh.grid
+    axis = np.concatenate([g, 0.5 * (g[1:] + g[:-1])])
+    pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+
+    # The rule alone: the bin query on every row, layer by layer.
+    want, want_J = pts, np.broadcast_to(np.eye(3), (len(pts), 3, 3))
+    for layer in reversed(layers):
+        local = layer.frame.to_local(want)
+        tri, ls = layer.plmap.image_locator()._bin_query(
+            local[:, :2], np.arange(len(pts)), layer.layer_index)
+        local[:, :2] = interpolate(mesh.vertices, mesh.triangles, tri, np.column_stack(ls))
+        want = layer.frame.to_world(local)
+        want_J = apply_lifted(layer.frame, _inv22(layer.plmap.A[tri]), want_J)
+
+    fallback_rows = []
+    bin_query = _ImageLocator._bin_query
+
+    def counted(self, pts, rows, layer_index):
+        fallback_rows.append(len(rows))
+        return bin_query(self, pts, rows, layer_index)
+
+    monkeypatch.setattr(_ImageLocator, "_bin_query", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = inverse(net, pts)
+        got_J = inverse_jacobians(net, pts)
+    assert fallback_rows == [len(pts)] * (2 * len(layers))
+    assert got.tobytes() == want.tobytes()
+    assert got_J.tobytes() == np.ascontiguousarray(want_J).tobytes()
 
 
 def test_box_face_points():

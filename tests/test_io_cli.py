@@ -645,3 +645,38 @@ def test_geometry_that_cannot_be_normalized_is_config_error(extreme_workdir, nam
     assert code == 2, err
     assert "cannot be normalized" in err
     assert "Traceback" not in err and not warned
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_checkpoint_non_finite_literals_are_config_errors(extreme_workdir, literal):
+    # Python's json reads these as floats: a NaN scale used to pass the
+    # parser and be blamed on the first query point ("point 0 is not finite").
+    d = ckpt.to_dict(ckpt.from_net(random_net(np.random.default_rng(10), 3, 1)))
+    d["normalization"]["scale"] = float(literal.replace("Infinity", "inf"))
+    ck_path = extreme_workdir / "literal.ckpt.json"
+    ck_path.write_text(json.dumps(d))
+    assert literal in ck_path.read_text()
+    path = extreme_workdir / "apply_literal.json"
+    json.dump({"workflow": "apply",
+               "input": {"geometry": "bar.obj", "checkpoint": ck_path.name},
+               "output": {"geometry": "unused.obj"}}, open(path, "w"))
+    code, err, warned = _run_main("apply", str(path))
+    assert code == 2, err
+    assert f"{ck_path}: {literal} is not a JSON number" in err
+    assert "Traceback" not in err and not warned
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_grid_file_non_finite_literals_are_config_errors(extreme_workdir, literal):
+    # A NaN value used to drop its cell silently (NaN > threshold is false).
+    grid = extreme_workdir / "literal_grid.json"
+    value = float(literal.replace("Infinity", "inf"))
+    grid.write_text(json.dumps({"dims": [2, 2, 2], "origin": [-0.5, -0.5, -0.5],
+                                "spacing": [0.5, 0.5, 0.5], "values": [2.0] * 7 + [value]}))
+    assert literal in grid.read_text()
+    path = extreme_workdir / "grid_job.json"
+    path.write_text(json.dumps(_plain_job(grid.name)))
+    code, err, warned = _run_main("elastic", str(path))
+    assert code == 2, err
+    assert f"{grid}: {literal} is not a JSON number" in err
+    assert "Traceback" not in err and not warned

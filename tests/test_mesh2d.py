@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tuttedeform.errors import NotInImageError, OutOfDomainError
-from tuttedeform.mesh2d import (_BARY_FALLBACK, _BARY_STRICT, build_mesh,
-                                interpolate, locate_image_points, locate_points,
-                                realize_plmap)
+from tuttedeform.mesh2d import (_BARY_FALLBACK, _BARY_STRICT, _star_shaped_loop,
+                                build_mesh, interpolate, locate_image_points,
+                                locate_points, realize_plmap)
 from tuttedeform.tutte import solve_tutte
 
 from conftest import random_params
@@ -255,12 +255,31 @@ def test_image_location_matches_all_triangle_reference():
         assert tri.shape == (0,) and bary.shape == (0, 3)
 
 
-def test_image_location_with_empty_bins():
-    # A rotated, sheared image leaves the bin grid's corners empty.
+def sheared_map():
+    """A rotated, sheared res-25 map, whose image leaves the bin grid's
+    corners empty."""
     mesh = build_mesh(25)
     x, y = mesh.vertices.T
-    warped = np.column_stack([0.7 * x - 0.7 * y + 0.1 * x * y, 0.7 * x + 0.5 * y])
-    plmap = realize_plmap(mesh, warped)
+    return realize_plmap(
+        mesh, np.column_stack([0.7 * x - 0.7 * y + 0.1 * x * y, 0.7 * x + 0.5 * y]))
+
+
+def wedge_map():
+    """A res-4 map whose triangle 0 is a wedge (v0, v1, v5) wider than half
+    the image, with its apex v1 on the bottom boundary just short of the last
+    bin column."""
+    mesh = build_mesh(4)
+    apex = 2.0 / 3.0 - 1.1e-9
+    U = np.array([[0, 0], [apex, 0], [0.75, 0.3], [1, 0.4],
+                  [0, 0.35], [0.05, 0.1], [0.55, 0.45], [1, 0.6],
+                  [0, 0.7], [0.3, 0.7], [0.65, 0.7], [1, 0.8],
+                  [0, 1], [0.33, 1], [0.66, 1], [1, 1]])
+    return realize_plmap(mesh, U)
+
+
+def test_image_location_with_empty_bins():
+    plmap = sheared_map()
+    warped = plmap.vertex_positions
     assert np.all(plmap.det > 0)
     rng = np.random.default_rng(6)
     lo, hi = warped.min(axis=0), warped.max(axis=0)
@@ -273,17 +292,11 @@ def test_image_location_with_empty_bins():
 
 
 def test_image_fallback_reaches_past_a_bin_edge():
-    # Triangle 0 is a wedge (v0, v1, v5) wider than half the image, with its
-    # apex v1 on the bottom boundary just short of the last bin column.  The
-    # point beyond v1 has barycentrics (-0.99e-9, 1 + 1.98e-9, -0.99e-9) there,
-    # but lies 1.2e-9 past the wedge's bounding box, in the next bin.
-    mesh = build_mesh(4)
-    apex = 2.0 / 3.0 - 1.1e-9
-    U = np.array([[0, 0], [apex, 0], [0.75, 0.3], [1, 0.4],
-                  [0, 0.35], [0.05, 0.1], [0.55, 0.45], [1, 0.6],
-                  [0, 0.7], [0.3, 0.7], [0.65, 0.7], [1, 0.8],
-                  [0, 1], [0.33, 1], [0.66, 1], [1, 1]])
-    plmap = realize_plmap(mesh, U)
+    # The point beyond the wedge's apex v1 has barycentrics (-0.99e-9,
+    # 1 + 1.98e-9, -0.99e-9) in it, but lies 1.2e-9 past the wedge's
+    # bounding box, in the next bin.
+    plmap = wedge_map()
+    U = plmap.vertex_positions
     assert np.all(plmap.det > 0)
     p = U[1] + 0.99e-9 * (2 * U[1] - U[0] - U[5])
     assert image_reference(plmap, p)[0] == 0
@@ -303,3 +316,141 @@ def test_locate_property(coords):
     assert np.abs(rebuilt - pts).max() <= 1e-12
     assert np.all(bary >= -1e-12)
     assert np.allclose(bary.sum(axis=1), 1.0)
+
+
+# --------------------------------------------- image-side walk vs the bins
+
+def bin_oracle(plmap, pts, layer_index=None):
+    """The locator's bin query run on every row: its fallback called
+    directly, with no walk in front.  Returns ``(tri, bary)``."""
+    loc = plmap.image_locator()
+    tri, ls = loc._bin_query(pts, np.arange(len(pts)), layer_index)
+    return tri, np.column_stack(ls)
+
+
+def assert_walk_matches_bins(plmap, pts):
+    """``locate_image_points`` equals the bin oracle bit for bit, or both
+    raise at the same point with the same message."""
+    try:
+        want_tri, want_bary = bin_oracle(plmap, pts, layer_index=7)
+    except NotInImageError as want:
+        with pytest.raises(NotInImageError) as got:
+            locate_image_points(plmap, pts, layer_index=7)
+        assert (got.value.point_index, got.value.layer_index) == (want.point_index, 7)
+        assert str(got.value) == str(want)
+        return False
+    tri, bary = locate_image_points(plmap, pts, layer_index=7)
+    assert np.array_equal(tri, want_tri)
+    assert np.ascontiguousarray(bary).tobytes() == want_bary.tobytes()
+    return True
+
+
+def near_threshold_points(plmap, rng, factor, k=300):
+    """Points inside random triangles whose smallest barycentric is about
+    ``factor`` times the triangle's walk threshold."""
+    mesh, thr = plmap.mesh, plmap.image_locator().thr
+    tri = rng.integers(0, mesh.num_triangles, k)
+    s = factor * thr[tri]
+    a = rng.uniform(0.2, 0.6, k)
+    bary = np.column_stack([s, a, 1.0 - s - a])
+    for row, shift in zip(bary, rng.integers(0, 3, k)):
+        row[:] = np.roll(row, shift)
+    return interpolate(plmap.vertex_positions, mesh.triangles, tri, bary)
+
+
+ORACLE_MAPS = [(res, scale) for res in (3, 7, 11, 25) for scale in (0.3, 1.0, 2.0)]
+
+
+@pytest.mark.parametrize("which", ORACLE_MAPS + ["sheared", "wedge", "folded"],
+                         ids=lambda w: w if isinstance(w, str) else "res%d-scale%g" % w)
+def test_image_walk_matches_bin_query_bit_for_bit(which, monkeypatch):
+    rng = np.random.default_rng(40)
+    if which == "sheared":
+        plmap = sheared_map()
+    elif which == "wedge":
+        plmap = wedge_map()
+    elif which == "folded":
+        mesh = build_mesh(5)
+        U = mesh.vertices.copy()
+        U[12] = [0.9, 0.2]  # the center vertex, pulled over its neighbors
+        plmap = realize_plmap(mesh, U)
+        assert np.any(plmap.det < 0)
+    else:
+        res, scale = which
+        mesh = build_mesh(res)
+        plmap = solve_tutte(mesh, random_params(rng, mesh, scale=scale))
+    mesh, U = plmap.mesh, plmap.vertex_positions
+    loc = plmap.image_locator()
+    # The folded map is not injective, so its points all take the bins.
+    assert (loc.thr is None) == (which == "folded")
+
+    fallback_rows = []
+    bin_query = type(loc)._bin_query
+
+    def counted(self, pts, rows, layer_index):
+        fallback_rows.append(len(rows))
+        return bin_query(self, pts, rows, layer_index)
+
+    monkeypatch.setattr(type(loc), "_bin_query", counted)
+    random_images = map_points(plmap, rng.uniform(-1, 1, (2000, 2)))
+    locate_image_points(plmap, random_images)
+    if loc.thr is not None:  # the walk located (almost) every random image
+        assert sum(fallback_rows) <= 20
+    assert assert_walk_matches_bins(plmap, random_images)
+
+    # Ties: every point lies on a deformed edge or vertex.
+    g = mesh.grid
+    on_x = np.column_stack([g[rng.integers(0, g.size, 200)], rng.uniform(-1, 1, 200)])
+    on_y = np.column_stack([rng.uniform(-1, 1, 200), g[rng.integers(0, g.size, 200)]])
+    mids = 0.5 * (U[mesh.edges[:, 0]] + U[mesh.edges[:, 1]])
+    for ties in (U, mids, map_points(plmap, np.concatenate([on_x, on_y]))):
+        assert assert_walk_matches_bins(plmap, ties)
+
+    # Face points pushed outward cross the strict, the fallback and the
+    # rejection tolerance in turn (for the Tutte maps, whose image is the
+    # square).
+    faces = map_points(plmap, face_points(rng, 40))
+    for d in (1e-12, 1e-11, 1e-10, 3e-10):
+        assert_walk_matches_bins(plmap, faces * (1.0 + d))
+
+    if loc.thr is not None:
+        for factor in (0.5, 1.0, 2.0):
+            near = near_threshold_points(plmap, rng, factor)
+            assert assert_walk_matches_bins(plmap, near)
+
+
+def test_image_walk_keeps_the_first_outside_point():
+    rng = np.random.default_rng(41)
+    mesh = build_mesh(11)
+    plmap = solve_tutte(mesh, random_params(rng, mesh, scale=1.0))
+    inside = map_points(plmap, rng.uniform(-1, 1, (300, 2)))
+    outside = np.array([[1.5, 0.0], [0.0, -1.0 - 1e-6]])
+    pts = np.concatenate([inside[:100], outside[:1], inside[100:], outside[1:]])
+    for query in (locate_image_points, bin_oracle):
+        with pytest.raises(NotInImageError) as ei:
+            query(plmap, pts, layer_index=9)
+        assert (ei.value.point_index, ei.value.layer_index) == (100, 9)
+        assert np.array_equal(ei.value.point, outside[0])
+
+    tri, bary = locate_image_points(plmap, np.zeros((0, 2)))
+    assert tri.shape == (0,) and bary.shape == (0, 3)
+    pts = inside.copy()
+    pts[3, 1] = np.nan
+    with pytest.raises(ValueError, match="point 3 is not finite"):
+        locate_image_points(plmap, pts)
+
+
+def test_star_shaped_loop():
+    square = np.array([[-1.0, -1.0], [0.0, -1.0], [1.0, -1.0], [1.0, 0.0],
+                       [1.0, 1.0], [0.0, 1.0], [-1.0, 1.0], [-1.0, 0.0]])
+    assert _star_shaped_loop(square)                    # collinear sides pass
+    assert not _star_shaped_loop(square[::-1])          # clockwise
+    assert not _star_shaped_loop(np.concatenate([square, square]))  # twice round
+    arrow = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [0.2, 0.0]])
+    assert _star_shaped_loop(arrow)                     # not convex, but star-shaped
+    hook = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-0.9, 1.0],
+                     [-0.9, -0.8], [0.8, -0.8], [0.8, 0.8], [-1.0, 0.8]])
+    assert not _star_shaped_loop(hook)                  # crosses itself
+    c_shape = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, -0.6], [-0.6, -0.6],
+                        [-0.6, 0.6], [1.0, 0.6], [1.0, 1.0], [-1.0, 1.0]])
+    assert not _star_shaped_loop(c_shape)               # simple; its mean is outside
