@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .deform import DeformationNet, realize
-from .fileio import Normalization, atomic_write_text, parse_json
+from .fileio import Normalization, atomic_write_text, _parse_json
 from .mesh2d import build_mesh
 from .prism import Frame, triplane_frames
 from .tutte import TutteLayerParams
@@ -137,4 +137,4 @@ def save_checkpoint(path, ck: Checkpoint):
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return from_dict(parse_json(text, path))
+    return from_dict(_parse_json(text, path))

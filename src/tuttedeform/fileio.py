@@ -196,7 +196,7 @@ def _parse_ply(text):
     return verts, weights, faces
 
 
-def parse_json(text, source):
+def _parse_json(text, source):
     """Parse JSON ``text`` read from ``source`` (a path, for messages).
 
     Python's json reads ``NaN``, ``Infinity`` and ``-Infinity`` as floats,
@@ -210,7 +210,7 @@ def parse_json(text, source):
 
 
 def _parse_grid(text, threshold, source):
-    d = parse_json(text, source)
+    d = _parse_json(text, source)
     if not isinstance(d, dict):
         raise ValueError("grid file must hold a JSON object")
     for key in ("dims", "origin", "spacing", "values"):

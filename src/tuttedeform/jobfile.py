@@ -30,7 +30,7 @@ from jsonschema import Draft202012Validator
 
 from .energy import LossWeights
 from .errors import DeformError
-from .fileio import parse_json
+from .fileio import _parse_json
 from .optim import LearningRate, NetSpec
 from .prism import frame_from_axis_angle
 
@@ -317,7 +317,7 @@ def load_jobfile(path) -> JobFile:
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = parse_json(fh.read(), path)
+            raw = _parse_json(fh.read(), path)
     except OSError as e:
         raise ConfigError(f"cannot read job file {path}: {e}") from e
     except json.JSONDecodeError as e:
