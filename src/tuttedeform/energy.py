@@ -30,16 +30,21 @@ def strain_energy_density(J):
     Accepts a single (d, d) matrix or a batch (..., d, d); zero exactly on
     rotations, symmetric in orientation, dimension-agnostic (2D and 3D).
     """
-    J = np.asarray(J, dtype=np.float64)
-    d = J.shape[-1]
-    G = np.swapaxes(J, -1, -2) @ J - np.eye(d)
-    return np.sum(G * G, axis=(-2, -1))
+    G = _metric_minus_identity(np.asarray(J, dtype=np.float64))
+    return np.einsum("ab...,ab...->...", G, G)
 
 
 def _quarter_strain_gradient(J):
     """``J (J^T J - I)``: a quarter of the derivative of
     :func:`strain_energy_density` with respect to ``J``, for a batch."""
-    return J @ (np.swapaxes(J, -1, -2) @ J - np.eye(J.shape[-1]))
+    return np.einsum("...ia,ab...->...ib", J, _metric_minus_identity(J))
+
+
+def _metric_minus_identity(J):
+    """``J^T J - I`` of a (..., d, d) batch as (d, d, ...), from J as it lies."""
+    G = np.einsum("...ka,...kb->ab...", J, J)
+    G[np.diag_indices(J.shape[-1])] -= 1.0
+    return G
 
 
 def distortion_multipliers(energies,

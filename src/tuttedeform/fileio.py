@@ -20,6 +20,7 @@ exact round trips on export.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -196,17 +197,45 @@ def _parse_ply(text):
     return verts, weights, faces
 
 
-def _parse_json(text, source):
+def _parse_json(text, source, allow_overflow=False):
     """Parse JSON ``text`` read from ``source`` (a path, for messages).
 
     Python's json reads ``NaN``, ``Infinity`` and ``-Infinity`` as floats,
     though they are not JSON numbers; every input file of the package is
     read here, and these literals raise ValueError naming the literal and
-    ``source``.
+    ``source``.  A number that overflows float64, such as ``1e999``, reads
+    as inf (or as an int no float can hold); unless ``allow_overflow``, it
+    raises ValueError naming the literal and ``source`` too.  Job files
+    allow it: their reader names the overflowing field instead.
     """
     def reject_constant(literal):
         raise ValueError(f"{source}: {literal} is not a JSON number")
-    return json.loads(text, parse_constant=reject_constant)
+
+    value = json.loads(text, parse_constant=reject_constant)
+    if not allow_overflow and _may_overflow(value):
+        # The slow exact pass, on the rare file the screen flags; it only
+        # raises, and the values it parses are discarded.
+        def reject_overflow(literal):
+            if math.isinf(float(literal)):
+                raise ValueError(f"{source}: {literal} overflows float64")
+        json.loads(text, parse_float=reject_overflow, parse_int=reject_overflow)
+    return value
+
+
+def _may_overflow(node):
+    """Whether parsed JSON holds a number beyond float64.  A screen: a flat
+    list of numbers is summed in C, so a finite list whose sum overflows is
+    flagged too."""
+    if isinstance(node, dict):
+        return any(_may_overflow(v) for v in node.values())
+    try:
+        if isinstance(node, list):
+            return not math.isfinite(sum(node))
+        return isinstance(node, (int, float)) and not math.isfinite(node)
+    except TypeError:  # a list that holds more than numbers
+        return any(_may_overflow(v) for v in node)
+    except OverflowError:  # an int no float can hold
+        return True
 
 
 def _parse_grid(text, threshold, source):

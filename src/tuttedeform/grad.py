@@ -34,6 +34,7 @@ non-finite gradient is reported at the highest layer that has one.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -46,7 +47,6 @@ from .energy import (HandleConstraint, LossWeights, _quarter_strain_gradient,
                      strain_energy_density, triangle_gradient_frames)
 from .errors import NumericalError
 from .mesh2d import _edge_matrices
-from .prism import _t
 from .tutte import tutte_backward
 
 
@@ -134,8 +134,8 @@ def _backward_sweep(net: DeformationNet, trace: Optional[OrbitTrace], g_out, g_j
     """Raw-parameter gradients ``(d_edges, d_boundary)`` of every layer.
 
     ``g_out`` is dL/d(final points), None with ``trace`` when there are no
-    points; ``g_jac`` is dL/d(composite Jacobian) or None.  ``reg_coef``
-    scales the regularizer's cotangent, None when it is off.
+    points; ``g_jac``, a (3, 3, N) row stack, is dL/d(composite Jacobian) or
+    None.  ``reg_coef`` scales the regularizer's cotangent, None when it is off.
     """
     mesh = net.mesh
     V, T = mesh.num_vertices, mesh.num_triangles
@@ -153,29 +153,26 @@ def _backward_sweep(net: DeformationNet, trace: Optional[OrbitTrace], g_out, g_j
             frame = layer.frame
             tri = trace.tris[l]
             bary = trace.barys[l]
-            A = layer.plmap.A[tri]
+            A = layer.plmap.A.take(tri, axis=0)
 
             g_loc = frame.to_local(g)
+            gx, gy = g_loc[:, 0], g_loc[:, 1]
             # Direct contribution to this layer's deformed vertices.
-            vals = bary[:, :, None] * g_loc[:, None, :2]  # (N, 3, 2)
-            verts = tris3[tri]
+            verts = tris3.take(tri, axis=0)
             for k in range(3):
-                for c in range(2):
-                    dU[:, c] += np.bincount(verts[:, k], weights=vals[:, k, c], minlength=V)
+                for c, gc in enumerate((gx, gy)):
+                    dU[:, c] += np.bincount(verts[:, k], bary[:, k] * gc, V)
             # Continue the chain: local-out xy = q_xy @ A^T + delta.
-            g_xy = np.einsum("ni,nij->nj", g_loc[:, :2], A)
-            g = frame.to_world(np.column_stack([g_xy, g_loc[:, 2]]))
+            g_loc[:, 0], g_loc[:, 1] = (gx * A[:, 0, 0] + gy * A[:, 1, 0],
+                                        gx * A[:, 0, 1] + gy * A[:, 1, 1])
+            g = frame.to_world(g_loc)
 
             if H is not None:
-                # H P^T's in-plane block in the frame: (R^T H)[:2] (P^T R)[:, :2].
-                P = trace.prefixes[l]
-                dA_loc = (_t(frame.to_local(_t(H)))[:, :2]
-                          @ frame.to_local(_t(P))[:, :, :2])
-                for a in range(2):
-                    for b in range(2):
-                        dA[:, a, b] += np.bincount(tri, weights=dA_loc[:, a, b],
-                                                   minlength=T)
-                H = prism.apply_lifted(frame, _t(A), H)
+                # H P^T's in-plane block in the frame, P the traced prefix.
+                h, p = frame.plane_rows(H), frame.plane_rows(trace.prefixes[l])
+                for a, b in itertools.product(range(2), repeat=2):
+                    dA[:, a, b] += np.bincount(tri, np.einsum("kn,kn->n", h[a], p[b]), T)
+                H = prism.apply_lifted(frame, A.transpose(0, 2, 1), H)
 
         if reg_coef is not None:
             dA += reg_coef * mesh.areas[:, None, None] * _quarter_strain_gradient(
@@ -243,8 +240,8 @@ def _trace_terms(net: DeformationNet, config: LossConfig):
         values["elastic"] = float(np.mean(m * weights * e))
         values["max_distortion"] = float(e.max())
         coef = (w_el * m * weights / e.size)
-        g_jac = np.zeros(trace.jac.shape)
-        g_jac[:n_el] = 4.0 * coef[:, None, None] * _quarter_strain_gradient(J)
+        g_jac = np.zeros(trace.prefixes.shape[1:])  # a (3, 3, N) row stack
+        g_jac[:, :, :n_el] = _quarter_strain_gradient(J).transpose(1, 2, 0) * (4.0 * coef)
 
     if fit is not None:
         f0 = len(batch) - len(fit.source)

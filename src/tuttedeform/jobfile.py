@@ -317,7 +317,7 @@ def load_jobfile(path) -> JobFile:
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = _parse_json(fh.read(), path)
+            raw = _parse_json(fh.read(), path, allow_overflow=True)
     except OSError as e:
         raise ConfigError(f"cannot read job file {path}: {e}") from e
     except json.JSONDecodeError as e:

@@ -12,12 +12,12 @@ is injective on its slab domain.  Its Jacobian at p is the constant matrix
 value exactly 1 along the frame's extrusion axis; ``apply_lifted`` applies
 it through the 2x2 block ``A_t`` alone.
 
-Every product with a frame rotation goes through ``Frame.to_local`` and
-``Frame.to_world``.  Triplane frames, the only kind a job file can ask for,
-are permutation matrices, and for a signed permutation both methods pick and
-negate columns: exact, and free of BLAS calls.  Any other rotation takes the
-matmul path, because the library API and checkpoints with explicit frame
-matrices still accept arbitrary rotations.
+Point batches are (N, 3); Jacobian chains are (3, k, N) row stacks, whose
+entries are contiguous columns over the points.  Triplane frames, the only
+kind a job file can ask for, are unsigned permutation matrices: products
+with them pick columns of a batch or rows of a stack, exact and free of BLAS
+calls (signed ones negate batch columns too).  Any other rotation takes the
+matmul path: the library API and explicit checkpoint frames accept any.
 """
 
 from __future__ import annotations
@@ -35,18 +35,20 @@ from .mesh2d import PLMap2D, _readonly
 class Frame:
     """A proper rotation fixing a layer's extrusion axis (local z).
 
-    ``to_local`` and ``to_world`` are the frame's only products with
-    ``rotation``.  When the rotation is a signed permutation, as every
-    triplane frame is, ``__post_init__`` records each output column's source
-    column and sign, and both methods index instead of multiplying: the same
-    values, without a BLAS call.  Any other rotation keeps the matmul, the
-    only path for the arbitrary rotations that the library API and explicit
-    checkpoint frames accept.
+    ``to_local`` and ``to_world`` multiply point batches by ``rotation``.
+    When the rotation is a signed permutation, as every triplane frame is,
+    ``__post_init__`` records each output column's source column and sign,
+    and both methods index instead of multiplying: the same values, without
+    a BLAS call.  When it is unsigned, ``_rows`` lets ``plane_rows`` and
+    ``apply_lifted`` pick rows of row stacks the same way.  Any other
+    rotation keeps the matmul, the only path for the arbitrary rotations
+    that the library API and explicit checkpoint frames accept.
     """
 
     rotation: np.ndarray  # (3, 3)
     _local: Optional[tuple] = field(init=False, repr=False, compare=False, default=None)
     _world: Optional[tuple] = field(init=False, repr=False, compare=False, default=None)
+    _rows: Optional[tuple] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         R = np.asarray(self.rotation, dtype=np.float64)
@@ -59,6 +61,8 @@ class Frame:
         if set(R.flat) <= {-1.0, 0.0, 1.0}:
             object.__setattr__(self, "_local", _column_picks(R))
             object.__setattr__(self, "_world", _column_picks(R.T))
+            if self._local[1] is None:  # row m of R^T X is X[c_m]: no signs
+                object.__setattr__(self, "_rows", tuple(self._local[0]))
 
     @property
     def axis(self):
@@ -72,6 +76,13 @@ class Frame:
     def to_world(self, x):
         """``x @ R^T`` over the last axis: frame coordinates back to world."""
         return _times(x, self.rotation.T, self._world)
+
+    def plane_rows(self, X):
+        """Rows 0 and 1 of ``R^T X`` for a row stack ``X`` (3, ...): views of
+        two of its rows for an unsigned permutation."""
+        if self._rows is None:
+            return np.tensordot(self.rotation[:, :2], X, axes=(0, 0))
+        return X[self._rows[0]], X[self._rows[1]]
 
 
 def _column_picks(M):
@@ -88,11 +99,6 @@ def _times(x, M, picks):
     cols, signs = picks
     out = x[..., cols]
     return out if signs is None else out * signs
-
-
-def _t(M):
-    """Transpose the last two axes of a stack of matrices."""
-    return np.swapaxes(M, -1, -2)
 
 
 def frame_from_axis_angle(axis, angle_rad: float) -> Frame:
@@ -156,12 +162,23 @@ def inverse_step(layer: PrismLayer, points):
 
 
 def apply_lifted(frame: Frame, A, X):
-    """``R lift(A) R^T X`` for (N, 2, 2) blocks ``A`` and (N, 3, k) stacks ``X``:
-    the only product with a layer Jacobian (``A_t``), its inverse or its
-    transpose.  ``A`` mixes the two in-plane rows of X in the frame."""
-    K = _t(frame.to_local(_t(X)))  # R^T X = (X^T R)^T, a new array
-    K[:, :2] = A @ K[:, :2]
-    return _t(frame.to_world(_t(K)))
+    """``R lift(A) R^T X`` for (N, 2, 2) blocks ``A`` and (3, k, N) row stacks
+    ``X`` (or (3, k, 1), one matrix for all points), as a new row stack: the
+    only product with a layer Jacobian (``A_t``), its inverse or transpose.
+    ``A`` mixes rows 0 and 1 of ``R^T X``; for an unsigned permutation, local
+    row m is row ``c_m`` of both X and the result, written there in place."""
+    c0, c1, c2 = frame._rows or (0, 1, 2)
+    if frame._rows is None:
+        X = np.tensordot(frame.rotation, X, axes=(0, 0))  # R^T X
+    out = np.empty((3, X.shape[1], len(A)))
+    # out[c0] = a00 x0 + a01 x1 and out[c1] = a10 x0 + a11 x1, in place with
+    # one temporary: every fresh large array costs page faults.
+    t = A[:, 0, 1] * X[c1]
+    np.add(np.multiply(A[:, 0, 0], X[c0], out=out[c0]), t, out=out[c0])
+    np.multiply(A[:, 1, 0], X[c0], out=t)
+    np.add(np.multiply(A[:, 1, 1], X[c1], out=out[c1]), t, out=out[c1])
+    out[c2] = X[c2]
+    return out if frame._rows else np.tensordot(frame.rotation, out, axes=1)
 
 
 def map_points(layer: PrismLayer, points):
@@ -172,8 +189,8 @@ def map_points(layer: PrismLayer, points):
 def jacobians(layer: PrismLayer, points):
     """Per-point 3x3 Jacobians ``R lift(A_t) R^T`` for an (N, 3) batch."""
     tri = forward_step(layer, points)[1]
-    return apply_lifted(layer.frame, layer.plmap.A[tri],
-                        np.broadcast_to(np.eye(3), (tri.size, 3, 3)))
+    return apply_lifted(layer.frame, layer.plmap.A.take(tri, axis=0),
+                        np.eye(3)[:, :, None]).transpose(2, 0, 1)
 
 
 def invert_points(layer: PrismLayer, points):

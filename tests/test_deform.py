@@ -9,8 +9,8 @@ from tuttedeform.deform import (DeformationNet, PointSet, forward, forward_trace
 from tuttedeform.errors import OutOfDomainError
 from tuttedeform.mesh2d import (_ImageLocator, _inv22, build_mesh, interpolate,
                                 locate_image_points, locate_points, realize_plmap)
-from tuttedeform.prism import (PrismLayer, apply_lifted, frame_from_axis_angle,
-                               triplane_frames)
+from tuttedeform.prism import (PrismLayer, apply_lifted, forward_step,
+                               frame_from_axis_angle, inverse_step, triplane_frames)
 from tuttedeform.tutte import identity_params
 
 from conftest import random_net
@@ -124,7 +124,7 @@ def test_tie_heavy_inverse_takes_the_bin_rule(monkeypatch):
     pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
 
     # The rule alone: the bin query on every row, layer by layer.
-    want, want_J = pts, np.broadcast_to(np.eye(3), (len(pts), 3, 3))
+    want, want_J = pts, np.eye(3)[:, :, None]
     for layer in reversed(layers):
         local = layer.frame.to_local(want)
         tri, ls = layer.plmap.image_locator()._bin_query(
@@ -147,7 +147,45 @@ def test_tie_heavy_inverse_takes_the_bin_rule(monkeypatch):
         got_J = inverse_jacobians(net, pts)
     assert fallback_rows == [len(pts)] * (2 * len(layers))
     assert got.tobytes() == want.tobytes()
-    assert got_J.tobytes() == np.ascontiguousarray(want_J).tobytes()
+    assert got_J.tobytes() == np.ascontiguousarray(want_J.transpose(2, 0, 1)).tobytes()
+
+
+def _lifted(frame, A):
+    """The full 3x3 layer Jacobians R lift(A_t) R^T of an (N, 2, 2) stack."""
+    M = np.zeros((len(A), 3, 3))
+    M[:, :2, :2] = A
+    M[:, 2, 2] = 1.0
+    return frame.rotation @ M @ frame.rotation.T
+
+
+@pytest.mark.parametrize("resolution", [3, 7, 11])
+@pytest.mark.parametrize("scale", [0.3, 1.0, 2.0])
+def test_jacobian_chains_match_explicit_3x3_products(resolution, scale):
+    # Oracle: the chains multiplied out as stacked 3x3 matmuls, each layer's
+    # full Jacobian formed explicitly.  The row-stack chains round in another
+    # order, hence 2e-15 of max|J|.  Tilted frames take the tensordot path;
+    # their points stay near the center, where every layer's local
+    # coordinates are inside the square.
+    rng = np.random.default_rng(resolution + int(10 * scale))
+    tilted = [frame_from_axis_angle(rng.normal(size=3), rng.uniform(-3, 3))
+              for _ in range(4)]
+    for frames, half in ((triplane_frames(4), 0.9), (tilted, 0.3)):
+        net = random_net(rng, resolution, layers=4, scale=scale, frames=frames)
+        pts = rng.uniform(-half, half, size=(300, 3))
+        images = forward(net, pts)
+        want = want_inv = np.broadcast_to(np.eye(3), (len(pts), 3, 3))
+        x, y = pts, images
+        for layer in net.layers:
+            x, tri, _ = forward_step(layer, x)
+            want = _lifted(layer.frame, layer.plmap.A[tri]) @ want
+        for layer in reversed(net.layers):
+            y, tri = inverse_step(layer, y)
+            want_inv = _lifted(layer.frame, _inv22(layer.plmap.A[tri])) @ want_inv
+        for got, w in ((jacobians(net, pts), want),
+                       (forward_trace(net, pts, need_jacobian=True).jac, want),
+                       (inverse_jacobians(net, images), want_inv)):
+            assert got.shape == w.shape
+            assert np.abs(got - w).max() <= 2e-15 * np.abs(w).max()
 
 
 def test_box_face_points():
@@ -179,7 +217,9 @@ def test_forward_trace_consistency():
     trace = forward_trace(net, pts, need_jacobian=True)
     assert np.array_equal(trace.outputs, forward(net, pts))
     assert np.array_equal(trace.jac, jacobians(net, pts))
-    assert np.allclose(trace.prefixes[0], np.eye(3))
+    assert trace.prefixes.shape == (3, 3, 3, len(pts))
+    assert np.array_equal(trace.prefixes[0],
+                          np.broadcast_to(np.eye(3)[:, :, None], (3, 3, len(pts))))
     assert trace.tris.shape == (3, len(pts))
     assert np.allclose(trace.barys.sum(axis=2), 1.0)
 

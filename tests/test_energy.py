@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
 from tuttedeform.deform import PointSet, jacobians, realize
-from tuttedeform.energy import (HandleConstraint, LossWeights,
+from tuttedeform.energy import (HandleConstraint, LossWeights, _quarter_strain_gradient,
                                 distortion_multipliers, layer_regularization,
                                 strain_energy_density, triangle_gradient_frames)
 from tuttedeform.grad import FitTarget, LossConfig, evaluate
@@ -33,6 +35,30 @@ def test_strain_rotation_invariance():
     # E(R J) == E(J): the measure depends on J^T J only
     assert np.allclose(strain_energy_density(np.einsum("nij,njk->nik", R, J)),
                        strain_energy_density(J))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_strain_terms_match_the_frobenius_formula(d):
+    # Reference: ||J^T J - I||_F^2 and J (J^T J - I) from stacked matmuls in
+    # extended precision.  Both terms keep the batch shape, for a single
+    # matrix, a stack, a stack of stacks and a transposed row-stack view.
+    rng = np.random.default_rng(d)
+    batch = rng.normal(size=(4, 50, d, d))
+    rows = np.ascontiguousarray(np.moveaxis(batch[0], 0, -1))  # (d, d, N)
+    for J in (batch[0, 0], batch[0], batch, np.moveaxis(rows, -1, 0)):
+        Jl = J.astype(np.longdouble)
+        G = np.swapaxes(Jl, -1, -2) @ Jl - np.eye(d)
+        e_ref, Q_ref = np.sum(G * G, axis=(-2, -1)), Jl @ G
+        e, Q = strain_energy_density(J), _quarter_strain_gradient(J)
+        assert np.shape(e) == J.shape[:-2] and Q.shape == J.shape
+        assert np.abs(e - e_ref).max() <= 1e-15 * np.abs(e_ref).max()
+        assert np.abs(Q - Q_ref).max() <= 1e-15 * np.abs(Q_ref).max()
+    # Signed permutations, proper or not, are orthogonal: exactly zero.
+    perms = [np.diag(s)[list(p)] for p in itertools.permutations(range(d))
+             for s in itertools.product((1.0, -1.0), repeat=d)]
+    for J in (perms[-1], np.array(perms)):
+        assert np.all(strain_energy_density(J) == 0.0)
+        assert np.all(_quarter_strain_gradient(J) == 0.0)
 
 
 def test_distortion_multiplier_buckets():

@@ -680,3 +680,37 @@ def test_grid_file_non_finite_literals_are_config_errors(extreme_workdir, litera
     assert code == 2, err
     assert f"{grid}: {literal} is not a JSON number" in err
     assert "Traceback" not in err and not warned
+
+
+@pytest.mark.parametrize("literal", ["1e999", "-1E+400", "1" + "0" * 400],
+                         ids=["1e999", "-1E+400", "int400digits"])
+def test_checkpoint_overflowing_numbers_are_config_errors(extreme_workdir, literal):
+    # Python's json reads these as inf (or an int no float can hold): an
+    # overflowing scale used to be blamed on the first query point.
+    d = ckpt.to_dict(ckpt.from_net(random_net(np.random.default_rng(10), 3, 1)))
+    d["normalization"]["scale"] = "SCALE"
+    ck_path = extreme_workdir / "overflow.ckpt.json"
+    ck_path.write_text(json.dumps(d).replace('"SCALE"', literal))
+    path = extreme_workdir / "apply_overflow.json"
+    path.write_text(json.dumps({"workflow": "apply",
+                                "input": {"geometry": "bar.obj", "checkpoint": ck_path.name},
+                                "output": {"geometry": "unused.obj"}}))
+    code, err, warned = _run_main("apply", str(path))
+    assert code == 2, err
+    assert f"{ck_path}: {literal} overflows float64" in err
+    assert "Traceback" not in err and not warned
+
+
+@pytest.mark.parametrize("key", ["values", "origin"])
+def test_grid_file_overflowing_numbers_are_config_errors(extreme_workdir, key):
+    grid = extreme_workdir / "overflow_grid.json"
+    d = {"dims": [2, 2, 2], "origin": [-0.5, -0.5, -0.5],
+         "spacing": [0.5, 0.5, 0.5], "values": [2.0] * 8}
+    d[key][-1] = "BIG"
+    grid.write_text(json.dumps(d).replace('"BIG"', "1e999"))
+    path = extreme_workdir / "overflow_grid_job.json"
+    path.write_text(json.dumps(_plain_job(grid.name)))
+    code, err, warned = _run_main("elastic", str(path))
+    assert code == 2, err
+    assert f"{grid}: 1e999 overflows float64" in err
+    assert "Traceback" not in err and not warned

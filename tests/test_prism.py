@@ -96,9 +96,10 @@ def test_frame_products_equal_matmul():
 
 
 def test_apply_lifted_equals_conjugated_lift():
-    # R lift(A) R^T X, with lift(A) the 3x3 that holds A and a 1 on local z.
-    # Exact on identity stacks through permutation frames; elsewhere the
-    # helper rounds in another order than the 3x3 products.
+    # R lift(A) R^T X on row stacks X (3, k, N), with lift(A) the 3x3 that
+    # holds A and a 1 on local z.  Exact on the identity through permutation
+    # frames; elsewhere the helper rounds in another order than the 3x3
+    # products.
     rng = np.random.default_rng(8)
     A = rng.normal(size=(40, 2, 2))
     lifted = np.zeros((40, 3, 3))
@@ -107,15 +108,35 @@ def test_apply_lifted_equals_conjugated_lift():
     for R in ALL_FRAMES:
         M = R @ lifted @ R.T
         for k in (1, 3):
-            X = rng.normal(size=(40, 3, k))
+            X = rng.normal(size=(3, k, 40))
+            want = np.einsum("nij,jkn->ikn", M, X)
             got = apply_lifted(Frame(R), A, X)
             assert got.shape == X.shape
-            assert np.abs(got - M @ X).max() <= 1e-15 * np.abs(M @ X).max()
-        got = apply_lifted(Frame(R), A, np.broadcast_to(np.eye(3), (40, 3, 3)))
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        got = apply_lifted(Frame(R), A, np.eye(3)[:, :, None])
+        want = M.transpose(1, 2, 0)
         if is_permutation(R):
-            assert np.array_equal(got, M)
+            assert np.array_equal(got, want)
         else:
-            assert np.abs(got - M).max() <= 1e-15 * np.abs(M).max()
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_plane_rows_are_the_in_plane_rows_in_the_frame():
+    # Rows 0 and 1 of R^T X for row stacks X (3, ...): views of X's rows for
+    # unsigned permutations, equal to the product for all permutations.
+    rng = np.random.default_rng(12)
+    for R in ALL_FRAMES:
+        frame = Frame(R)
+        for shape in ((3, 50), (3, 3, 50)):
+            X = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+            got = np.array(frame.plane_rows(X))
+            want = np.einsum("ij,i...->j...", R, X)[:2]
+            if is_permutation(R):
+                assert np.array_equal(got, want)
+            else:
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(X).max()
+        unsigned = is_permutation(R) and np.all(R >= 0)
+        assert np.shares_memory(frame.plane_rows(X)[0], X) == unsigned
 
 
 def test_identity_layer_is_identity():
