@@ -1,35 +1,33 @@
 """Exact gradients of the losses with respect to raw layer parameters.
 
-One reverse sweep runs the chain's three stages layer by layer, from the
-last layer to the first.  Stage 1 lives here:
+The backward has a sequential half, one sweep from the last layer to the
+first, and a parameter half that runs once over the layer axis.
 
-1.  Point and Jacobian cotangents are pulled back through the layer to
-    cotangents on its deformed vertex positions (``dL/dU``), and the
-    regularizer adds its own.  A point's triangle memberships are piecewise
-    constant in the parameters, so away from cell crossings the exact
-    gradient treats them as fixed; barycentric weights recorded in the
-    forward trace do the bookkeeping.  For the Jacobian loss the sweep
-    carries ``H``, the cotangent of the Jacobian product ``M_l ... M_0``
-    leaving layer l (``dL/dJ`` at the last layer).  Layer l's Jacobian gets
-    ``H P_l^T`` with the traced prefix ``P_l = M_{l-1} ... M_0``, and H
-    moves on as ``M_l^T H``, through the transposed 2x2 block, as g does.
+1.  The sweep pulls point and Jacobian cotangents back through each layer
+    to cotangents on its deformed vertex positions (``dL/dU``, an (L, V, 2)
+    stack).  A point's triangle memberships are piecewise constant in the
+    parameters, so away from cell crossings the exact gradient treats them
+    as fixed; barycentric weights recorded in the forward trace do the
+    bookkeeping.  For the Jacobian loss the sweep carries ``H``, the
+    cotangent of the Jacobian product ``M_l ... M_0`` leaving layer l
+    (``dL/dJ`` at the last layer).  Layer l's affine factors get ``H P_l^T``
+    with the traced prefix ``P_l = M_{l-1} ... M_0`` (``dA``, an (L, T, 2, 2)
+    stack), and H moves on as ``M_l^T H``, through the transposed 2x2
+    block, as g does.
 
-Stages 2 and 3 belong to the Tutte solve and live in
-:func:`tutte.tutte_backward`:
+2.  The parameter half adds the regularizer's cotangent to ``dA`` and
+    scatters ``dA`` onto the vertices through the edge matrices, both
+    skipped when zero.  Parameters of different layers never mix here:
+    perturbing one layer's weights changes other layers' losses only
+    through the transported points, which the sweep accounts for.
 
-2.  Each layer's ``dL/dU`` is converted into gradients of its edge weights
-    and boundary positions by an adjoint solve against the layer's stored
-    banded Cholesky factor (the matrix is symmetric, so one factor serves
-    both directions).
+3.  :func:`tutte.tutte_backward` turns ``dL/dU`` into raw-parameter
+    gradients: one adjoint solve per layer against its stored banded
+    Cholesky factor (the matrix is symmetric, so one factor serves both
+    directions), then the chain through the ray-square intersection, the
+    per-side angle normalization and the bounded sigmoids.
 
-3.  Boundary-position gradients chain through the ray-square intersection,
-    the per-side angle normalization, and the bounded sigmoid back to the
-    raw parameters; weight gradients chain through the sigmoid alone.
-
-Parameters of different layers never mix outside stage 1: perturbing one
-layer's weights changes other layers' losses only through the transported
-points, which is exactly what the stage-1 pullback accounts for.  A
-non-finite gradient is reported at the highest layer that has one.
+A non-finite gradient is reported at the highest layer that has one.
 """
 
 from __future__ import annotations
@@ -54,8 +52,8 @@ from .tutte import tutte_backward
 class ParamGradient:
     """Gradient with the same per-layer structure as the raw parameters."""
 
-    edge_weights: tuple      # tuple of (E,) arrays, one per layer
-    boundary_increments: tuple  # tuple of (m,) arrays
+    edge_weights: tuple      # (E,) arrays, one per layer: rows of one (L, E) stack
+    boundary_increments: tuple  # (m,) arrays: rows of one (L, m) stack
 
     def flat(self):
         parts = []
@@ -129,70 +127,77 @@ def _add_edge_cotangents(out, triangles, dE):
     return out
 
 
-def _backward_sweep(net: DeformationNet, trace: Optional[OrbitTrace], g_out, g_jac,
-                    reg_coef):
-    """Raw-parameter gradients ``(d_edges, d_boundary)`` of every layer.
-
-    ``g_out`` is dL/d(final points), None with ``trace`` when there are no
-    points; ``g_jac``, a (3, 3, N) row stack, is dL/d(composite Jacobian) or
-    None.  ``reg_coef`` scales the regularizer's cotangent, None when it is off.
-    """
+def _backward_sweep(net: DeformationNet, trace: Optional[OrbitTrace], g_out, g_jac):
+    """The sequential half: cotangents ``(dU, dA)`` of every layer's vertices
+    and affine factors.  ``g_out`` is dL/d(final points), None with
+    ``trace`` when there are no points; ``g_jac``, a (3, 3, N) row stack, is
+    dL/d(composite Jacobian) or None, and then so is ``dA``."""
     mesh = net.mesh
-    V, T = mesh.num_vertices, mesh.num_triangles
-    tris3 = mesh.triangles
-    edge_inverse_t = np.swapaxes(mesh.edge_inverse, -1, -2)
-    g = None if trace is None else g_out.copy()
+    L, V, T = net.num_layers, mesh.num_vertices, mesh.num_triangles
+    dU = np.zeros((L, V, 2))
+    dA = None if g_jac is None else np.zeros((L, T, 2, 2))
+    if trace is None:
+        return dU, dA
+    g = g_out.copy()
     H = g_jac  # the Jacobian's cotangent, pulled back layer by layer
 
-    grads = []
-    for l in range(net.num_layers - 1, -1, -1):
+    for l in range(L - 1, -1, -1):
         layer = net.layers[l]
-        dU = np.zeros((V, 2))
-        dA = np.zeros((T, 2, 2))  # cotangents of the layer's affine factors
-        if g is not None:
-            frame = layer.frame
-            tri = trace.tris[l]
-            bary = trace.barys[l]
-            A = layer.plmap.A.take(tri, axis=0)
+        frame = layer.frame
+        tri = trace.tris[l]
+        bary = trace.barys[l]
+        A = layer.plmap.A.take(tri, axis=0)
 
-            g_loc = frame.to_local(g)
-            gx, gy = g_loc[:, 0], g_loc[:, 1]
-            # Direct contribution to this layer's deformed vertices.
-            verts = tris3.take(tri, axis=0)
-            for k in range(3):
-                for c, gc in enumerate((gx, gy)):
-                    dU[:, c] += np.bincount(verts[:, k], bary[:, k] * gc, V)
-            # Continue the chain: local-out xy = q_xy @ A^T + delta.
-            g_loc[:, 0], g_loc[:, 1] = (gx * A[:, 0, 0] + gy * A[:, 1, 0],
-                                        gx * A[:, 0, 1] + gy * A[:, 1, 1])
-            g = frame.to_world(g_loc)
+        g_loc = frame.to_local(g)
+        gx, gy = g_loc[:, 0], g_loc[:, 1]
+        # Direct contribution to this layer's deformed vertices.
+        verts = mesh.triangles.take(tri, axis=0)
+        for k in range(3):
+            for c, gc in enumerate((gx, gy)):
+                dU[l, :, c] += np.bincount(verts[:, k], bary[:, k] * gc, V)
+        # Continue the chain: local-out xy = q_xy @ A^T + delta.
+        g_loc[:, 0], g_loc[:, 1] = (gx * A[:, 0, 0] + gy * A[:, 1, 0],
+                                    gx * A[:, 0, 1] + gy * A[:, 1, 1])
+        g = frame.to_world(g_loc)
 
-            if H is not None:
-                # H P^T's in-plane block in the frame, P the traced prefix.
-                h, p = frame.plane_rows(H), frame.plane_rows(trace.prefixes[l])
-                for a, b in itertools.product(range(2), repeat=2):
-                    dA[:, a, b] += np.bincount(tri, np.einsum("kn,kn->n", h[a], p[b]), T)
-                H = prism.apply_lifted(frame, A.transpose(0, 2, 1), H)
-
-        if reg_coef is not None:
-            dA += reg_coef * mesh.areas[:, None, None] * _quarter_strain_gradient(
-                layer.plmap.A)
-        # dA @ edge_inverse^T is dL/d[u1 - u0, u2 - u0].
-        dU_total = dU + _add_edge_cotangents(np.zeros((V, 2)), tris3, dA @ edge_inverse_t)
-        grads.append(_finalize_layer(net, l, dU_total))
-    return grads[::-1]
+        if H is not None:
+            # H P^T's in-plane block in the frame, P the traced prefix.
+            h, p = frame.plane_rows(H), frame.plane_rows(trace.prefixes[l])
+            for a, b in itertools.product(range(2), repeat=2):
+                dA[l, :, a, b] += np.bincount(tri, np.einsum("kn,kn->n", h[a], p[b]), T)
+            H = prism.apply_lifted(frame, A.transpose(0, 2, 1), H)
+    return dU, dA
 
 
-def _finalize_layer(net, l, dU_total):
-    """Raw-parameter gradients of layer ``l`` from its vertex cotangents."""
-    if not np.all(np.isfinite(dU_total)):
-        raise NumericalError(f"non-finite gradient in layer {l}")
-    d_raw_edges, d_raw_boundary = tutte_backward(
-        net.mesh, net.params[l], net.systems[l],
-        net.layers[l].plmap.vertex_positions, dU_total)
-    if not (np.all(np.isfinite(d_raw_edges)) and np.all(np.isfinite(d_raw_boundary))):
-        raise NumericalError(f"non-finite gradient in layer {l}")
-    return d_raw_edges, d_raw_boundary
+def _parameter_half(net: DeformationNet, dU, dA, reg_coef):
+    """Raw-parameter gradients (L, E) and (L, m) from the sweep's ``dU`` and
+    ``dA``; ``reg_coef`` scales the regularizer's cotangent, None when off.
+    Cotangents are checked before the Tutte stage, which runs only on the
+    layers above the highest non-finite one."""
+    mesh = net.mesh
+    L, V = dU.shape[:2]
+    if reg_coef is not None:
+        A = np.stack([layer.plmap.A for layer in net.layers])
+        reg = reg_coef * mesh.areas[:, None, None] * _quarter_strain_gradient(A)
+        dA = reg if dA is None else dA + reg
+    if dA is not None:
+        # dA @ edge_inverse^T is dL/d[u1 - u0, u2 - u0]; layer l's vertices
+        # are rows l V to l V + V - 1 of the flattened stack.
+        dE = (dA @ np.swapaxes(mesh.edge_inverse, -1, -2)).reshape(-1, 2, 2)
+        tris = (mesh.triangles + V * np.arange(L)[:, None, None]).reshape(-1, 3)
+        dU = dU + _add_edge_cotangents(np.zeros((L * V, 2)), tris, dE).reshape(L, V, 2)
+
+    bad = np.flatnonzero(~np.isfinite(dU).all(axis=(1, 2)))
+    lo = bad[-1] + 1 if bad.size else 0
+    if lo < L:
+        U = np.stack([layer.plmap.vertex_positions for layer in net.layers[lo:]])
+        d_edges, d_boundary = tutte_backward(mesh, net.params[lo:], net.systems[lo:],
+                                             U, dU[lo:])
+        finite = np.isfinite(d_edges).all(axis=1) & np.isfinite(d_boundary).all(axis=1)
+        bad = np.append(bad, lo + np.flatnonzero(~finite))
+    if bad.size:
+        raise NumericalError(f"non-finite gradient in layer {bad[-1]}")
+    return d_edges, d_boundary
 
 
 def _trace_terms(net: DeformationNet, config: LossConfig):
@@ -291,6 +296,7 @@ def evaluate_with_gradient(net: DeformationNet, config: LossConfig):
     loss, trace, g_out, g_jac = _trace_terms(net, config)
     reg_coef = (4.0 * config.weights.reg / net.num_layers
                 if config.use_regularization else None)
-    edge_grads, boundary_grads = zip(*_backward_sweep(net, trace, g_out, g_jac, reg_coef))
-    return loss, ParamGradient(edge_weights=edge_grads,
-                               boundary_increments=boundary_grads)
+    d_edges, d_boundary = _parameter_half(
+        net, *_backward_sweep(net, trace, g_out, g_jac), reg_coef)
+    return loss, ParamGradient(edge_weights=tuple(d_edges),
+                               boundary_increments=tuple(d_boundary))

@@ -229,10 +229,21 @@ class Motion:
 
 
 def _finite(v, what):
-    """``v`` if every entry is finite, else ConfigError naming ``what``."""
-    if not np.all(np.isfinite(v)):
+    """``v`` if every entry is finite, else ConfigError naming ``what``.  An
+    int no float can hold, which the job-file parser keeps, overflows too."""
+    try:
+        finite = np.all(np.isfinite(np.asarray(v, dtype=np.float64)))
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ConfigError(f"{what} overflows float64")
     return v
+
+
+def _number(d, key, default, path):
+    """Number field ``key`` of the job-file object ``d`` at JSON ``path``,
+    or ``default`` when it is absent; see :func:`_finite`."""
+    return _finite(d.get(key, default), f"{path}.{key}")
 
 
 def _squarable(v, what):
@@ -311,9 +322,10 @@ _OPT_DEFAULTS = {
 def load_jobfile(path) -> JobFile:
     """Parse, schema-validate, and resolve a job file.
 
-    Raises ConfigError with a JSON path for any schema violation (including
-    unknown keys), for the non-standard literals ``NaN``, ``Infinity`` and
-    ``-Infinity``, and for missing inputs the workflow requires.
+    Raises ConfigError for any schema violation (including unknown keys)
+    and for a number that overflows float64, each named by its JSON path;
+    for the non-standard literals ``NaN``, ``Infinity`` and ``-Infinity``;
+    and for missing inputs the workflow requires.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -356,19 +368,21 @@ def load_jobfile(path) -> JobFile:
     li, lf, ld, ms = _OPT_DEFAULTS.get(workflow, _OPT_DEFAULTS["elastic"])
     opt = raw.get("optimizer", {})
     lr_d = opt.get("learning_rate", {})
-    lr = LearningRate(initial=lr_d.get("initial", li),
-                      final=lr_d.get("final", lf),
+    lr_path = "$.optimizer.learning_rate"
+    lr = LearningRate(initial=_number(lr_d, "initial", li, lr_path),
+                      final=_number(lr_d, "final", lf, lr_path),
                       decay_steps=lr_d.get("decay_steps", ld))
 
     loss_d = raw.get("loss", {})
     el = loss_d.get("elastic", {})
+    el_path = "$.loss.elastic"
     weights = LossWeights(
-        handle=loss_d.get("handle", 1.0),
-        reg=loss_d.get("regularization", 0.005),
-        elastic=el.get("initial", 0.004),
-        elastic_decrement=el.get("decrement", 0.001),
+        handle=_number(loss_d, "handle", 1.0, "$.loss"),
+        reg=_number(loss_d, "regularization", 0.005, "$.loss"),
+        elastic=_number(el, "initial", 0.004, el_path),
+        elastic_decrement=_number(el, "decrement", 0.001, el_path),
         elastic_interval=el.get("interval", 600),
-        elastic_floor=el.get("floor", 0.001),
+        elastic_floor=_number(el, "floor", 0.001, el_path),
     )
 
     samples_d = raw.get("samples", {})
@@ -391,13 +405,13 @@ def load_jobfile(path) -> JobFile:
         net=net,
         lr=lr,
         max_steps=opt.get("max_steps", ms),
-        stop_rel_tol=opt.get("stop_rel_tol", 0.0),
+        stop_rel_tol=_number(opt, "stop_rel_tol", 0.0, "$.optimizer"),
         stop_window=opt.get("stop_window", 100),
         log_every=opt.get("log_every", 50),
         weights=weights,
-        gradient_weight=loss_d.get("gradient_weight", 0.1),
+        gradient_weight=_number(loss_d, "gradient_weight", 0.1, "$.loss"),
         budgets=budgets,
-        grid_threshold=samples_d.get("grid_threshold", 1.0),
+        grid_threshold=_number(samples_d, "grid_threshold", 1.0, "$.samples"),
         constraints=constraints,
         inputs=inputs,
         outputs=outputs,

@@ -111,15 +111,15 @@ def _ray_square(angles):
 
 
 def _boundary_angles(mesh: Mesh2D, raw):
-    """Boundary angles, with the per-side partial sums ``below`` each vertex
-    and the side totals they are made of."""
+    """Boundary angles of raw increments (..., m), the per-side partial sums
+    ``below`` each vertex (..., 4, q) and the side totals (..., 4, 1)."""
     q = mesh.resolution - 1
-    s = squash(raw, BOUNDARY_EPS).reshape(4, q)
+    s = squash(raw, BOUNDARY_EPS).reshape(raw.shape[:-1] + (4, q))
     below = np.concatenate(
-        [np.zeros((4, 1)), np.cumsum(s, axis=1)[:, :-1]], axis=1)
-    totals = s.sum(axis=1, keepdims=True)
+        [np.zeros(s.shape[:-1] + (1,)), np.cumsum(s, axis=-1)[..., :-1]], axis=-1)
+    totals = s.sum(axis=-1, keepdims=True)
     corners = -0.75 * np.pi + 0.5 * np.pi * np.arange(4)
-    angles = (corners[:, None] + 0.5 * np.pi * below / totals).ravel()
+    angles = (corners[:, None] + 0.5 * np.pi * below / totals).reshape(raw.shape)
     return angles, below, totals
 
 
@@ -224,32 +224,40 @@ def _solve_system(mesh: Mesh2D, params: TutteLayerParams):
     return U, TutteSystem(weights=w, solver=solver)
 
 
-def tutte_backward(mesh: Mesh2D, params: TutteLayerParams, system: TutteSystem,
-                   U, dU):
-    """Raw-parameter gradients ``(d_edges, d_boundary)`` of one layer.
+def tutte_backward(mesh: Mesh2D, params, systems, U, dU):
+    """Raw-parameter gradients (L, E) and (L, m) of L layers: raw ``params``,
+    factored ``systems``, solved vertices ``U`` and their cotangents ``dU``.
 
-    ``U`` holds the layer's solved vertex positions and ``dU`` their
-    cotangents.  With the adjoint ``lam`` (zero on the boundary), edge (i, j)
-    gets ``dL/dw = -(lam_i - lam_j) . (U_i - U_j)`` and boundary vertex p
-    gets ``w_cp lam_c`` from each interior neighbor c on top of ``dU_p``.
+    Only the adjoint solves run per layer; each row of the results is
+    bit-identical to a call on that layer alone.  With the adjoint ``lam``
+    (zero on the boundary), edge (i, j) gets ``dL/dw = -(lam_i - lam_j) .
+    (U_i - U_j)`` and boundary vertex p gets ``w_cp lam_c`` from each
+    interior neighbor c on top of ``dU_p``.
     """
-    lam_int = system.solver(dU[mesh.interior_ids])
-    lam = np.zeros((mesh.num_vertices, 2))
-    lam[mesh.interior_ids] = lam_int
+    L, m = len(systems), mesh.boundary_loop.size
+    lam = np.zeros(dU.shape)
+    for l, system in enumerate(systems):
+        lam[l, mesh.interior_ids] = system.solver(dU[l, mesh.interior_ids])
     i, j = mesh.edges.T
-    d_w = -np.sum((lam[i] - lam[j]) * (U[i] - U[j]), axis=1)
+    # np.sum's dot products, signed zeros included, at a third of the cost.
+    d_w = -np.einsum("...k,...k->...", lam.take(i, axis=1) - lam.take(j, axis=1),
+                     U.take(i, axis=1) - U.take(j, axis=1))
+    d_w *= squash_derivative(np.stack([q.raw_edge_weights for q in params]),
+                             EDGE_WEIGHT_EPS)
 
+    # Rim terms, keyed by layer and loop position, one bincount per axis.
     r, c, p = mesh.rim_edges.T
-    d_b = dU[mesh.boundary_loop] + np.column_stack([
-        np.bincount(p, weights=system.weights[r] * lam_int[c, k],
-                    minlength=mesh.boundary_loop.size) for k in range(2)])
-    d_raw_edges = d_w * squash_derivative(params.raw_edge_weights, EDGE_WEIGHT_EPS)
-    return d_raw_edges, _boundary_chain(mesh, params, d_b)
+    rim = (np.stack([system.weights for system in systems])[:, r, None]
+           * lam.take(mesh.interior_ids[c], axis=1))
+    keys = (p + m * np.arange(L)[:, None]).ravel()
+    d_b = dU.take(mesh.boundary_loop, axis=1) + np.stack([
+        np.bincount(keys, rim[..., k].ravel(), L * m).reshape(L, m) for k in range(2)], -1)
+    return d_w, _boundary_chain(
+        mesh, np.stack([q.raw_boundary_increments for q in params]), d_b)
 
 
-def _boundary_chain(mesh: Mesh2D, params: TutteLayerParams, d_b):
-    """Chain boundary-position gradients back to the raw increments."""
-    raw = params.raw_boundary_increments
+def _boundary_chain(mesh: Mesh2D, raw, d_b):
+    """Chain boundary-position gradients (..., m, 2) back to raw increments."""
     beta, below, totals = _boundary_angles(mesh, raw)
 
     # d(point)/d(angle) on the square: the coordinate pinned at +-1 is
@@ -258,18 +266,18 @@ def _boundary_chain(mesh: Mesh2D, params: TutteLayerParams, d_b):
     # evaluating each branch only where it applies.
     c, sn = np.cos(beta), np.sin(beta)
     on_vertical = np.abs(c) >= np.abs(sn)  # left/right edges of the square
-    db_dbeta = np.zeros((beta.size, 2))
+    db_dbeta = np.zeros(beta.shape + (2,))
     v, h = on_vertical, ~on_vertical
     db_dbeta[v, 1] = np.sign(c[v]) / c[v] ** 2
     db_dbeta[h, 0] = -np.sign(sn[h]) / sn[h] ** 2
-    g_beta = np.sum(d_b * db_dbeta, axis=1).reshape(4, -1)
+    g_beta = np.einsum("...k,...k->...", d_b, db_dbeta).reshape(below.shape)
 
     # beta_j = corner + (pi/2) C_j / T with C_j the partial sum below j.
-    rev = np.cumsum(g_beta[:, ::-1], axis=1)[:, ::-1]
-    tail = np.concatenate([rev[:, 1:], np.zeros((4, 1))], axis=1)
-    weighted = np.sum(g_beta * below, axis=1, keepdims=True)
+    rev = np.cumsum(g_beta[..., ::-1], axis=-1)[..., ::-1]
+    tail = np.concatenate([rev[..., 1:], np.zeros(below.shape[:-1] + (1,))], axis=-1)
+    weighted = np.sum(g_beta * below, axis=-1, keepdims=True)
     d_s = 0.5 * np.pi * (tail / totals - weighted / totals ** 2)
-    return d_s.ravel() * squash_derivative(raw, BOUNDARY_EPS)
+    return d_s.reshape(raw.shape) * squash_derivative(raw, BOUNDARY_EPS)
 
 
 def solve_tutte_with_system(mesh: Mesh2D, params: TutteLayerParams):

@@ -245,8 +245,32 @@ def test_layer_backward_rejects_non_finite_cotangents():
     _, mesh, params, frames = build_setup(seed=3)
     net = realize(mesh, params, frames)
     for vertex, value in ((mesh.interior_ids[0], np.nan), (mesh.boundary_loop[2], np.inf)):
-        dU = np.zeros((mesh.num_vertices, 2))
-        dU[vertex, 0] = value
+        dU = np.zeros((2, mesh.num_vertices, 2))
+        dU[1, vertex, 0] = value
         with pytest.raises(NumericalError, match="layer 1"), warnings.catch_warnings():
             warnings.simplefilter("error")
-            grad_module._finalize_layer(net, 1, dU)
+            grad_module._parameter_half(net, dU, None, None)
+
+
+def test_parameter_half_names_the_highest_bad_layer():
+    _, mesh, params, frames = build_setup(seed=3, layers=4)
+    net = realize(mesh, params, frames)
+    V, T = mesh.num_vertices, mesh.num_triangles
+    dU = np.zeros((4, V, 2))
+    dU[1, mesh.interior_ids[0], 0] = np.nan
+    dU[3, mesh.interior_ids[1], 1] = np.nan
+    # With the regularizer and a Jacobian cotangent the edge scatter runs
+    # first; under the training loop's error state nothing may raise a
+    # FloatingPointError before the check names the layer.
+    for dA, reg_coef in ((None, None), (np.ones((4, T, 2, 2)), 0.01)):
+        with pytest.raises(NumericalError, match="layer 3$"), \
+                np.errstate(over="raise", invalid="raise", divide="raise"):
+            grad_module._parameter_half(net, dU, dA, reg_coef)
+    # A finite cotangent whose adjoint overflows, above a non-finite one.
+    dU[3] = 0.0
+    dU[3, mesh.interior_ids] = 1e308
+    with pytest.raises(NumericalError, match="layer 3$"), np.errstate(all="ignore"):
+        grad_module._parameter_half(net, dU, None, None)
+    dU[3] = 0.0
+    with pytest.raises(NumericalError, match="layer 1$"), np.errstate(all="ignore"):
+        grad_module._parameter_half(net, dU, None, None)

@@ -501,7 +501,8 @@ _PLAIN = dict(layers=1, res=3, steps=3, budget=100, center=[0.0, 0.0, 0.5], radi
               translation=[0.05, 0.0, 0.0], elastic=0.004, normal=[0.0, 0.0, -1.0],
               offset=0.35, angle=0.0, axis=[0.0, 0.0, 1.0], pivot=[0.0, 0.0, 0.0],
               lr_initial=0.02, lr_final=0.0002, handle=1.0, reg=0.005,
-              decrement=0.001, floor=0.001, box=None)
+              decrement=0.001, floor=0.001, box=None, stop_rel_tol=0.0,
+              grid_threshold=1.0)
 
 
 def _probe(**over):
@@ -533,7 +534,9 @@ _POSITIVE = _extreme(nonneg=True).filter(lambda r: r > 0)
        reg=_plain_or(_extreme(nonneg=True), "reg"),
        decrement=_plain_or(_extreme(nonneg=True), "decrement"),
        floor=_plain_or(_extreme(nonneg=True), "floor"),
-       box=_plain_or(st.tuples(_vec3(_extreme()), _vec3(_extreme())), "box"))
+       box=_plain_or(st.tuples(_vec3(_extreme()), _vec3(_extreme())), "box"),
+       stop_rel_tol=_plain_or(_extreme(nonneg=True), "stop_rel_tol"),
+       grid_threshold=_plain_or(_extreme(), "grid_threshold"))
 @_probe(translation=[1e200, 0.0, 0.0])
 @_probe(elastic=1e308)
 @_probe(center=[0.0, 0.0, 0.0], radius=1e308)
@@ -547,11 +550,14 @@ _POSITIVE = _extreme(nonneg=True).filter(lambda r: r > 0)
 @_probe(floor=1e308)
 @_probe(lr_initial=1e308)
 @_probe(box=([-1e308, -1e308, -1e308], [1e308, 1e308, 0.0]))
+@_probe(stop_rel_tol=1e308)
+@_probe(grid_threshold=1e308)
 def test_cli_extreme_values_exit_cleanly(extreme_workdir, layers, res, steps,
                                          budget, center, radius, translation,
                                          elastic, normal, offset, angle, axis, pivot,
                                          lr_initial, lr_final, handle, reg,
-                                         decrement, floor, box):
+                                         decrement, floor, box, stop_rel_tol,
+                                         grid_threshold):
     """Schema-valid elastic jobs with extreme floats in the regions, the
     motion, the learning rates and the loss weights run, or fail with a
     documented exit code, without a traceback or a NumPy warning."""
@@ -560,12 +566,13 @@ def test_cli_extreme_values_exit_cleanly(extreme_workdir, layers, res, steps,
     job = {
         "workflow": "elastic",
         "net": {"layers": layers, "resolution": res},
-        "optimizer": {"max_steps": steps, "log_every": 1,
+        "optimizer": {"max_steps": steps, "log_every": 1, "stop_rel_tol": stop_rel_tol,
                       "learning_rate": {"initial": lr_initial, "final": lr_final}},
         "loss": {"handle": handle, "regularization": reg,
                  "elastic": {"initial": elastic, "decrement": decrement,
                              "floor": floor}},
-        "samples": {"moving": budget, "static": budget, "free": budget},
+        "samples": {"moving": budget, "static": budget, "free": budget,
+                    "grid_threshold": grid_threshold},
         "constraints": [
             {"region": static, "static": True},
             {"region": {"kind": "sphere", "center": center, "radius": radius},
@@ -628,6 +635,36 @@ def test_jobfile_non_finite_literals_are_config_errors(extreme_workdir, keys, li
     code, err, warned = _run_main("elastic", str(path))
     assert code == 2, err
     assert f"{literal} is not a JSON number" in err
+    assert "Traceback" not in err and not warned
+
+
+_NUMBER_FIELDS = [("optimizer", "learning_rate", "initial"),
+                  ("optimizer", "learning_rate", "final"),
+                  ("optimizer", "stop_rel_tol"), ("loss", "handle"),
+                  ("loss", "regularization"), ("loss", "elastic", "initial"),
+                  ("loss", "elastic", "decrement"), ("loss", "elastic", "floor"),
+                  ("loss", "gradient_weight"), ("samples", "grid_threshold")]
+
+
+@pytest.mark.parametrize("keys, literal", [
+    *[(keys, "1e999") for keys in _NUMBER_FIELDS],
+    (("samples", "grid_threshold"), "-1e999"),
+    (("loss", "handle"), "1" + "0" * 400),
+], ids=lambda v: ".".join(v) if isinstance(v, tuple) else
+   "int400digits" if len(v) > 20 else v)
+def test_jobfile_overflowing_numbers_name_the_field(extreme_workdir, keys, literal):
+    # Python's json reads these as inf (or an int no float can hold); these
+    # fields used to pass them on, and a job ran to exit 0 or failed at step 0.
+    job = _plain_job()
+    node = job
+    for k in keys[:-1]:
+        node = node.setdefault(k, {})
+    node[keys[-1]] = 7777.25
+    path = extreme_workdir / "overflow.json"
+    path.write_text(json.dumps(job).replace("7777.25", literal))
+    code, err, warned = _run_main("elastic", str(path))
+    assert code == 2, err
+    assert f"$.{'.'.join(keys)} overflows float64" in err
     assert "Traceback" not in err and not warned
 
 

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from tuttedeform.mesh2d import build_mesh
 from tuttedeform.tutte import (BOUNDARY_EPS, EDGE_WEIGHT_EPS, TutteLayerParams,
                                assemble_laplacian, build_boundary, identity_params,
-                               solve_tutte, squash, squash_derivative,
-                               validate_params)
+                               solve_tutte, solve_tutte_with_system, squash,
+                               squash_derivative, tutte_backward, validate_params)
 
 from conftest import random_params
 
@@ -168,3 +169,26 @@ def test_import_loads_no_sparse_module():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("scale", [0.3, 1.0, 2.0])
+@pytest.mark.parametrize("res", [3, 7, 11])
+def test_stacked_backward_equals_each_layer_alone(res, scale):
+    mesh = build_mesh(res)
+    rng = np.random.default_rng(10 * res + int(10 * scale))
+    for L in (1, 2, 5):
+        params = [random_params(rng, mesh, scale) for _ in range(L)]
+        plmaps, systems = zip(*(solve_tutte_with_system(mesh, p) for p in params))
+        U = np.stack([m.vertex_positions for m in plmaps])
+        dU = rng.normal(size=U.shape)
+        dU[:, ::5] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d_edges, d_boundary = tutte_backward(mesh, params, systems, U, dU)
+            assert d_edges.shape == (L, mesh.edges.shape[0])
+            assert d_boundary.shape == (L, mesh.boundary_loop.size)
+            for l in range(L):
+                one = tutte_backward(mesh, params[l:l + 1], systems[l:l + 1],
+                                     U[l:l + 1], dU[l:l + 1])
+                assert d_edges[l].tobytes() == one[0][0].tobytes()
+                assert d_boundary[l].tobytes() == one[1][0].tobytes()
