@@ -99,12 +99,12 @@ def _write_report_csv(path, rows):
 
 def _report_rows(net, report=None, sample_points=None):
     rows = []
-    dets = [float(layer.plmap.det.min()) for layer in net.layers]
+    dets = net.system.det.min(axis=1)
     rows.append(["layers", net.num_layers])
     rows.append(["resolution", net.mesh.resolution])
-    rows.append(["min_triangle_det", min(dets)])
+    rows.append(["min_triangle_det", float(dets.min())])
     for i, d in enumerate(dets):
-        rows.append([f"layer{i}_min_det", d])
+        rows.append([f"layer{i}_min_det", float(d)])
     if report is not None:
         for name in ("steps_run", "final_loss", "elapsed_seconds", "handle_rms",
                      "max_distortion", "fit_vertex", "fit_gradient"):
@@ -194,7 +194,7 @@ def _cmd_check(job: JobFile) -> int:
         return EXIT_INVARIANT
     ok = True
 
-    min_det = min(float(layer.plmap.det.min()) for layer in net.layers)
+    min_det = float(net.system.det.min())
     good = min_det > 0
     ok &= good
     print(f"check={'PASS' if good else 'FAIL'} name=triangle_orientation "
@@ -208,10 +208,8 @@ def _cmd_check(job: JobFile) -> int:
     print(f"check={'PASS' if good else 'FAIL'} name=inverse_roundtrip "
           f"max_err={err:.3e}")
 
-    bmax = 0.0
-    for layer in net.layers:
-        b = layer.plmap.vertex_positions[net.mesh.boundary_loop]
-        bmax = max(bmax, float(np.abs(np.abs(b).max(axis=1) - 1.0).max()))
+    b = net.system.positions[:, net.mesh.boundary_loop]
+    bmax = float(np.abs(np.abs(b).max(axis=2) - 1.0).max())
     good = bmax <= 1e-12
     ok &= good
     print(f"check={'PASS' if good else 'FAIL'} name=boundary_on_square "

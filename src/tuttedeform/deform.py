@@ -18,7 +18,7 @@ import numpy as np
 from . import prism
 from .mesh2d import Mesh2D, _inv22, _readonly, _reject_non_finite
 from .prism import Frame, PrismLayer
-from .tutte import TutteLayerParams, solve_tutte_with_system
+from .tutte import TutteLayerParams, TutteSystem, solve_tutte_with_system
 
 
 @dataclass(frozen=True)
@@ -50,16 +50,18 @@ class PointSet:
 class DeformationNet:
     """Composition of prismatic layers; layer 0 is applied first.
 
-    ``layers`` is a pure cache of ``params``: re-realizing the stored
-    parameters reproduces it exactly.  ``systems`` keeps each layer's
-    banded Cholesky solve (a ``TutteSystem``) for the adjoint solve.
+    ``layers`` and ``system`` are a pure cache of ``params``: re-realizing
+    the stored parameters reproduces them exactly.  ``system`` is the one
+    ``TutteSystem`` of all layers: the band factor the adjoint solves reuse,
+    and the stacked raw parameters, weights, positions, ``A`` and ``det``
+    that each layer's map views and the backward reads.
     """
 
     mesh: Mesh2D
     params: tuple                  # tuple[TutteLayerParams]
     frames: tuple                  # tuple[Frame]
     layers: tuple                  # tuple[PrismLayer]
-    systems: tuple                 # tuple[TutteSystem]
+    system: TutteSystem
 
     @property
     def num_layers(self) -> int:
@@ -70,9 +72,10 @@ def realize(mesh: Mesh2D, params: Sequence[TutteLayerParams],
             frames: Sequence[Frame]) -> DeformationNet:
     """Solve every layer and assemble the composite net.
 
-    Validates shapes, runs each layer's boundary construction and interior
-    solve, and certifies injectivity per layer (strictly positive
-    determinants).  Raises ValueError on empty or mismatched inputs.
+    Validates shapes, then solves all layers with one stacked call that
+    certifies injectivity over every triangle of every layer (strictly
+    positive determinants).  Raises ValueError on empty or mismatched
+    inputs.
     """
     params = tuple(params)
     frames = tuple(frames)
@@ -81,14 +84,11 @@ def realize(mesh: Mesh2D, params: Sequence[TutteLayerParams],
     if len(params) != len(frames):
         raise ValueError(
             f"got {len(params)} parameter sets but {len(frames)} frames")
-    layers = []
-    systems = []
-    for idx, (p, f) in enumerate(zip(params, frames)):
-        plmap, system = solve_tutte_with_system(mesh, p)
-        layers.append(PrismLayer(frame=f, plmap=plmap, layer_index=idx))
-        systems.append(system)
+    maps, system = solve_tutte_with_system(mesh, params)
+    layers = tuple(PrismLayer(frame=f, plmap=plmap, layer_index=idx)
+                   for idx, (plmap, f) in enumerate(zip(maps, frames)))
     return DeformationNet(mesh=mesh, params=params, frames=frames,
-                          layers=tuple(layers), systems=tuple(systems))
+                          layers=layers, system=system)
 
 
 def _point_array(points):

@@ -22,10 +22,11 @@ first, and a parameter half that runs once over the layer axis.
     through the transported points, which the sweep accounts for.
 
 3.  :func:`tutte.tutte_backward` turns ``dL/dU`` into raw-parameter
-    gradients: one adjoint solve per layer against its stored banded
-    Cholesky factor (the matrix is symmetric, so one factor serves both
-    directions), then the chain through the ray-square intersection, the
-    per-side angle normalization and the bounded sigmoids.
+    gradients: one LAPACK ``pbtrs`` adjoint solve per layer against that
+    layer's slice of the net's one banded Cholesky factor (the matrix is
+    symmetric, so the factor serves both directions), then the chain
+    through the ray-square intersection, the per-side angle normalization
+    and the bounded sigmoids.
 
 A non-finite gradient is reported at the highest layer that has one.
 """
@@ -177,8 +178,7 @@ def _parameter_half(net: DeformationNet, dU, dA, reg_coef):
     mesh = net.mesh
     L, V = dU.shape[:2]
     if reg_coef is not None:
-        A = np.stack([layer.plmap.A for layer in net.layers])
-        reg = reg_coef * mesh.areas[:, None, None] * _quarter_strain_gradient(A)
+        reg = reg_coef * mesh.areas[:, None, None] * _quarter_strain_gradient(net.system.A)
         dA = reg if dA is None else dA + reg
     if dA is not None:
         # dA @ edge_inverse^T is dL/d[u1 - u0, u2 - u0]; layer l's vertices
@@ -190,9 +190,7 @@ def _parameter_half(net: DeformationNet, dU, dA, reg_coef):
     bad = np.flatnonzero(~np.isfinite(dU).all(axis=(1, 2)))
     lo = bad[-1] + 1 if bad.size else 0
     if lo < L:
-        U = np.stack([layer.plmap.vertex_positions for layer in net.layers[lo:]])
-        d_edges, d_boundary = tutte_backward(mesh, net.params[lo:], net.systems[lo:],
-                                             U, dU[lo:])
+        d_edges, d_boundary = tutte_backward(mesh, net.system, dU, lo)
         finite = np.isfinite(d_edges).all(axis=1) & np.isfinite(d_boundary).all(axis=1)
         bad = np.append(bad, lo + np.flatnonzero(~finite))
     if bad.size:

@@ -141,10 +141,10 @@ def build_mesh(resolution: int) -> Mesh2D:
 
 
 def _edge_matrices(positions, triangles):
-    """(T, d, 2) edge matrices ``[v1 - v0, v2 - v0]`` of ``triangles``, with
-    corners taken from the (V, d) ``positions``."""
-    tv = positions[triangles]
-    return np.stack([tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]], axis=-1)
+    """(..., T, d, 2) edge matrices ``[v1 - v0, v2 - v0]`` of ``triangles``,
+    with corners taken from the (..., V, d) ``positions``."""
+    tv = positions[..., triangles, :]
+    return np.stack([tv[..., 1, :] - tv[..., 0, :], tv[..., 2, :] - tv[..., 0, :]], axis=-1)
 
 
 def _det22(m):

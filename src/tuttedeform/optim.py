@@ -256,7 +256,7 @@ def run_elastic(job: ElasticJob):
         # With zero steps no step loss exists; report the initial net's loss.
         final_loss = history[-1] if history else _check_total(
             evaluate(net, make_config(0)), "on the final net")
-    injective = all(np.all(l.plmap.det > 0) for l in net.layers)
+    injective = bool(np.all(net.system.det > 0))
     report = RunReport(
         steps_run=steps, final_loss=final_loss, injective=injective,
         elapsed_seconds=elapsed, handle_rms=handle_rms,
@@ -307,7 +307,7 @@ def run_fit(job: FitJob):
     with _numerically_checked("on the final net"):
         final = evaluate(net, make_config(steps))
     _check_total(final, "on the final net")
-    injective = all(np.all(l.plmap.det > 0) for l in net.layers)
+    injective = bool(np.all(net.system.det > 0))
     report = RunReport(
         steps_run=steps, final_loss=final.total, injective=injective,
         elapsed_seconds=elapsed, fit_vertex=final.fit_vertex,

@@ -11,9 +11,17 @@ such systems guarantees the resulting piecewise-linear map is injective;
 this module certifies that guarantee numerically (all per-triangle
 determinants strictly positive) on every solve.
 
-The interior system is factored once by banded Cholesky (any exact solve
-keeps the guarantee, Floater 2003); :func:`tutte_backward` reuses the factor
-for the adjoint solve that yields the raw-parameter gradients.
+All L layers of a net are solved by one call over a leading layer axis,
+:func:`solve_tutte_with_system`: one assembly of the L interior blocks into
+one block-diagonal band, one banded Cholesky factor of it, and one
+certificate over every triangle of every layer.  Each layer is then solved
+against its own column slice of that factor by one LAPACK ``pbtrs`` call;
+:func:`tutte_backward` reuses the factor the same way for the adjoint solves
+that yield the raw-parameter gradients.  Any exact solve keeps the guarantee
+(Floater 2003).  The solves stay one per layer: a single ``pbtrs`` over the
+whole stacked factor moves some vertices by one ulp at resolution 19 and
+above, while the per-layer solves are bit-identical to solving each layer
+on its own.
 
 Parameterization
 ----------------
@@ -37,17 +45,22 @@ while keeping the same raw parameter count and the same squashed bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError, cholesky_banded, get_lapack_funcs
 from scipy.special import expit
 
 from .errors import InternalError
-from .mesh2d import Mesh2D, PLMap2D, realize_plmap, _readonly
+from .mesh2d import Mesh2D, PLMap2D, _det22, _edge_matrices, _readonly
+# Not called here: bench/tracing.py wraps ``tutte.realize_plmap`` by name.
+from .mesh2d import realize_plmap  # noqa: F401
 
 EDGE_WEIGHT_EPS = 0.2
 BOUNDARY_EPS = 0.1
+# LAPACK's banded Cholesky solve, called directly: SciPy's cho_solve_banded
+# wrapper costs twice the solve itself at the sizes of one layer.
+_PBTRS, = get_lapack_funcs(("pbtrs",), dtype=np.float64)
 
 
 def squash(x, eps):
@@ -67,18 +80,20 @@ def squash_derivative(x, eps):
 
 @dataclass(frozen=True)
 class TutteLayerParams:
-    """Raw (unconstrained) parameters of one layer's 2D deformation."""
+    """Raw (unconstrained) parameters of one layer's 2D deformation, or of
+    L layers stacked along a leading axis."""
 
-    raw_edge_weights: np.ndarray         # (E,)
-    raw_boundary_increments: np.ndarray  # (4(n-1),)
+    raw_edge_weights: np.ndarray         # (E,) or (L, E)
+    raw_boundary_increments: np.ndarray  # (4(n-1),) or (L, 4(n-1))
 
     def __post_init__(self):
         object.__setattr__(self, "raw_edge_weights",
                            _readonly(np.asarray(self.raw_edge_weights, dtype=np.float64)))
         object.__setattr__(self, "raw_boundary_increments",
                            _readonly(np.asarray(self.raw_boundary_increments, dtype=np.float64)))
-        if self.raw_edge_weights.ndim != 1 or self.raw_boundary_increments.ndim != 1:
-            raise ValueError("layer parameters must be 1D arrays")
+        e, b = self.raw_edge_weights, self.raw_boundary_increments
+        if e.ndim not in (1, 2) or e.shape[:-1] != b.shape[:-1]:
+            raise ValueError("layer parameters must be 1D arrays, or 2D with one row per layer")
         if not (np.all(np.isfinite(self.raw_edge_weights))
                 and np.all(np.isfinite(self.raw_boundary_increments))):
             raise ValueError("layer parameters contain non-finite values")
@@ -86,28 +101,29 @@ class TutteLayerParams:
 
 def validate_params(mesh: Mesh2D, params: TutteLayerParams):
     e, m = mesh.edges.shape[0], mesh.boundary_loop.size
-    if params.raw_edge_weights.size != e:
+    if params.raw_edge_weights.shape[-1] != e:
         raise ValueError(
             f"expected {e} raw edge weights for resolution {mesh.resolution}, "
-            f"got {params.raw_edge_weights.size}")
-    if params.raw_boundary_increments.size != m:
+            f"got {params.raw_edge_weights.shape[-1]}")
+    if params.raw_boundary_increments.shape[-1] != m:
         raise ValueError(
             f"expected {m} raw boundary increments for resolution {mesh.resolution}, "
-            f"got {params.raw_boundary_increments.size}")
+            f"got {params.raw_boundary_increments.shape[-1]}")
 
 
 @dataclass(frozen=True)
 class ConvexBoundary:
-    """Boundary polygon of one layer: angles and positions per loop vertex."""
+    """Boundary polygon of one layer (or of each of L stacked layers):
+    angles and positions per loop vertex."""
 
-    angles: np.ndarray  # (m,) strictly increasing, anchored at -3*pi/4
-    points: np.ndarray  # (m, 2) on the boundary of [-1, 1]^2
+    angles: np.ndarray  # (..., m) strictly increasing, anchored at -3*pi/4
+    points: np.ndarray  # (..., m, 2) on the boundary of [-1, 1]^2
 
 
 def _ray_square(angles):
     """Intersection of the ray at each angle from origin with the unit square."""
-    d = np.column_stack([np.cos(angles), np.sin(angles)])
-    return d / np.max(np.abs(d), axis=1, keepdims=True)
+    d = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    return d / np.max(np.abs(d), axis=-1, keepdims=True)
 
 
 def _boundary_angles(mesh: Mesh2D, raw):
@@ -164,69 +180,75 @@ def identity_params(mesh: Mesh2D) -> TutteLayerParams:
     )
 
 
+def _layer_solve(factor, l, rhs):
+    """Solve layer ``l``'s interior system for a ``(k, c)`` right-hand side:
+    one LAPACK ``pbtrs`` on columns ``l k`` to ``l k + k - 1`` of the stacked
+    factor, a zero-copy slice because the factor is Fortran-ordered.  Nothing
+    is checked, so a non-finite cotangent surfaces as a NumericalError."""
+    k = len(rhs)
+    if k == 0:  # resolution 2 has no interior vertex; LAPACK rejects n = 0
+        return np.empty(rhs.shape)
+    return _PBTRS(factor[:, l * k:(l + 1) * k], rhs)[0]
+
+
 @dataclass
 class TutteSystem:
-    """Factorized interior system of one solve, kept for adjoint reuse.
+    """The factored interior systems of L layers and their stacked solution.
 
-    ``solver`` applies the inverse of the interior-interior Laplacian block
-    to a ``(k, c)`` right-hand side from its banded Cholesky factor; the
-    block is symmetric positive definite, so the same factor serves both
-    the forward solve and the adjoint solve.
+    ``factor`` is the banded Cholesky factor of the block-diagonal interior
+    Laplacian of all L layers; each block is symmetric positive definite,
+    so one factor serves the forward and the adjoint solves.  ``solver``
+    solves one given layer against that layer's column slice of it.  The
+    raw parameters, weights, positions, ``A`` and ``det`` are the stacks
+    the per-layer maps and the backward read, all read-only.
     """
 
-    weights: np.ndarray          # (E,) squashed edge weights
-    solver: object               # callable (k, c) -> (k, c) solve
+    params: TutteLayerParams     # raw parameters, (L, E) and (L, m)
+    weights: np.ndarray          # (L, E) squashed edge weights
+    factor: np.ndarray           # (u + 1, L k) upper band storage, Fortran order
+    positions: np.ndarray        # (L, V, 2) solved vertex positions
+    A: np.ndarray                # (L, T, 2, 2) per-triangle linear factors
+    det: np.ndarray              # (L, T) their determinants
+
+    def solver(self, l, rhs):
+        """Apply the inverse of layer ``l``'s interior block to ``rhs`` (k, c)."""
+        return _layer_solve(self.factor, l, rhs)
 
 
 def assemble_laplacian(mesh: Mesh2D, params: TutteLayerParams):
-    """Squashed edge weights and the interior-interior Laplacian block.
+    """Squashed edge weights and the interior-interior Laplacian blocks.
 
-    Returns ``(weights, band)`` where ``weights`` has one strictly positive
-    entry per mesh edge and ``band`` is the symmetric positive-definite
-    matrix ``K`` of the interior unknowns (boundary terms go to the
-    right-hand side) in LAPACK upper band storage, ``band[u + a - b, b] =
-    K[a, b]``.  Interior unknowns are row-major, so ``u = resolution - 1``.
+    Returns ``(weights, band)``: ``weights`` (..., E) holds one strictly
+    positive entry per mesh edge (and layer), and ``band`` the symmetric
+    positive-definite matrix ``K`` of the interior unknowns (boundary terms
+    go to the right-hand side) in Fortran-ordered LAPACK upper band storage,
+    ``band[u + a - b, b] = K[a, b]``.  Interior unknowns are row-major, so
+    ``u = resolution - 1``.  For L stacked layers ``K`` is block diagonal:
+    layer l's k unknowns are columns ``l k`` to ``l k + k - 1``, and every
+    slot that would couple two layers is zero.
     """
     validate_params(mesh, params)
     w = squash(params.raw_edge_weights, EDGE_WEIGHT_EPS)
-    n_int = mesh.interior_ids.size
+    wl = w.reshape(-1, w.shape[-1])
+    k = mesh.interior_ids.size
+    n = wl.shape[0] * k
     u = mesh.resolution - 1
+    ofs = k * np.arange(wl.shape[0])[:, None]  # layer offsets of the keys
     e, a, b = mesh.interior_edges.T
     r, c, _ = mesh.rim_edges.T
-    band = np.zeros((u + 1, n_int))
-    band[u] = (np.bincount(a, weights=w[e], minlength=n_int)
-               + np.bincount(b, weights=w[e], minlength=n_int)
-               + np.bincount(c, weights=w[r], minlength=n_int))
-    band[u + a - b, b] = -w[e]
+    we = wl[:, e].ravel()
+    band = np.zeros((u + 1, n), order="F")
+    band[u] = (np.bincount((a + ofs).ravel(), weights=we, minlength=n)
+               + np.bincount((b + ofs).ravel(), weights=we, minlength=n)
+               + np.bincount((c + ofs).ravel(), weights=wl[:, r].ravel(), minlength=n))
+    band[u + a - b, b + ofs] = -wl[:, e]
     return w, band
 
 
-def _solve_system(mesh: Mesh2D, params: TutteLayerParams):
-    w, band = assemble_laplacian(mesh, params)
-    boundary = build_boundary(mesh, params)
-
-    # RHS: for interior c, sum over boundary neighbors p of w_cp b_p.
-    r, c, p = mesh.rim_edges.T
-    rhs = np.column_stack([
-        np.bincount(c, weights=w[r] * boundary.points[p, k],
-                    minlength=mesh.interior_ids.size) for k in range(2)])
-
-    try:
-        factor = cholesky_banded(band, check_finite=False)
-    except LinAlgError as exc:  # pragma: no cover - cannot occur for valid input
-        raise InternalError(f"Tutte system factorization failed: {exc}") from exc
-    # Unchecked, so a non-finite cotangent surfaces as a NumericalError.
-    solver = partial(cho_solve_banded, (factor, False), check_finite=False)
-
-    U = np.empty((mesh.num_vertices, 2))
-    U[mesh.boundary_loop] = boundary.points
-    U[mesh.interior_ids] = solver(rhs)
-    return U, TutteSystem(weights=w, solver=solver)
-
-
-def tutte_backward(mesh: Mesh2D, params, systems, U, dU):
-    """Raw-parameter gradients (L, E) and (L, m) of L layers: raw ``params``,
-    factored ``systems``, solved vertices ``U`` and their cotangents ``dU``.
+def tutte_backward(mesh: Mesh2D, system: TutteSystem, dU, lo=0):
+    """Raw-parameter gradients (L - lo, E) and (L - lo, m) of layers ``lo``
+    to L - 1 of the factored ``system``, from the cotangents ``dU``
+    (L, V, 2) of its solved vertices; rows of ``dU`` below ``lo`` are not read.
 
     Only the adjoint solves run per layer; each row of the results is
     bit-identical to a call on that layer alone.  With the adjoint ``lam``
@@ -234,26 +256,26 @@ def tutte_backward(mesh: Mesh2D, params, systems, U, dU):
     (U_i - U_j)`` and boundary vertex p gets ``w_cp lam_c`` from each
     interior neighbor c on top of ``dU_p``.
     """
-    L, m = len(systems), mesh.boundary_loop.size
+    m = mesh.boundary_loop.size
+    dU = dU[lo:]
+    L = len(dU)
     lam = np.zeros(dU.shape)
-    for l, system in enumerate(systems):
-        lam[l, mesh.interior_ids] = system.solver(dU[l, mesh.interior_ids])
+    for l in range(L):
+        lam[l, mesh.interior_ids] = system.solver(lo + l, dU[l, mesh.interior_ids])
+    U = system.positions[lo:]
     i, j = mesh.edges.T
     # np.sum's dot products, signed zeros included, at a third of the cost.
     d_w = -np.einsum("...k,...k->...", lam.take(i, axis=1) - lam.take(j, axis=1),
                      U.take(i, axis=1) - U.take(j, axis=1))
-    d_w *= squash_derivative(np.stack([q.raw_edge_weights for q in params]),
-                             EDGE_WEIGHT_EPS)
+    d_w *= squash_derivative(system.params.raw_edge_weights[lo:], EDGE_WEIGHT_EPS)
 
     # Rim terms, keyed by layer and loop position, one bincount per axis.
     r, c, p = mesh.rim_edges.T
-    rim = (np.stack([system.weights for system in systems])[:, r, None]
-           * lam.take(mesh.interior_ids[c], axis=1))
+    rim = system.weights[lo:, r, None] * lam.take(mesh.interior_ids[c], axis=1)
     keys = (p + m * np.arange(L)[:, None]).ravel()
     d_b = dU.take(mesh.boundary_loop, axis=1) + np.stack([
         np.bincount(keys, rim[..., k].ravel(), L * m).reshape(L, m) for k in range(2)], -1)
-    return d_w, _boundary_chain(
-        mesh, np.stack([q.raw_boundary_increments for q in params]), d_b)
+    return d_w, _boundary_chain(mesh, system.params.raw_boundary_increments[lo:], d_b)
 
 
 def _boundary_chain(mesh: Mesh2D, raw, d_b):
@@ -280,25 +302,63 @@ def _boundary_chain(mesh: Mesh2D, raw, d_b):
     return d_s.reshape(raw.shape) * squash_derivative(raw, BOUNDARY_EPS)
 
 
-def solve_tutte_with_system(mesh: Mesh2D, params: TutteLayerParams):
-    """Solve one layer, returning the PL map plus the factorized system."""
-    U, system = _solve_system(mesh, params)
-    plmap = realize_plmap(mesh, U)
-    if not np.all(plmap.det > 0.0):
-        worst = float(plmap.det.min())
+def solve_tutte_with_system(mesh: Mesh2D, params: Sequence[TutteLayerParams]):
+    """Solve L layers at once: their PL maps plus one factored system.
+
+    ``params`` holds one TutteLayerParams per layer.  One assembly, one
+    boundary construction, one banded Cholesky factor of the block-diagonal
+    band and one injectivity certificate run over the layer axis; each
+    layer's interior solve is one LAPACK ``pbtrs`` against its column slice
+    of the factor.  The maps are read-only views into the system's stacked
+    positions, ``A`` and ``det``.  A triangle without a strictly positive
+    determinant raises InternalError naming the lowest such layer.
+    """
+    for p in params:
+        validate_params(mesh, p)
+    stacked = TutteLayerParams(np.stack([p.raw_edge_weights for p in params]),
+                               np.stack([p.raw_boundary_increments for p in params]))
+    w, band = assemble_laplacian(mesh, stacked)
+    boundary = build_boundary(mesh, stacked)
+    L, k = len(w), mesh.interior_ids.size
+
+    # RHS: for interior c, sum over boundary neighbors p of w_cp b_p.
+    r, c, p = mesh.rim_edges.T
+    keys = (c + k * np.arange(L)[:, None]).ravel()
+    rhs = np.stack([
+        np.bincount(keys, (w[:, r] * boundary.points[:, p, i]).ravel(), L * k).reshape(L, k)
+        for i in range(2)], -1)
+
+    try:
+        factor = cholesky_banded(band, overwrite_ab=True, check_finite=False)
+    except LinAlgError as exc:  # pragma: no cover - cannot occur for valid input
+        raise InternalError(f"Tutte system factorization failed: {exc}") from exc
+
+    U = np.empty((L, mesh.num_vertices, 2))
+    U[:, mesh.boundary_loop] = boundary.points
+    for l in range(L):
+        U[l, mesh.interior_ids] = _layer_solve(factor, l, rhs[l])
+    A = _edge_matrices(U, mesh.triangles) @ mesh.edge_inverse
+    det = _det22(A)
+    failed = ~np.all(det > 0.0, axis=1)
+    if failed.any():
+        l = int(np.flatnonzero(failed)[0])
         raise InternalError(
-            f"injectivity certificate failed: min determinant {worst:.3e}; "
-            "this indicates a bug in the boundary or weight construction")
-    return plmap, system
+            f"injectivity certificate failed in layer {l}: min determinant "
+            f"{det[l].min():.3e}; this indicates a bug in the boundary or weight "
+            "construction")
+    system = TutteSystem(params=stacked, weights=_readonly(w), factor=factor,
+                         positions=_readonly(U), A=_readonly(A), det=_readonly(det))
+    maps = tuple(PLMap2D(mesh=mesh, vertex_positions=system.positions[l], A=system.A[l],
+                         det=system.det[l]) for l in range(L))
+    return maps, system
 
 
 def solve_tutte(mesh: Mesh2D, params: TutteLayerParams) -> PLMap2D:
     """Injective PL map of the square from raw layer parameters.
 
-    Factorizes the interior system once (banded Cholesky) and solves both
-    coordinates against it.  The returned map carries strictly positive
-    per-triangle determinants; a violation raises InternalError because the
-    construction is supposed to make it impossible.
+    The one-layer call of :func:`solve_tutte_with_system`.  The returned map
+    carries strictly positive per-triangle determinants; a violation raises
+    InternalError because the construction is supposed to make it
+    impossible.
     """
-    plmap, _ = solve_tutte_with_system(mesh, params)
-    return plmap
+    return solve_tutte_with_system(mesh, [params])[0][0]

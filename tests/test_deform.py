@@ -118,7 +118,7 @@ def test_tie_heavy_inverse_takes_the_bin_rule(monkeypatch):
     layers = tuple(PrismLayer(frame=f, plmap=realize_plmap(mesh, mesh.vertices),
                               layer_index=i) for i, f in enumerate(frames))
     net = DeformationNet(mesh=mesh, params=(), frames=tuple(frames),
-                         layers=layers, systems=())
+                         layers=layers, system=None)
     g = mesh.grid
     axis = np.concatenate([g, 0.5 * (g[1:] + g[:-1])])
     pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)

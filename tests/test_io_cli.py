@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tuttedeform import cli
+from tuttedeform import cli, tutte
 
 from tuttedeform import checkpoint as ckpt
+from tuttedeform.errors import InternalError
 from tuttedeform.fileio import (Normalization, fit_normalization, load_geometry,
                                 normalize_jointly, save_geometry)
 from tuttedeform.jobfile import ConfigError, load_jobfile
@@ -347,6 +348,34 @@ def test_cli_check_passes(cli_workdir):
     assert r.returncode == 0, r.stdout + r.stderr
     assert "check=PASS name=triangle_orientation" in r.stdout
     assert "check=PASS name=inverse_roundtrip" in r.stdout
+
+
+@pytest.mark.parametrize("folded", [[3], [1, 3]])
+def test_certificate_failure_names_the_layer(tmp_path, monkeypatch, capsys, folded):
+    # Reversing a layer's boundary loop turns its embedding over, so every
+    # triangle of that layer has a negative determinant.
+    net = random_net(np.random.default_rng(11), resolution=5, layers=5)
+    ck = ckpt.from_net(net)
+    ckpt.save_checkpoint(tmp_path / "net.ckpt.json", ck)
+    build = tutte.build_boundary
+
+    def reversed_loops(mesh, params):
+        b = build(mesh, params)
+        points = b.points.copy()
+        points[folded] = points[folded, ::-1]
+        return tutte.ConvexBoundary(angles=b.angles, points=points)
+
+    monkeypatch.setattr(tutte, "build_boundary", reversed_loops)
+    with pytest.raises(InternalError) as err:
+        ck.realize()
+    message = str(err.value)
+    assert message.startswith(f"injectivity certificate failed in layer {folded[0]}: "
+                              "min determinant -")
+    json.dump({"workflow": "check", "input": {"checkpoint": "net.ckpt.json"}},
+              open(tmp_path / "check.json", "w"))
+    assert cli.main(["check", str(tmp_path / "check.json"), "--quiet"]) == 1
+    assert capsys.readouterr().out == (
+        f"check=FAIL name=injectivity_certificate error={message}\n")
 
 
 def test_cli_apply_invert_roundtrip(cli_workdir):

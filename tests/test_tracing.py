@@ -9,12 +9,12 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
-from tracing import ADJOINT, OP, SPANS, Tracer  # noqa: E402
+from tracing import ADJOINT, OP, SPANS, STEP, Tracer  # noqa: E402
 from tuttedeform import deform, grad, optim  # noqa: E402
 from tuttedeform.deform import PointSet  # noqa: E402
 from tuttedeform.energy import HandleConstraint  # noqa: E402
 
-from conftest import fibonacci_sphere, random_net  # noqa: E402
+from conftest import fibonacci_sphere, random_net, twist_about_z  # noqa: E402
 
 
 def test_tracer_wraps_and_restores_every_name():
@@ -47,3 +47,23 @@ def test_one_adjoint_span_per_layer():
             grad.evaluate_with_gradient(net, config)
     names = [span[0] for span in tracer.spans]
     assert names.count(ADJOINT) == 2
+
+
+def test_one_stacked_solve_per_realize():
+    pts = fibonacci_sphere(30)
+    job = optim.FitJob(source=PointSet(pts), target_vertices=twist_about_z(pts),
+                       spec=optim.NetSpec(layers=3, resolution=5), max_steps=2,
+                       log_every=0)
+    tracer = Tracer(layers=True)
+    with tracer.installed():
+        tracer.steps_left = job.max_steps
+        optim.run_fit(job)
+    names = [span[0] for span in tracer.spans]
+    assert names.count(STEP) == 2 and names.count("deform.realize") == 2
+    solves = [i for i, name in enumerate(names) if name == "tutte.solve_tutte_with_system"]
+    assert [tracer.spans[i][3] for i in solves] == [
+        i for i, name in enumerate(names) if name == "deform.realize"]
+    for stage in ("tutte.assemble_laplacian", "tutte.build_boundary"):
+        assert [span[3] for span in tracer.spans if span[0] == stage] == solves
+    adjoint_ops = [span[4] for span in tracer.spans if span[0] == ADJOINT]
+    assert sorted(adjoint_ops.count(op) for op in set(adjoint_ops)) == [3, 3]

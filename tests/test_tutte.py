@@ -5,12 +5,14 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from tuttedeform.mesh2d import build_mesh
 from tuttedeform.tutte import (BOUNDARY_EPS, EDGE_WEIGHT_EPS, TutteLayerParams,
-                               assemble_laplacian, build_boundary, identity_params,
-                               solve_tutte, solve_tutte_with_system, squash,
-                               squash_derivative, tutte_backward, validate_params)
+                               _boundary_angles, assemble_laplacian, build_boundary,
+                               identity_params, solve_tutte, solve_tutte_with_system,
+                               squash, squash_derivative, tutte_backward,
+                               validate_params)
 
 from conftest import random_params
 
@@ -178,17 +180,66 @@ def test_stacked_backward_equals_each_layer_alone(res, scale):
     rng = np.random.default_rng(10 * res + int(10 * scale))
     for L in (1, 2, 5):
         params = [random_params(rng, mesh, scale) for _ in range(L)]
-        plmaps, systems = zip(*(solve_tutte_with_system(mesh, p) for p in params))
+        plmaps, system = solve_tutte_with_system(mesh, params)
         U = np.stack([m.vertex_positions for m in plmaps])
         dU = rng.normal(size=U.shape)
         dU[:, ::5] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d_edges, d_boundary = tutte_backward(mesh, params, systems, U, dU)
+            d_edges, d_boundary = tutte_backward(mesh, system, dU)
             assert d_edges.shape == (L, mesh.edges.shape[0])
             assert d_boundary.shape == (L, mesh.boundary_loop.size)
             for l in range(L):
-                one = tutte_backward(mesh, params[l:l + 1], systems[l:l + 1],
-                                     U[l:l + 1], dU[l:l + 1])
+                alone = solve_tutte_with_system(mesh, params[l:l + 1])[1]
+                one = tutte_backward(mesh, alone, dU[l:l + 1])
                 assert d_edges[l].tobytes() == one[0][0].tobytes()
                 assert d_boundary[l].tobytes() == one[1][0].tobytes()
+
+
+def _one_layer_reference(mesh, params):
+    """One layer assembled, factored and solved on its own: ``(U, A, det,
+    factor)``, the per-layer path that the stacked solve replaced."""
+    w = squash(params.raw_edge_weights, EDGE_WEIGHT_EPS)
+    k, u = mesh.interior_ids.size, mesh.resolution - 1
+    e, a, b = mesh.interior_edges.T
+    r, c, q = mesh.rim_edges.T
+    band = np.zeros((u + 1, k))
+    band[u] = np.bincount(a, w[e], k) + np.bincount(b, w[e], k) + np.bincount(c, w[r], k)
+    band[u + a - b, b] = -w[e]
+    angles = _boundary_angles(mesh, params.raw_boundary_increments)[0]
+    d = np.column_stack([np.cos(angles), np.sin(angles)])
+    points = d / np.max(np.abs(d), axis=1, keepdims=True)
+    rhs = np.column_stack([np.bincount(c, w[r] * points[q, i], k) for i in range(2)])
+    factor = cholesky_banded(band, check_finite=False)
+    U = np.empty((mesh.num_vertices, 2))
+    U[mesh.boundary_loop] = points
+    U[mesh.interior_ids] = cho_solve_banded((factor, False), rhs, check_finite=False)
+    tv = U[mesh.triangles]
+    A = np.stack([tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]], axis=-1) @ mesh.edge_inverse
+    return U, A, A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0], factor
+
+
+@pytest.mark.parametrize("L", [1, 2, 24])
+@pytest.mark.parametrize("res", [3, 11, 19, 25])
+def test_stacked_realize_matches_per_layer_solves(res, L):
+    # The forward and adjoint solves stay one LAPACK pbtrs per layer, on that
+    # layer's slice of the one factor: a single solve over the whole stacked
+    # factor moves U by one ulp at resolution 19 and above.
+    mesh = build_mesh(res)
+    rng = np.random.default_rng(100 * res + L)
+    sizes = (mesh.edges.shape[0], mesh.boundary_loop.size)
+    # Scales up to 40, clipped to |40|: both squashes saturate.
+    params = [TutteLayerParams(*(np.clip(rng.normal(0.0, scale, n), -40.0, 40.0)
+                                 for n in sizes))
+              for scale in np.resize([1.0, 5.0, 40.0], L)]
+    maps, system = solve_tutte_with_system(mesh, params)
+    k = mesh.interior_ids.size
+    for l, p in enumerate(params):
+        U, A, det, factor = _one_layer_reference(mesh, p)
+        assert maps[l].vertex_positions.tobytes() == U.tobytes()
+        assert maps[l].A.tobytes() == A.tobytes()
+        assert maps[l].det.tobytes() == det.tobytes()
+        assert system.factor[:, l * k:(l + 1) * k].tobytes() == factor.tobytes()
+        rhs = rng.normal(size=(k, 2))
+        want = cho_solve_banded((factor, False), rhs, check_finite=False)
+        assert system.solver(l, rhs).tobytes() == want.tobytes()
