@@ -12,6 +12,7 @@ every bit.  No timestamps or environment data are recorded.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -93,36 +94,78 @@ def to_dict(ck: Checkpoint) -> dict:
     return d
 
 
-def from_dict(d: dict) -> Checkpoint:
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _field(d, key, types, where=""):
+    """``d[key]`` if its type is one of ``types`` (a boolean is not a
+    number), else ValueError naming the key."""
+    if key not in d:
+        raise ValueError(f"missing key {where}{key}")
+    value = d[key]
+    if type(value) not in types:
+        raise ValueError(f"key {where}{key} holds {_JSON_TYPES[type(value)]}, "
+                         f"not {_JSON_TYPES[types[0]]}")
+    return value
+
+
+def _numbers(value, what, width=None):
+    """``value``, an array of numbers (``width`` of them unless None), as a
+    float64 array, else ValueError naming the key ``what``."""
+    if (type(value) is not list or not set(map(type, value)) <= {int, float}
+            or width not in (None, len(value))):
+        length = "" if width is None else f"{width} "
+        raise ValueError(f"key {what} must hold an array of {length}numbers")
+    return np.asarray(value, dtype=np.float64)
+
+
+def _rows(d, key, count, width=None, where=""):
+    """``d[key]``, an array of ``count`` arrays of numbers, as float64 arrays."""
+    rows = _field(d, key, (list,), where)
+    if len(rows) != count:
+        raise ValueError(f"key {where}{key} holds {len(rows)} rows for {count} layers")
+    return [_numbers(row, f"{where}{key}[{i}]", width) for i, row in enumerate(rows)]
+
+
+def from_dict(d) -> Checkpoint:
+    """The checkpoint held in parsed JSON.  A missing key, a value of the
+    wrong JSON type or length, or a normalization scale without a finite
+    inverse raises ValueError naming the key."""
+    if type(d) is not dict:
+        raise ValueError(f"a checkpoint holds a JSON object, not {_JSON_TYPES[type(d)]}")
     if d.get("format") != FORMAT_NAME:
         raise ValueError(f"not a checkpoint file (format={d.get('format')!r})")
-    if d.get("version") != FORMAT_VERSION:
+    if type(d.get("version")) is not int or d["version"] != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version {d.get('version')!r}")
-    res = int(d["resolution"])
-    layers = int(d["layers"])
-    fr = d["frames"]
-    if fr["kind"] == "triplane":
+    res = _field(d, "resolution", (int,))
+    layers = _field(d, "layers", (int,))
+    # Row counts bound ``layers``, and the boundary rows' width the
+    # resolution, by the file's size before any frame or mesh is built.
+    ew = _rows(d, "raw_edge_weights", layers)
+    bi = _rows(d, "raw_boundary_increments", layers, 4 * (res - 1))
+    fr = _field(d, "frames", (dict,))
+    kind = _field(fr, "kind", (str,), "frames.")
+    if kind == "triplane":
         frames = triplane_frames(layers)
-        kind = "triplane"
-    elif fr["kind"] == "explicit":
-        mats = fr["matrices"]
-        if len(mats) != layers:
-            raise ValueError("frame count does not match layer count")
-        frames = [Frame(np.asarray(m, dtype=np.float64).reshape(3, 3)) for m in mats]
-        kind = "explicit"
+    elif kind == "explicit":
+        frames = [Frame(m.reshape(3, 3)) for m in _rows(fr, "matrices", layers, 9, "frames.")]
     else:
-        raise ValueError(f"unknown frames kind {fr['kind']!r}")
-    ew = d["raw_edge_weights"]
-    bi = d["raw_boundary_increments"]
-    if len(ew) != layers or len(bi) != layers:
-        raise ValueError("parameter arrays do not match layer count")
-    params = [TutteLayerParams(raw_edge_weights=np.asarray(w, dtype=np.float64),
-                               raw_boundary_increments=np.asarray(b, dtype=np.float64))
-              for w, b in zip(ew, bi)]
+        raise ValueError(f"unknown frames kind {kind!r}")
+    norm = _field(d, "normalization", (dict,))
+    center = _numbers(_field(norm, "center", (list,), "normalization."),
+                      "normalization.center", 3)
+    scale = float(_field(norm, "scale", (float, int), "normalization."))
+    if not (scale > 0.0 and math.isfinite(1.0 / scale)):  # invert divides by it
+        raise ValueError(f"key normalization.scale must be positive with a finite "
+                         f"inverse, got {scale!r}")
     return Checkpoint(
-        resolution=res, frames=frames, params=params, frames_kind=kind,
-        normalization=Normalization.from_dict(d["normalization"]),
-        seed=d.get("seed"), config_hash=d.get("config_hash"),
+        resolution=res, frames=frames, frames_kind=kind,
+        params=[TutteLayerParams(raw_edge_weights=w, raw_boundary_increments=b)
+                for w, b in zip(ew, bi)],
+        normalization=Normalization(center=center, scale=scale),
+        seed=_field(d, "seed", (int,)) if "seed" in d else None,
+        config_hash=_field(d, "config_hash", (str,)) if "config_hash" in d else None,
     )
 
 
@@ -135,6 +178,12 @@ def save_checkpoint(path, ck: Checkpoint):
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """The checkpoint in the file at ``path``; a malformed file raises
+    ValueError naming ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return from_dict(_parse_json(text, path))
+    d = _parse_json(text, path)
+    try:
+        return from_dict(d)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

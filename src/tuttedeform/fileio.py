@@ -47,11 +47,6 @@ class Normalization:
         return {"center": [float(c) for c in self.center], "scale": float(self.scale)}
 
     @staticmethod
-    def from_dict(d):
-        return Normalization(center=np.asarray(d["center"], dtype=np.float64),
-                             scale=float(d["scale"]))
-
-    @staticmethod
     def identity():
         return Normalization(center=np.zeros(3), scale=1.0)
 

@@ -191,24 +191,24 @@ def _parse_region(d, path) -> Region:
     if kind == "sphere":
         if "center" not in d or "radius" not in d:
             raise ConfigError(f"{path}: sphere region needs center and radius")
-        return Region(kind, center=np.asarray(d["center"], dtype=np.float64),
+        return Region(kind, center=_vector(d, "center", None, path),
                       radius=float(d["radius"]))
     if kind == "box":
         if "min" not in d or "max" not in d:
             raise ConfigError(f"{path}: box region needs min and max")
-        lo = np.asarray(d["min"], dtype=np.float64)
-        hi = np.asarray(d["max"], dtype=np.float64)
+        lo, hi = _vector(d, "min", None, path), _vector(d, "max", None, path)
         if np.any(lo >= hi):
             raise ConfigError(f"{path}: box min must be strictly below max")
         return Region(kind, lo=lo, hi=hi)
     if "normal" not in d or "offset" not in d:
         raise ConfigError(f"{path}: halfspace region needs normal and offset")
-    n = np.asarray(d["normal"], dtype=np.float64)
+    n = _vector(d, "normal", None, path)
     with np.errstate(over="ignore"):
         norm = _finite(np.linalg.norm(n), f"{path}.normal norm")
         if norm == 0:
             raise ConfigError(f"{path}: halfspace normal must be nonzero")
-        offset = _finite(float(d["offset"]) / norm, f"{path}.offset over the normal's norm")
+        offset = _finite(float(_number(d, "offset", None, path)) / norm,
+                         f"{path}.offset over the normal's norm")
     return Region(kind, normal=n / norm, offset=offset)
 
 
@@ -246,6 +246,11 @@ def _number(d, key, default, path):
     return _finite(d.get(key, default), f"{path}.{key}")
 
 
+def _vector(d, key, default, path):
+    """Vector field ``key`` of ``d`` as a float64 array; see :func:`_number`."""
+    return np.asarray(_number(d, key, default, path), dtype=np.float64)
+
+
 def _squarable(v, what):
     """``v`` if its length is at most _MAX_LENGTH, else ConfigError naming ``what``."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -256,11 +261,11 @@ def _squarable(v, what):
 
 
 def _parse_motion(d, path) -> Motion:
-    axis = np.asarray(d.get("axis", [0.0, 0.0, 1.0]), dtype=np.float64)
-    angle = _finite(float(d.get("angle_degrees", 0.0)) * np.pi / 180.0,
+    axis = _vector(d, "axis", [0.0, 0.0, 1.0], path)
+    angle = _finite(float(_number(d, "angle_degrees", 0.0, path)) * np.pi / 180.0,
                     f"{path}.angle_degrees in radians")
-    pivot = np.asarray(d.get("pivot", [0.0, 0.0, 0.0]), dtype=np.float64)
-    tr = np.asarray(d.get("translation", [0.0, 0.0, 0.0]), dtype=np.float64)
+    pivot = _vector(d, "pivot", [0.0, 0.0, 0.0], path)
+    tr = _vector(d, "translation", [0.0, 0.0, 0.0], path)
     if angle != 0.0:
         with np.errstate(over="ignore"):
             if _finite(np.linalg.norm(axis), f"{path}.axis norm") == 0:

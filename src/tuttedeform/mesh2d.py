@@ -16,6 +16,8 @@ marked read-only), which makes them safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import InternalError, NotInImageError, OutOfDomainError
@@ -27,9 +29,12 @@ DOMAIN_TOL = 1e-9
 _BARY_STRICT = 1e-12
 _BARY_FALLBACK = 1e-9
 # The image-side walk's full Newton steps, then its half steps, before a
-# point falls back to the bins.
+# point falls back to the scan over every triangle.
 _NEWTON_STEPS = 4
 _HALF_STEPS = 8
+# (point, triangle) pairs that scan scores at once: each of its (points, T)
+# temporaries stays at 256 KB.
+_SCAN_PAIRS = 1 << 15
 
 
 def _readonly(a):
@@ -69,12 +74,13 @@ class Mesh2D:
         return self.triangles.shape[0]
 
 
+@lru_cache(maxsize=8)
 def build_mesh(resolution: int) -> Mesh2D:
     """Build the regular triangulated square at the given resolution.
 
     ``resolution`` is the vertex count per axis; must be >= 2.  The mesh has
     resolution^2 vertices, 2 (resolution-1)^2 triangles, and a boundary loop
-    of 4 (resolution-1) vertices.
+    of 4 (resolution-1) vertices.  Meshes are immutable: recent ones are shared.
     """
     n = int(resolution)
     if n < 2:
@@ -327,7 +333,7 @@ def interpolate(positions, triangles, tri, bary):
 
 class _ImageLocator:
     """Image-side point location: a certified walk on the rest grid, with a
-    bin query as the fallback.
+    scan over every triangle as the fallback.
 
     **The rule.**  A triangle t scores an image point y by its smallest
     barycentric, computed from six per-triangle columns (the first image
@@ -349,8 +355,9 @@ class _ImageLocator:
     some walks near the boundary jump back and forth between two triangles
     on either side of y's, and the half steps land between them.  Points
     it leaves (ties on deformed edges and vertices, points outside the
-    image, walks that still cycle) go to the bin query, which applies the
-    rule itself.
+    image, walks that still cycle) take the scan, which applies the rule
+    itself: it scores every triangle, so it is complete by definition, at
+    a cost of O(T) per point.
 
     **The certificate.**  ``s >= thr[t]`` proves that no other triangle
     scores >= -eps (eps = _BARY_STRICT), so t is the rule's pick, and its
@@ -384,18 +391,7 @@ class _ImageLocator:
     assumed: the walk runs only when every image triangle is positively
     oriented beyond its rounding and the boundary polygon is simple (see
     ``_star_shaped_loop``), which makes the map injective; otherwise every
-    point takes the bin query.
-
-    **The bins**, built on a map's first fallback, are a uniform grid over
-    the image.  Each cell stores the ascending indices of the triangles
-    whose padded image bounding box touches it, and a point's candidates
-    are those of its cell.  The padding makes these cover every triangle
-    that could be accepted: if all barycentrics of p are >= -eps then, per
-    axis, ``p - max = sum_i l_i (x_i - max)`` takes only the (at most two)
-    negative ``l_i``, so p lies at most ``2 eps width`` outside the
-    triangle's bounding box, and ``width <= span`` (the 1e-12 absorbs
-    rounding).  So a scan over all triangles would pick the same one, and a
-    point whose cell is empty is outside the mesh.
+    point takes the scan.
     """
 
     def __init__(self, plmap: PLMap2D):
@@ -415,7 +411,6 @@ class _ImageLocator:
         self.e1x, self.e2x = rx[1:] - rx[0]
         self.e1y, self.e2y = ry[1:] - ry[0]
         self.thr = self._thresholds(ux[1:] - ux[0], uy[1:] - uy[0])
-        self._bins = None
 
     def _thresholds(self, ex, ey):
         """Per-triangle walk thresholds from the (2, T) image edge columns,
@@ -456,7 +451,7 @@ class _ImageLocator:
             x, y = np.clip(qx, -1.0, 1.0), np.clip(qy, -1.0, 1.0)
             for step in range(_NEWTON_STEPS + _HALF_STEPS):
                 t = _grid_cells(self.mesh, x, y)[0]
-                # The bin query's expressions, in its order: the same bits.
+                # The rule's expressions, in the scan's order: the same bits.
                 dx = qx - self.u0x[t]
                 dy = qy - self.u0y[t]
                 l1 = self.b00[t] * dx
@@ -484,84 +479,47 @@ class _ImageLocator:
                     to_y *= 0.5
                 x, y = to_x, to_y
         if rows.size:
-            tri[rows], cols[:, rows] = self._bin_query(pts[rows], rows, layer_index)
+            tri[rows], cols[:, rows] = self._scan_query(pts[rows], rows, layer_index)
         return tri, cols.T
 
-    def _bin_query(self, pts, rows, layer_index):
-        """The rule over each point's bin candidates: ``(tri, (l0, l1, l2))``.
+    def _scan_query(self, pts, rows, layer_index):
+        """The rule over every triangle, in blocks of about _SCAN_PAIRS
+        (point, triangle) pairs: ``(tri, (l0, l1, l2))`` as a (3, N) array.
 
         ``rows`` are the points' indices in the caller's batch, for the
         error; they ascend, so the first point outside the image is the
         batch's first.
         """
-        if self._bins is None:
-            self._bins = self._build_bins()
-        lo, cell, ncell, bucket_tris, bucket_start = self._bins
-        n = pts.shape[0]
-        cidx = np.clip(np.floor((pts - lo) / cell).astype(np.int64), 0, ncell - 1)
-        cells = cidx[:, 1] * ncell + cidx[:, 0]
-        start = bucket_start[cells]
-        length = bucket_start[cells + 1] - start
-
-        # One row per (point, candidate): points in order, each point's
-        # candidates in ascending triangle index.
-        head = np.cumsum(length) - length  # each point's first row
-        cand = bucket_tris[np.repeat(start - head, length) + np.arange(length.sum())]
-        dx = np.repeat(pts[:, 0], length) - self.u0x[cand]
-        dy = np.repeat(pts[:, 1], length) - self.u0y[cand]
-        l1 = self.b00[cand] * dx + self.b01[cand] * dy
-        l2 = self.b10[cand] * dx + self.b11[cand] * dy
-        l0 = 1.0 - l1 - l2
-        score = np.minimum(np.minimum(l0, l1), l2)
-
-        best = np.full(n, -np.inf)  # stays -inf for a point with no candidate
-        filled = length > 0
-        best[filled] = np.maximum.reduceat(score, head[filled])
-        bad = np.flatnonzero(best < -_BARY_FALLBACK)
-        if bad.size:
-            i = int(bad[0])
-            raise NotInImageError(
-                f"point {pts[i]} is outside the deformed mesh "
-                f"(best containment violation {-best[i]:.3e})",
-                point=pts[i].copy(), layer_index=layer_index,
-                point_index=int(rows[i]))
-
-        # A point's rows at or above its threshold are its strict hits if it
-        # has one, else its best-score rows; take the first of them.
-        threshold = np.minimum(best, -_BARY_STRICT)
-        hit = np.flatnonzero(score >= np.repeat(threshold, length))
-        pick = hit[np.searchsorted(hit, head)]
-        return cand[pick], (l0[pick], l1[pick], l2[pick])
-
-    def _build_bins(self):
-        """``(lo, cell, ncell, bucket_tris, bucket_start)`` of the bin grid."""
-        mesh, U = self.mesh, self.positions
-        tri_u = U[mesh.triangles]
-        lo = U.min(axis=0)
-        span = np.maximum(U.max(axis=0) - lo, 1e-30)
-        ncell = max(mesh.resolution - 1, 1)
-        cell = span / ncell
-
-        pad = 1e-12 + 2.0 * _BARY_FALLBACK * span
-        blo = np.floor((tri_u.min(axis=1) - pad - lo) / cell).astype(np.int64)
-        bhi = np.floor((tri_u.max(axis=1) + pad - lo) / cell).astype(np.int64)
-        blo = np.clip(blo, 0, ncell - 1)
-        bhi = np.clip(bhi, 0, ncell - 1)
-
-        nx = bhi[:, 0] - blo[:, 0] + 1
-        ny = bhi[:, 1] - blo[:, 1] + 1
-        counts = nx * ny
-        tri_ids = np.repeat(np.arange(mesh.num_triangles), counts)
-        # Enumerate covered cells per triangle without a Python loop.
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        local = np.arange(counts.sum()) - offsets[tri_ids]
-        cx = blo[tri_ids, 0] + local % nx[tri_ids]
-        cy = blo[tri_ids, 1] + local // nx[tri_ids]
-        cell_ids = cy * ncell + cx
-
-        order = np.lexsort((tri_ids, cell_ids))
-        bucket_start = np.searchsorted(cell_ids[order], np.arange(ncell * ncell + 1))
-        return lo, cell, ncell, tri_ids[order], bucket_start
+        tri, ls = np.empty(len(pts), dtype=np.int64), np.empty((3, len(pts)))
+        step = max(1, _SCAN_PAIRS // self.u0x.size)
+        for lo in range(0, len(pts), step):
+            block = slice(lo, lo + step)
+            # (points, T) scores, by the walk's expressions in its order.
+            dx = pts[block, :1] - self.u0x
+            dy = pts[block, 1:] - self.u0y
+            l1 = self.b00 * dx
+            l1 += self.b01 * dy
+            l2 = self.b10 * dx
+            l2 += self.b11 * dy
+            l0 = 1.0 - l1
+            l0 -= l2
+            score = np.minimum(np.minimum(l0, l1), l2)
+            # fmax skips a degenerate triangle's NaN scores: it holds nothing.
+            best = np.fmax.reduce(score, axis=1)
+            bad = np.flatnonzero(~(best >= -_BARY_FALLBACK))
+            if bad.size:
+                i = lo + int(bad[0])
+                raise NotInImageError(
+                    f"point {pts[i]} is outside the deformed mesh "
+                    f"(best containment violation {-best[i - lo]:.3e})",
+                    point=pts[i].copy(), layer_index=layer_index,
+                    point_index=int(rows[i]))
+            # A point's triangles at or above its threshold are its strict
+            # hits if it has one, else its best-score ones; take the first.
+            pick = np.argmax(score >= np.minimum(best, -_BARY_STRICT)[:, None], axis=1)
+            tri[block] = pick
+            ls[:, block] = [l[np.arange(pick.size), pick] for l in (l0, l1, l2)]
+        return tri, ls
 
 
 def _star_shaped_loop(P):

@@ -175,16 +175,13 @@ def _log_line(step, loss, lr, extra=""):
 
 
 def _run(mesh, spec: NetSpec, make_config: Callable[[int], LossConfig],
-         lr: LearningRate, stop: StopRule, log_every: int,
-         params: Optional[Sequence[TutteLayerParams]] = None):
+         lr: LearningRate, stop: StopRule, log_every: int):
+    """Adam from the initial parameters until ``stop``; returns the final
+    net, the loss history (one entry per step run) and the elapsed seconds."""
     frames = spec.make_frames()
-    if params is None:
-        params = init_params(mesh, spec.layers)
-    flat = pack_params(params)
+    flat = pack_params(init_params(mesh, spec.layers))
     adam = AdamState(flat.size)
     history = []
-    net = None
-    loss = None
     t0 = time.perf_counter()
     for step in range(stop.max_steps):
         params = unpack_params(mesh, flat, spec.layers)
@@ -200,10 +197,8 @@ def _run(mesh, spec: NetSpec, make_config: Callable[[int], LossConfig],
         if stop.should_stop(history):
             break
 
-    params = unpack_params(mesh, flat, spec.layers)
-    net = realize(mesh, params, frames)
-    elapsed = time.perf_counter() - t0
-    return net, params, history, elapsed, len(history)
+    net = realize(mesh, unpack_params(mesh, flat, spec.layers), frames)
+    return net, history, time.perf_counter() - t0
 
 
 @dataclass(frozen=True)
@@ -236,9 +231,10 @@ def run_elastic(job: ElasticJob):
                           constraints=job.constraints,
                           elastic_samples=job.free_samples)
 
-    net, params, history, elapsed, steps = _run(
+    net, history, elapsed = _run(
         mesh, job.spec, make_config, job.lr,
         StopRule(job.max_steps, job.rel_tol, job.window), job.log_every)
+    steps = len(history)
 
     # One trace of the final net over the elastic term's points, handle
     # points first, gives the handle residuals and the strain energies.
@@ -300,9 +296,10 @@ def run_fit(job: FitJob):
         return LossConfig(weights=LossWeights(), step=step, fit=fit,
                           use_regularization=False)
 
-    net, params, history, elapsed, steps = _run(
+    net, history, elapsed = _run(
         mesh, job.spec, make_config, job.lr,
         StopRule(job.max_steps, job.rel_tol, job.window), job.log_every)
+    steps = len(history)
 
     with _numerically_checked("on the final net"):
         final = evaluate(net, make_config(steps))

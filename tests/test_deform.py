@@ -112,7 +112,7 @@ def test_inverse_jacobians_on_grid_aligned_points():
 def test_tie_heavy_inverse_takes_the_bin_rule(monkeypatch):
     # Identity layers put every lattice point on a vertex, edge or cell
     # diagonal of every layer's image mesh, where no triangle can be
-    # certified: each point at each layer takes the locator's bin rule.
+    # certified: each point at each layer takes the locator's fallback scan.
     mesh = build_mesh(7)
     frames = triplane_frames(6)
     layers = tuple(PrismLayer(frame=f, plmap=realize_plmap(mesh, mesh.vertices),
@@ -123,24 +123,24 @@ def test_tie_heavy_inverse_takes_the_bin_rule(monkeypatch):
     axis = np.concatenate([g, 0.5 * (g[1:] + g[:-1])])
     pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
 
-    # The rule alone: the bin query on every row, layer by layer.
+    # The rule alone: the scan on every row, layer by layer.
     want, want_J = pts, np.eye(3)[:, :, None]
     for layer in reversed(layers):
         local = layer.frame.to_local(want)
-        tri, ls = layer.plmap.image_locator()._bin_query(
+        tri, ls = layer.plmap.image_locator()._scan_query(
             local[:, :2], np.arange(len(pts)), layer.layer_index)
         local[:, :2] = interpolate(mesh.vertices, mesh.triangles, tri, np.column_stack(ls))
         want = layer.frame.to_world(local)
         want_J = apply_lifted(layer.frame, _inv22(layer.plmap.A[tri]), want_J)
 
     fallback_rows = []
-    bin_query = _ImageLocator._bin_query
+    scan_query = _ImageLocator._scan_query
 
     def counted(self, pts, rows, layer_index):
         fallback_rows.append(len(rows))
-        return bin_query(self, pts, rows, layer_index)
+        return scan_query(self, pts, rows, layer_index)
 
-    monkeypatch.setattr(_ImageLocator, "_bin_query", counted)
+    monkeypatch.setattr(_ImageLocator, "_scan_query", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         got = inverse(net, pts)

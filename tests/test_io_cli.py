@@ -675,25 +675,44 @@ _NUMBER_FIELDS = [("optimizer", "learning_rate", "initial"),
                   ("loss", "gradient_weight"), ("samples", "grid_threshold")]
 
 
+# Regions to put in place before overflowing one of their fields, by field.
+_BOX = {"kind": "box", "min": [-1, -1, -1], "max": [1, 1, -0.35]}
+_SPHERE = {"kind": "sphere", "center": [0, 0, 0.5], "radius": 0.2}
+_REGIONS = {"min": _BOX, "max": _BOX, "center": _SPHERE}
+
+
 @pytest.mark.parametrize("keys, literal", [
     *[(keys, "1e999") for keys in _NUMBER_FIELDS],
     (("samples", "grid_threshold"), "-1e999"),
     (("loss", "handle"), "1" + "0" * 400),
-], ids=lambda v: ".".join(v) if isinstance(v, tuple) else
+    (("constraints", 0, "region", "min", 0), "1e999"),
+    (("constraints", 0, "region", "max", 2), "-1e999"),
+    (("constraints", 1, "region", "center", 1), "1e999"),
+    (("constraints", 1, "region", "center", 0), "1" + "0" * 400),
+    (("constraints", 0, "region", "normal", 2), "1" + "0" * 400),
+    (("constraints", 0, "region", "offset"), "1" + "0" * 400),
+    (("constraints", 1, "motion", "translation", 0), "1" + "0" * 400),
+    (("constraints", 1, "motion", "angle_degrees"), "1" + "0" * 400),
+], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else
    "int400digits" if len(v) > 20 else v)
 def test_jobfile_overflowing_numbers_name_the_field(extreme_workdir, keys, literal):
     # Python's json reads these as inf (or an int no float can hold); these
     # fields used to pass them on, and a job ran to exit 0 or failed at step 0.
     job = _plain_job()
+    if "region" in keys and keys[3] in _REGIONS:
+        job["constraints"][keys[1]]["region"] = json.loads(json.dumps(_REGIONS[keys[3]]))
     node = job
     for k in keys[:-1]:
-        node = node.setdefault(k, {})
+        node = node.setdefault(k, {}) if isinstance(node, dict) else node[k]
     node[keys[-1]] = 7777.25
     path = extreme_workdir / "overflow.json"
     path.write_text(json.dumps(job).replace("7777.25", literal))
     code, err, warned = _run_main("elastic", str(path))
     assert code == 2, err
-    assert f"$.{'.'.join(keys)} overflows float64" in err
+    # A vector's entry is named by its vector.
+    named = keys[:-1] if isinstance(keys[-1], int) else keys
+    field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in named)
+    assert f"${field} overflows float64" in err
     assert "Traceback" not in err and not warned
 
 
@@ -764,6 +783,111 @@ def test_checkpoint_overflowing_numbers_are_config_errors(extreme_workdir, liter
     code, err, warned = _run_main("apply", str(path))
     assert code == 2, err
     assert f"{ck_path}: {literal} overflows float64" in err
+    assert "Traceback" not in err and not warned
+
+
+def _checkpoint_dict(kind):
+    """A small checkpoint, as parsed JSON, with every optional key."""
+    net = random_net(np.random.default_rng(11), 3, 2)
+    return ckpt.to_dict(ckpt.from_net(net, seed=3, config_hash="sha256:0",
+                                      frames_kind=kind))
+
+
+def _run_on_checkpoint(work, command, d):
+    """Exit code, stderr, RuntimeWarnings and the file of ``command`` run
+    on the checkpoint ``d``."""
+    ck_path = work / "malformed.ckpt.json"
+    ck_path.write_text(json.dumps(d))
+    job = {"workflow": command, "input": {"checkpoint": ck_path.name}}
+    if command == "apply":
+        job["input"]["geometry"] = "bar.obj"
+        job["output"] = {"geometry": "unused.obj"}
+    path = work / "malformed_job.json"
+    path.write_text(json.dumps(job))
+    return (*_run_main(command, str(path)), ck_path)
+
+
+def _at(d, keys, value=None, delete=False):
+    """A deep copy of ``d`` with the value at ``keys`` replaced or deleted."""
+    if not keys:
+        return value
+    d = json.loads(json.dumps(d))
+    node = d
+    for k in keys[:-1]:
+        node = node[k]
+    if delete:
+        del node[keys[-1]]
+    else:
+        node[keys[-1]] = value
+    return d
+
+
+@pytest.mark.parametrize("command", ["apply", "check"])
+@pytest.mark.parametrize("kind, keys, value, named", [
+    ("triplane", ("resolution",), None, "missing key resolution"),
+    ("triplane", ("normalization", "center"), None, "missing key normalization.center"),
+    ("triplane", ("frames", "kind"), None, "missing key frames.kind"),
+    ("explicit", ("frames", "matrices"), None, "missing key frames.matrices"),
+    ("triplane", ("frames",), [], "key frames holds an array, not an object"),
+    ("triplane", ("layers",), [2], "key layers holds an array, not an integer"),
+    ("triplane", ("raw_edge_weights",), 1.5, "key raw_edge_weights holds a number"),
+    ("triplane", (), [], "a checkpoint holds a JSON object, not an array"),
+    ("triplane", ("normalization", "scale"), 0.0,
+     "key normalization.scale must be positive with a finite inverse, got 0.0"),
+    ("triplane", ("normalization", "scale"), 1e-320,
+     "key normalization.scale must be positive with a finite inverse, got 1e-320"),
+], ids=["no-resolution", "no-center", "no-kind", "no-matrices", "frames-list",
+        "layers-list", "weights-number", "top-list", "scale-zero", "scale-subnormal"])
+def test_malformed_checkpoint_is_config_error(extreme_workdir, command, kind, keys,
+                                              value, named):
+    # Each used to escape as a KeyError, TypeError or AttributeError (exit
+    # 1), or, for a scale without a finite inverse, to write NaN and inf
+    # coordinates with exit 0.
+    d = _at(_checkpoint_dict(kind), keys, value, delete=value is None)
+    code, err, warned, ck_path = _run_on_checkpoint(extreme_workdir, command, d)
+    assert code == 2, err
+    assert f"{ck_path}: {named}" in err
+    assert "Traceback" not in err and not warned
+
+
+def _json_paths(node, keys=()):
+    """The key path of every value in parsed JSON ``node``, its own first."""
+    yield keys
+    items = (node.items() if isinstance(node, dict) else
+             enumerate(node) if isinstance(node, list) else ())
+    for k, v in items:
+        yield from _json_paths(v, keys + (k,))
+
+
+def _json_type(v):
+    return "number" if type(v) in (int, float) else type(v).__name__
+
+
+# Small values, one of each JSON type: a swap never enlarges a number.
+_SWAPS = [None, True, "x", 1, [], {}]
+
+
+@pytest.mark.parametrize("kind", ["triplane", "explicit"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cli_mutated_checkpoints_exit_cleanly(extreme_workdir, kind, data):
+    """A checkpoint with one key deleted or one value swapped for another
+    JSON type is a configuration error, unless the key was an optional one."""
+    d = _checkpoint_dict(kind)
+    keys = data.draw(st.sampled_from(list(_json_paths(d))), label="keys")
+    node = d
+    for k in keys:
+        node = node[k]
+    delete = bool(keys) and isinstance(keys[-1], str) and data.draw(st.booleans(),
+                                                                     label="delete")
+    value = None if delete else data.draw(st.sampled_from(
+        [v for v in _SWAPS if _json_type(v) != _json_type(node)]), label="value")
+    command = data.draw(st.sampled_from(["apply", "check"]), label="command")
+    code, err, warned, ck_path = _run_on_checkpoint(
+        extreme_workdir, command, _at(d, keys, value, delete))
+    harmless = delete and keys in (("seed",), ("config_hash",))
+    assert code == (0 if harmless else 2), err
+    assert harmless or f"{ck_path}: " in err
     assert "Traceback" not in err and not warned
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tuttedeform.errors import NotInImageError, OutOfDomainError
-from tuttedeform.mesh2d import (_BARY_FALLBACK, _BARY_STRICT, _star_shaped_loop,
+from tuttedeform.mesh2d import (_BARY_FALLBACK, _BARY_STRICT, _SCAN_PAIRS, _star_shaped_loop,
                                 build_mesh, interpolate, locate_image_points,
                                 locate_points, realize_plmap)
 from tuttedeform.tutte import solve_tutte
@@ -62,6 +62,10 @@ def test_counts_and_structure():
         assert mesh.boundary_loop.size == 4 * (n - 1)
         assert np.isclose(mesh.areas.sum(), 4.0)
         assert np.all(mesh.areas > 0)
+        # Meshes are shared between callers, so none may be written.
+        assert build_mesh(n) is mesh
+        assert not any(a.flags.writeable for a in (mesh.vertices, mesh.triangles,
+                                                   mesh.edge_inverse, mesh.grid))
 
 
 def test_boundary_loop_ccw_from_corner():
@@ -256,8 +260,8 @@ def test_image_location_matches_all_triangle_reference():
 
 
 def sheared_map():
-    """A rotated, sheared res-25 map, whose image leaves the bin grid's
-    corners empty."""
+    """A rotated, sheared res-25 map, whose image leaves the corners of its
+    bounding box empty."""
     mesh = build_mesh(25)
     x, y = mesh.vertices.T
     return realize_plmap(
@@ -266,8 +270,8 @@ def sheared_map():
 
 def wedge_map():
     """A res-4 map whose triangle 0 is a wedge (v0, v1, v5) wider than half
-    the image, with its apex v1 on the bottom boundary just short of the last
-    bin column."""
+    the image, with its apex v1 on the bottom boundary just short of
+    x = 2/3."""
     mesh = build_mesh(4)
     apex = 2.0 / 3.0 - 1.1e-9
     U = np.array([[0, 0], [apex, 0], [0.75, 0.3], [1, 0.4],
@@ -294,7 +298,7 @@ def test_image_location_with_empty_bins():
 def test_image_fallback_reaches_past_a_bin_edge():
     # The point beyond the wedge's apex v1 has barycentrics (-0.99e-9,
     # 1 + 1.98e-9, -0.99e-9) in it, but lies 1.2e-9 past the wedge's
-    # bounding box, in the next bin.
+    # bounding box.
     plmap = wedge_map()
     U = plmap.vertex_positions
     assert np.all(plmap.det > 0)
@@ -318,18 +322,18 @@ def test_locate_property(coords):
     assert np.allclose(bary.sum(axis=1), 1.0)
 
 
-# --------------------------------------------- image-side walk vs the bins
+# --------------------------------------------- image-side walk vs the scan
 
 def bin_oracle(plmap, pts, layer_index=None):
-    """The locator's bin query run on every row: its fallback called
-    directly, with no walk in front.  Returns ``(tri, bary)``."""
+    """The locator's scan over every triangle run on every row: its
+    fallback called directly, with no walk in front.  Returns ``(tri, bary)``."""
     loc = plmap.image_locator()
-    tri, ls = loc._bin_query(pts, np.arange(len(pts)), layer_index)
+    tri, ls = loc._scan_query(pts, np.arange(len(pts)), layer_index)
     return tri, np.column_stack(ls)
 
 
 def assert_walk_matches_bins(plmap, pts):
-    """``locate_image_points`` equals the bin oracle bit for bit, or both
+    """``locate_image_points`` equals the scan oracle bit for bit, or both
     raise at the same point with the same message."""
     try:
         want_tri, want_bary = bin_oracle(plmap, pts, layer_index=7)
@@ -381,17 +385,17 @@ def test_image_walk_matches_bin_query_bit_for_bit(which, monkeypatch):
         plmap = solve_tutte(mesh, random_params(rng, mesh, scale=scale))
     mesh, U = plmap.mesh, plmap.vertex_positions
     loc = plmap.image_locator()
-    # The folded map is not injective, so its points all take the bins.
+    # The folded map is not injective, so its points all take the scan.
     assert (loc.thr is None) == (which == "folded")
 
     fallback_rows = []
-    bin_query = type(loc)._bin_query
+    scan_query = type(loc)._scan_query
 
     def counted(self, pts, rows, layer_index):
         fallback_rows.append(len(rows))
-        return bin_query(self, pts, rows, layer_index)
+        return scan_query(self, pts, rows, layer_index)
 
-    monkeypatch.setattr(type(loc), "_bin_query", counted)
+    monkeypatch.setattr(type(loc), "_scan_query", counted)
     random_images = map_points(plmap, rng.uniform(-1, 1, (2000, 2)))
     locate_image_points(plmap, random_images)
     if loc.thr is not None:  # the walk located (almost) every random image
@@ -438,6 +442,53 @@ def test_image_walk_keeps_the_first_outside_point():
     pts[3, 1] = np.nan
     with pytest.raises(ValueError, match="point 3 is not finite"):
         locate_image_points(plmap, pts)
+
+
+def test_image_scan_spans_several_blocks():
+    # A folded map is not certified, so every point takes the scan, which
+    # scores _SCAN_PAIRS // T points at a time.
+    mesh = build_mesh(25)
+    U = mesh.vertices.copy()
+    U[312] += [0.2, 0.1]  # the center vertex, pulled over its neighbors
+    plmap = realize_plmap(mesh, U)
+    assert np.any(plmap.det < 0) and plmap.image_locator().thr is None
+    block = _SCAN_PAIRS // mesh.num_triangles
+    rng = np.random.default_rng(42)
+    pts = map_points(plmap, rng.uniform(-1, 1, (3 * block + 5, 2)))
+    # Rows on both sides of every block boundary, against the reference.
+    near = np.concatenate([np.arange(b - 2, b + 2) for b in (block, 2 * block, 3 * block)])
+    tri, bary = locate_image_points(plmap, pts)
+    refs = [image_reference(plmap, q) for q in pts[near]]
+    assert np.array_equal(tri[near], [r[0] for r in refs])
+    assert np.allclose(bary[near], [r[1] for r in refs], atol=1e-12, rtol=0)
+
+    # The first outside point lies in the second block, a later one in the third.
+    first = block + 3
+    pts[first] = [1.5, 0.0]
+    pts[2 * block + 1] = [0.0, -2.0]
+    with pytest.raises(NotInImageError) as ei:
+        locate_image_points(plmap, pts, layer_index=2)
+    assert (ei.value.point_index, ei.value.layer_index) == (first, 2)
+    assert np.array_equal(ei.value.point, [1.5, 0.0])
+
+
+def test_image_scan_skips_a_degenerate_triangle():
+    # Triangle 0's corner v1 moved onto its v0-v6 diagonal: its inverse edge
+    # matrix is not finite, and it holds no point.
+    mesh = build_mesh(5)
+    U = mesh.vertices.copy()
+    U[1] = 0.5 * (U[0] + U[6])
+    with np.errstate(invalid="ignore"):
+        plmap = realize_plmap(mesh, U)
+        assert plmap.det[0] == 0.0
+        pts = np.array([[0.6, 0.6], [0.0, 0.1], [-0.75, -0.75], [-0.5, -0.7]])
+        tri, bary = locate_image_points(plmap, pts)
+        with pytest.raises(NotInImageError) as ei:  # below the collapsed triangle
+            locate_image_points(plmap, np.concatenate([pts, [[-0.9, -0.95]]]))
+    assert ei.value.point_index == 4
+    for t, b, q in zip(tri, bary, pts):  # the first hit among the other triangles
+        want_t, want_b = brute_force_locate(U, mesh.triangles[1:], q)[0]
+        assert t == want_t + 1 and np.allclose(b, want_b, atol=1e-12, rtol=0)
 
 
 def test_star_shaped_loop():
