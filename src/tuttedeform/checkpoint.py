@@ -140,9 +140,10 @@ def from_dict(d) -> Checkpoint:
         raise ValueError(f"unsupported checkpoint version {d.get('version')!r}")
     res = _field(d, "resolution", (int,))
     layers = _field(d, "layers", (int,))
-    # Row counts bound ``layers``, and the boundary rows' width the
-    # resolution, by the file's size before any frame or mesh is built.
-    ew = _rows(d, "raw_edge_weights", layers)
+    # Row counts bound ``layers``, and the rows' widths (the mesh's edge
+    # and boundary vertex counts) the resolution, by the file's size before
+    # any frame or mesh is built.
+    ew = _rows(d, "raw_edge_weights", layers, (res - 1) * (3 * res - 1))
     bi = _rows(d, "raw_boundary_increments", layers, 4 * (res - 1))
     fr = _field(d, "frames", (dict,))
     kind = _field(fr, "kind", (str,), "frames.")

@@ -6,6 +6,11 @@ every layer, and the chain rule gives its Jacobian as the product of the
 per-layer Jacobians evaluated along the orbit of the point, multiplied out
 as (3, 3, N) row stacks and returned as their (N, 3, 3) transposed views.
 The inverse composes the per-layer inverses in reverse order.
+
+Inside, a batch walks the layers as a (3, N) block of rows, one per
+coordinate (``prism.forward_rows``); the (N, 3) arrays the functions take
+are read through their transposed view, and the ones they return are the
+(N, 3) transposed views of the last block.
 """
 
 from __future__ import annotations
@@ -107,15 +112,18 @@ def _as_array(points):
     return pts, None
 
 
-def _walk(net: DeformationNet, pts):
-    """Yield ``(layer, tri, bary, out)`` per layer: input cells and outputs.
+def _walk(net: DeformationNet, pts, cells=None):
+    """Yield ``(layer, tri, out)`` per layer: each point's input cell, and the
+    (3, N) rows of the layer's images.  ``cells``, a pair of (L, N) and
+    (L, 3, N) arrays, takes every layer's triangles and barycentric rows.
 
     A generator, so ``forward`` and ``jacobians`` hold one layer's cells at a time.
     """
-    out = pts
-    for layer in net.layers:
-        out, tri, bary = prism.forward_step(layer, out)
-        yield layer, tri, bary, out
+    out = pts.T
+    for l, layer in enumerate(net.layers):
+        out, tri, _ = prism.forward_rows(
+            layer, out, None if cells is None else (cells[0][l], cells[1][l]))
+        yield layer, tri, out
 
 
 def forward(net: DeformationNet, points):
@@ -125,19 +133,20 @@ def forward(net: DeformationNet, points):
     untouched.
     """
     pts, weights = _as_array(points)
-    for _, _, _, out in _walk(net, pts):
+    for _, _, out in _walk(net, pts):
         pass
     if isinstance(points, PointSet):
-        return PointSet(points=out, weights=weights)
-    return out
+        return PointSet(points=out.T, weights=weights)
+    return out.T
 
 
 def _walk_back(net: DeformationNet, pts):
     """Yield ``(layer, tri, out)`` per layer, last layer first: the image-side
-    cell of each point and its preimage.  The reverse of ``_walk``."""
-    out = pts
+    cell of each point and the (3, N) rows of its preimages.  The reverse
+    of ``_walk``."""
+    out = pts.T
     for layer in reversed(net.layers):
-        out, tri = prism.inverse_step(layer, out)
+        out, tri, _ = prism.inverse_rows(layer, out)
         yield layer, tri, out
 
 
@@ -147,18 +156,26 @@ def inverse(net: DeformationNet, points):
     for _, _, out in _walk_back(net, pts):
         pass
     if isinstance(points, PointSet):
-        return PointSet(points=out, weights=weights)
-    return out
+        return PointSet(points=out.T, weights=weights)
+    return out.T
+
+
+def _chain(steps, factors):
+    """The (3, 3, N) row stack of the Jacobian product over ``steps``, with
+    ``factors(layer, tri)`` each layer's (N, 2, 2) blocks.  Two buffers
+    take turns holding the product."""
+    J = spare = None
+    for layer, tri, _ in steps:
+        X = np.eye(3)[:, :, None] if J is None else J
+        J, spare = prism.apply_lifted(layer.frame, factors(layer, tri), X, out=spare), J
+    return J
 
 
 def jacobians(net: DeformationNet, points):
     """(N, 3, 3) Jacobians of the composite map along each point's orbit."""
     pts, _ = _as_array(points)
-    J = np.eye(3)[:, :, None]
-    for layer, tri, _, _ in _walk(net, pts):
-        # ``take`` gathers the same rows as ``A[tri]``, several times faster.
-        J = prism.apply_lifted(layer.frame, layer.plmap.A.take(tri, axis=0), J)
-    return J.transpose(2, 0, 1)
+    return _chain(_walk(net, pts),
+                  lambda layer, tri: layer.plmap.factors(tri)).transpose(2, 0, 1)
 
 
 def inverse_jacobians(net: DeformationNet, points):
@@ -168,10 +185,8 @@ def inverse_jacobians(net: DeformationNet, points):
     locator found; the chain multiplies out as M_1^-1 ... M_k^-1.
     """
     pts, _ = _as_array(points)
-    J = np.eye(3)[:, :, None]
-    for layer, tri, _ in _walk_back(net, pts):
-        J = prism.apply_lifted(layer.frame, _inv22(layer.plmap.A.take(tri, axis=0)), J)
-    return J.transpose(2, 0, 1)
+    return _chain(_walk_back(net, pts),
+                  lambda layer, tri: _inv22(layer.plmap.factors(tri))).transpose(2, 0, 1)
 
 
 @dataclass
@@ -183,32 +198,37 @@ class OrbitTrace:
     coordinates of every point at every layer, and (when Jacobian losses are
     in play) the running Jacobian products entering each layer, as row
     stacks: ``prefixes[l, i, j]`` holds entry (i, j) for every point.
+    ``outputs`` and ``barys`` are transposed views of row blocks, so
+    ``outputs.T`` and ``barys[l].T`` are contiguous (3, N) rows.
     """
 
     points: np.ndarray     # (N, 3) inputs
-    outputs: np.ndarray    # (N, 3) final images
+    outputs: np.ndarray    # (N, 3) final images: the view of (3, N) rows
     tris: np.ndarray       # (L, N) triangle index per layer
-    barys: np.ndarray      # (L, N, 3)
+    barys: np.ndarray      # (L, N, 3): the view of (L, 3, N) rows
     jac: Optional[np.ndarray] = None       # (N, 3, 3) full-composite Jacobians
     prefixes: Optional[np.ndarray] = None  # (L, 3, 3, N) product before layer l
 
 
 def forward_trace(net: DeformationNet, points, need_jacobian: bool = False) -> OrbitTrace:
-    """Forward pass that records orbits (and optionally Jacobian prefixes)."""
+    """Forward pass that records orbits (and optionally Jacobian prefixes).
+
+    The walk writes each layer's cells straight into the trace, and each
+    Jacobian product straight into the next prefix."""
     pts, _ = _as_array(points)
     n = pts.shape[0]
     L = net.num_layers
     tris = np.empty((L, n), dtype=np.int64)
-    barys = np.empty((L, n, 3))
-    prefixes = np.empty((L, 3, 3, n)) if need_jacobian else None
-    J = np.eye(3)[:, :, None]
+    barys = np.empty((L, 3, n))
+    chain = np.empty((L + 1, 3, 3, n)) if need_jacobian else None
+    if need_jacobian:
+        chain[0] = np.eye(3)[:, :, None]
 
-    for l, (layer, tri, bary, out) in enumerate(_walk(net, pts)):
-        tris[l] = tri
-        barys[l] = bary
+    for l, (layer, tri, out) in enumerate(_walk(net, pts, (tris, barys))):
         if need_jacobian:
-            prefixes[l] = J
-            J = prism.apply_lifted(layer.frame, layer.plmap.A.take(tri, axis=0), J)
-    return OrbitTrace(points=pts, outputs=out, tris=tris, barys=barys,
-                      jac=J.transpose(2, 0, 1) if need_jacobian else None,
-                      prefixes=prefixes)
+            prism.apply_lifted(layer.frame, layer.plmap.factors(tri), chain[l],
+                               out=chain[l + 1])
+    return OrbitTrace(points=pts, outputs=out.T, tris=tris,
+                      barys=barys.transpose(0, 2, 1),
+                      jac=chain[L].transpose(2, 0, 1) if need_jacobian else None,
+                      prefixes=chain[:L] if need_jacobian else None)

@@ -201,12 +201,18 @@ def _parse_json(text, source, allow_overflow=False):
     ``source``.  A number that overflows float64, such as ``1e999``, reads
     as inf (or as an int no float can hold); unless ``allow_overflow``, it
     raises ValueError naming the literal and ``source`` too.  Job files
-    allow it: their reader names the overflowing field instead.
+    allow it: their reader names the overflowing field instead.  A syntax
+    error raises ValueError naming ``source``, the line and the column, with
+    json's error as its ``__cause__``.
     """
     def reject_constant(literal):
         raise ValueError(f"{source}: {literal} is not a JSON number")
 
-    value = json.loads(text, parse_constant=reject_constant)
+    try:
+        value = json.loads(text, parse_constant=reject_constant)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{source}: invalid JSON at line {e.lineno} column "
+                         f"{e.colno}: {e.msg}") from e
     if not allow_overflow and _may_overflow(value):
         # The slow exact pass, on the rare file the screen flags; it only
         # raises, and the values it parses are discarded.

@@ -139,34 +139,32 @@ def _backward_sweep(net: DeformationNet, trace: Optional[OrbitTrace], g_out, g_j
     dA = None if g_jac is None else np.zeros((L, T, 2, 2))
     if trace is None:
         return dU, dA
-    g = g_out.copy()
+    g = g_out.T[:, None]  # a (3, 1, N) row stack, pulled back like H
     H = g_jac  # the Jacobian's cotangent, pulled back layer by layer
 
     for l in range(L - 1, -1, -1):
         layer = net.layers[l]
         frame = layer.frame
         tri = trace.tris[l]
-        bary = trace.barys[l]
-        A = layer.plmap.A.take(tri, axis=0)
+        bary = trace.barys[l].T
+        A = layer.plmap.factors(tri)
 
-        g_loc = frame.to_local(g)
-        gx, gy = g_loc[:, 0], g_loc[:, 1]
         # Direct contribution to this layer's deformed vertices.
-        verts = mesh.triangles.take(tri, axis=0)
+        verts = mesh.triangle_rows.take(tri, axis=1)
+        gxy = frame.plane_rows(g[:, 0])
         for k in range(3):
-            for c, gc in enumerate((gx, gy)):
-                dU[l, :, c] += np.bincount(verts[:, k], bary[:, k] * gc, V)
-        # Continue the chain: local-out xy = q_xy @ A^T + delta.
-        g_loc[:, 0], g_loc[:, 1] = (gx * A[:, 0, 0] + gy * A[:, 1, 0],
-                                    gx * A[:, 0, 1] + gy * A[:, 1, 1])
-        g = frame.to_world(g_loc)
+            for c, gc in enumerate(gxy):
+                dU[l, :, c] += np.bincount(verts[k], bary[k] * gc, V)
+        # Continue the chain: g moves on as M_l^T g, like H below.
+        AT = A.transpose(0, 2, 1)
+        g = prism.apply_lifted(frame, AT, g)
 
         if H is not None:
             # H P^T's in-plane block in the frame, P the traced prefix.
             h, p = frame.plane_rows(H), frame.plane_rows(trace.prefixes[l])
             for a, b in itertools.product(range(2), repeat=2):
                 dA[l, :, a, b] += np.bincount(tri, np.einsum("kn,kn->n", h[a], p[b]), T)
-            H = prism.apply_lifted(frame, A.transpose(0, 2, 1), H)
+            H = prism.apply_lifted(frame, AT, H)
     return dU, dA
 
 
@@ -224,7 +222,7 @@ def _trace_terms(net: DeformationNet, config: LossConfig):
     batch = np.concatenate([s.points for s in sets]) if sets else np.zeros((0, 3))
     if len(batch):
         trace = forward_trace(net, batch, need_jacobian=n_el > 0)
-        g_out = np.zeros_like(batch)
+        g_out = np.zeros((3, len(batch))).T  # the (N, 3) view of rows
 
     ofs = 0
     for c in handles:

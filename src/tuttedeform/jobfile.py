@@ -337,9 +337,9 @@ def load_jobfile(path) -> JobFile:
             raw = _parse_json(fh.read(), path, allow_overflow=True)
     except OSError as e:
         raise ConfigError(f"cannot read job file {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path} is not valid JSON: {e}") from e
     except ValueError as e:  # a NaN or Infinity literal; a schema "minimum" lets NaN pass
+        if isinstance(e.__cause__, json.JSONDecodeError):
+            raise ConfigError(f"{path} is not valid JSON: {e.__cause__}") from e.__cause__
         raise ConfigError(str(e)) from e
 
     errors = sorted(_VALIDATOR.iter_errors(raw), key=lambda e: e.json_path)

@@ -54,12 +54,16 @@ class Mesh2D:
     boundary_loop: np.ndarray  # (4(n-1),) int64, CCW from corner (-1, -1)
     interior_ids: np.ndarray   # (V - 4(n-1),) int64, ascending
     grid: np.ndarray           # (n,) axis coordinates
+    cell_widths: np.ndarray    # (n-1,) np.diff(grid)
     edge_inverse: np.ndarray   # (T, 2, 2) inverses of rest edge matrices
     areas: np.ndarray          # (T,) rest triangle areas
     # Edges with an interior end, (edge index, ends): an end is numbered by
     # its position in ``interior_ids`` or in ``boundary_loop``.
     interior_edges: np.ndarray # (Ei, 3) int64: edge, interior a < interior b
     rim_edges: np.ndarray      # (Er, 3) int64: edge, interior end, loop position
+    # Rows over the triangles: corner k's vertex, and its rest coordinates.
+    triangle_rows: np.ndarray  # (3, T) int64, triangles.T
+    corners: np.ndarray        # (2, 3, T) coordinate c of corner k
 
     @property
     def cell_size(self) -> float:
@@ -139,10 +143,13 @@ def build_mesh(resolution: int) -> Mesh2D:
         boundary_loop=_readonly(boundary_loop),
         interior_ids=_readonly(interior_ids),
         grid=_readonly(axis),
+        cell_widths=_readonly(np.diff(axis)),
         edge_inverse=_readonly(edge_inverse),
         areas=_readonly(areas),
         interior_edges=_readonly(interior_edges),
         rim_edges=_readonly(rim_edges),
+        triangle_rows=_readonly(triangles.T),
+        corners=_readonly(corner_columns(vertices, triangles)),
     )
 
 
@@ -178,55 +185,66 @@ def _reject_non_finite(pts):
 
 
 def _axis_cells(mesh, coords):
-    """Cell index and local fraction along one axis, with exact gridline ties.
+    """Cell index and local fraction along each axis of a (2, N) block of
+    coordinates in [-1, 1], with exact gridline ties.
 
     A coordinate exactly on an interior gridline is assigned to the cell on
-    its lower side with local fraction 1.0, which realizes the lowest-index
-    tie-break of :func:`locate_points`.
+    its lower side, with local fraction ``w / w == 1.0`` for that cell's
+    width w, which realizes the lowest-index tie-break of
+    :func:`locate_points`.
     """
     grid = mesh.grid
-    idx = ((coords + 1.0) / mesh.cell_size).astype(np.int64)
-    np.clip(idx, 0, mesh.resolution - 2, out=idx)
-    # The floor can land one cell off near a gridline; snap back in place.
-    idx -= coords < grid[idx]
-    idx += coords > grid[1:][idx]
-    lo = grid[idx]
-    frac = coords - lo
-    frac /= np.diff(grid)[idx]
-    on_lower_line = (coords == lo) & (idx > 0)
-    idx -= on_lower_line
-    np.copyto(frac, 1.0, where=on_lower_line)
+    t = coords + 1.0
+    t /= mesh.cell_size
+    idx = t.astype(np.int64)  # >= 0, as coords >= -1
+    np.minimum(idx, mesh.resolution - 2, out=idx)
+    # The floor can land one cell off near a gridline; snap back in place,
+    # a point on the cell's lower line down to the cell below (-1 stays).
+    idx -= coords <= grid.take(idx)
+    np.maximum(idx, 0, out=idx)
+    idx += coords > grid[1:].take(idx)
+    frac = coords - grid.take(idx)
+    frac /= mesh.cell_widths.take(idx)
     return idx, frac
 
 
-def _grid_cells(mesh, x, y):
+def _grid_cells(mesh, xy, tri=None):
     """Rest triangle of each point of the square, with the lowest-index
-    tie-break, plus its cell fractions ``fx``, ``fy`` and the ``upper`` mask.
+    tie-break, plus its (2, N) cell fractions ``(fx, fy)`` and the ``upper``
+    mask.
 
-    ``x`` and ``y`` are coordinate columns already clamped to [-1, 1].
+    ``xy`` is a (2, N) block of coordinates already clamped to [-1, 1]; the
+    triangles are written into ``tri`` when it is given.
     """
-    ix, fx = _axis_cells(mesh, x)
-    iy, fy = _axis_cells(mesh, y)
-    upper = fx < fy
-    tri = iy * (mesh.resolution - 1)
-    tri += ix
+    idx, f = _axis_cells(mesh, xy)
+    upper = f[0] < f[1]
+    tri = np.multiply(idx[1], mesh.resolution - 1, out=tri)
+    tri += idx[0]
     tri *= 2
     tri += upper
-    return tri, fx, fy, upper
+    return tri, f, upper
 
 
-def locate_points(mesh, points, layer_index=None):
+def _clamped(pts):
+    """The (N, 2) ``pts`` as a new (2, N) block clamped onto [-1, 1]^2."""
+    xy = np.minimum(pts.T, 1.0, out=np.empty((2, len(pts))))
+    return np.maximum(xy, -1.0, out=xy)
+
+
+def locate_points(mesh, points, layer_index=None, out=None):
     """Vectorized triangle location for points in [-1, 1]^2.
 
     Returns ``(tri, bary)`` with ``tri`` of shape (N,) and ``bary`` of shape
     (N, 3) giving barycentric coordinates w.r.t. the located triangle's
-    vertex order; ``bary`` may be a transposed (column-major) view of three
-    rows.  For a point incident to several triangles (on a shared edge or
-    vertex) the lowest-index incident triangle is returned.  Points within
-    DOMAIN_TOL outside the square are clamped; beyond that an
-    OutOfDomainError identifies the first offender.  A non-finite point
-    raises ValueError.  A single point (shape (2,)) gives an ``int``
-    triangle and a (3,) barycentric vector.
+    vertex order; ``bary`` is the transposed view of a (3, N) block of
+    rows.  ``out``, a pair of an (N,) int64 array and a (3, N) block, takes
+    the triangles and the barycentric rows in place of new arrays.  For a
+    point incident to several triangles (on a shared edge or vertex) the
+    lowest-index incident triangle is returned.  Points within DOMAIN_TOL
+    outside the square are clamped; beyond that an OutOfDomainError
+    identifies the first offender.  A non-finite point raises ValueError.
+    A single point (shape (2,)) gives an ``int`` triangle and a (3,)
+    barycentric vector.
     """
     pts = np.asarray(points, dtype=np.float64)
     scalar_input = pts.ndim == 1
@@ -234,11 +252,8 @@ def locate_points(mesh, points, layer_index=None):
     if pts.shape[1] != 2:
         raise ValueError(f"expected 2D points, got shape {pts.shape}")
 
-    x = pts[:, 0].copy()
-    y = pts[:, 1].copy()
-    reach = np.abs([x.min(initial=0.0), x.max(initial=0.0),
-                    y.min(initial=0.0), y.max(initial=0.0)]).max()
-    if not reach - 1.0 <= DOMAIN_TOL:  # also taken on a NaN
+    low, high = pts.min(initial=0.0), pts.max(initial=0.0)
+    if not (-low - 1.0 <= DOMAIN_TOL and high - 1.0 <= DOMAIN_TOL):  # or a NaN
         _reject_non_finite(pts)
         over = np.abs(pts) - 1.0
         i = int(np.flatnonzero(np.any(over > DOMAIN_TOL, axis=1))[0])
@@ -246,17 +261,14 @@ def locate_points(mesh, points, layer_index=None):
             f"point {pts[i]} lies outside [-1,1]^2 by {float(np.max(over[i])):.3e}",
             point=pts[i].copy(), layer_index=layer_index, point_index=i,
         )
-    np.clip(x, -1.0, 1.0, out=x)
-    np.clip(y, -1.0, 1.0, out=y)
-
-    tri, fx, fy, upper = _grid_cells(mesh, x, y)
+    tri, rows = (None, np.empty((3, pts.shape[0]))) if out is None else out
+    tri, (fx, fy), upper = _grid_cells(mesh, _clamped(pts), tri)
 
     # Lower triangle (v00, v10, v11): bary = (1-fx, fx-fy, fy).
     # Upper triangle (v00, v11, v01): bary = (1-fy, fx, fy-fx).
     # One contiguous row per barycentric; a product with the 0/1 mask
     # subtracts an exact 0.0 where a term does not apply.
-    rows = np.empty((3, pts.shape[0]))
-    np.subtract(1.0, np.maximum(fx, fy), out=rows[0])
+    np.subtract(1.0, np.maximum(fx, fy, out=rows[0]), out=rows[0])
     np.subtract(fx, np.multiply(fy, ~upper, out=rows[1]), out=rows[1])
     np.subtract(fy, np.multiply(fx, upper, out=rows[2]), out=rows[2])
     bary = rows.T
@@ -276,13 +288,31 @@ class PLMap2D:
     embedding has all determinants strictly positive.  Instances are frozen
     in practice: arrays are read-only and the image-side locator is the only
     lazily built (cached) member.
+
+    ``corners`` and ``A_rows`` hold the positions and ``A`` again as rows
+    over the triangles, so that a point batch gathers whole rows; they are
+    built from the other two unless given.
     """
 
     mesh: Mesh2D
     vertex_positions: np.ndarray  # (V, 2) deformed vertex positions
     A: np.ndarray                 # (T, 2, 2)
     det: np.ndarray               # (T,)
+    corners: np.ndarray = field(default=None, repr=False, compare=False)  # (2, 3, T)
+    A_rows: np.ndarray = field(default=None, repr=False, compare=False)   # (2, 2, T)
     _locator: object = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.corners is None:
+            self.corners = _readonly(corner_columns(self.vertex_positions,
+                                                    self.mesh.triangles))
+        if self.A_rows is None:
+            self.A_rows = _readonly(np.moveaxis(self.A, 0, -1))
+
+    def factors(self, tri):
+        """``A[tri]`` as an (N, 2, 2) view of (2, 2, N) entry rows: each
+        entry is one contiguous column over the points."""
+        return self.A_rows.take(tri, axis=2).transpose(2, 0, 1)
 
     def image_locator(self):
         # Benign race under concurrent first use: both builds agree.
@@ -313,22 +343,36 @@ def realize_plmap(mesh: Mesh2D, vertex_positions) -> PLMap2D:
     )
 
 
-def interpolate(positions, triangles, tri, bary):
-    """Barycentric combination of triangle corners taken from ``positions``.
+def corner_columns(positions, triangles):
+    """Corner coordinates of every triangle as rows, (..., 2, 3, T) from
+    (..., V, 2) ``positions``: entry (c, k, t) is coordinate c of corner k
+    of triangle t."""
+    rows = np.ascontiguousarray(np.swapaxes(positions, -1, -2))  # (..., 2, V)
+    return rows.take(triangles.T, axis=-1)
 
-    Each output coordinate is ``b0*p0 + b1*p1 + b2*p2``, summed left to
-    right on 1-D columns: the order ``einsum("nk,nkd->nd")`` uses, so the
-    bits match it.  Exact on vertices, so shared edges evaluate identically
-    from either side.  Returns an (N, 2) transposed view of two rows.
+
+def combine(corners, tri, bary, out=None):
+    """Barycentric combinations of triangle corners, as (2, N) rows.
+
+    ``corners`` are :func:`corner_columns` (2, 3, T), ``tri`` the (N,)
+    triangles and ``bary`` their (3, N) barycentric rows.  Each output
+    coordinate is ``b0*p0 + b1*p1 + b2*p2``, summed left to right on 1-D
+    rows: the order ``einsum("nk,nkd->nd")`` uses, so the bits match it.
+    Exact on vertices, so shared edges evaluate identically from either
+    side.  Writes into the (2, N) ``out`` when it is given.
     """
-    b = np.asarray(bary).T
-    out = np.empty((2, b.shape[1]))
-    for p, row in zip(positions.T, out):
-        corner = p[triangles.T]  # (3, T): this coordinate of each corner
-        np.multiply(b[0], corner[0][tri], out=row)
-        row += b[1] * corner[1][tri]
-        row += b[2] * corner[2][tri]
-    return out.T
+    c = corners.take(tri, axis=2)  # (2, 3, N): the corners of each point's cell
+    out = np.multiply(c[:, 0], bary[0], out=out)
+    out += np.multiply(c[:, 1], bary[1], out=c[:, 1])
+    out += np.multiply(c[:, 2], bary[2], out=c[:, 2])
+    return out
+
+
+def interpolate(positions, triangles, tri, bary):
+    """:func:`combine` on the corners of ``triangles`` taken from the
+    (V, 2) ``positions``, for (N, 3) barycentrics ``bary``; returns an
+    (N, 2) transposed view of two rows."""
+    return combine(corner_columns(positions, triangles), tri, np.asarray(bary).T).T
 
 
 class _ImageLocator:
@@ -396,21 +440,18 @@ class _ImageLocator:
 
     def __init__(self, plmap: PLMap2D):
         mesh = self.mesh = plmap.mesh
-        U = self.positions = plmap.vertex_positions
-        corners = mesh.triangles.T.copy()  # (3, T)
-        ux, uy = U[:, 0][corners], U[:, 1][corners]
-        # Per-triangle columns: the first corner, and the inverse of the
-        # deformed edge matrix, B_rest @ inv(A), entry by entry.
-        self.u0x, self.u0y = ux[0], uy[0]
+        self.positions = plmap.vertex_positions
+        # Per-triangle (2, T) and (4, T) rows: the first image corner, and
+        # the inverse of the deformed edge matrix, B_rest @ inv(A), entry by
+        # entry (b00, b01, b10, b11).
+        self.u0 = np.ascontiguousarray(plmap.corners[:, 0])
         B = mesh.edge_inverse @ _inv22(plmap.A)
-        self.b00, self.b01, self.b10, self.b11 = np.ascontiguousarray(
-            B.reshape(-1, 4).T)
-        # The walk's rest columns: the first corner and the two edges.
-        rx, ry = mesh.vertices[:, 0][corners], mesh.vertices[:, 1][corners]
-        self.r0x, self.r0y = rx[0], ry[0]
-        self.e1x, self.e2x = rx[1:] - rx[0]
-        self.e1y, self.e2y = ry[1:] - ry[0]
-        self.thr = self._thresholds(ux[1:] - ux[0], uy[1:] - uy[0])
+        self.B = np.ascontiguousarray(B.reshape(-1, 4).T)
+        # The walk's rest rows: the first corner and the two edges.
+        rest = mesh.corners
+        self.r0 = np.ascontiguousarray(rest[:, 0])
+        self.e1, self.e2 = rest[:, 1] - rest[:, 0], rest[:, 2] - rest[:, 0]
+        self.thr = self._thresholds(*(plmap.corners[:, 1:] - plmap.corners[:, :1]))
 
     def _thresholds(self, ex, ey):
         """Per-triangle walk thresholds from the (2, T) image edge columns,
@@ -423,7 +464,7 @@ class _ImageLocator:
         if not np.all(cross_lo > 0.0) or not _star_shaped_loop(
                 self.positions[self.mesh.boundary_loop]):
             return None
-        b00, b01, b10, b11 = self.b00, self.b01, self.b10, self.b11
+        b00, b01, b10, b11 = self.B
         with np.errstate(over="ignore", invalid="ignore"):
             D = np.abs(e1x) + np.abs(e1y) + np.abs(e2x) + np.abs(e2y)
             beta = np.maximum(np.abs(b00) + np.abs(b01), np.abs(b10) + np.abs(b11))
@@ -446,18 +487,19 @@ class _ImageLocator:
         at = slice(None)  # where this step's results go: all, then ``rows``
         if self.thr is not None and n:
             # Each step writes every point it scores; a later step or the
-            # fallback overwrites the ones it does not accept.
-            qx, qy = pts[:, 0].copy(), pts[:, 1].copy()
-            x, y = np.clip(qx, -1.0, 1.0), np.clip(qy, -1.0, 1.0)
+            # fallback overwrites the ones it does not accept.  ``q`` holds
+            # the image points and ``xy`` the walk's positions, as (2, n) rows.
+            q = np.array(pts.T, order="C")
+            xy = _clamped(pts)
             for step in range(_NEWTON_STEPS + _HALF_STEPS):
-                t = _grid_cells(self.mesh, x, y)[0]
+                t = _grid_cells(self.mesh, xy)[0]
                 # The rule's expressions, in the scan's order: the same bits.
-                dx = qx - self.u0x[t]
-                dy = qy - self.u0y[t]
-                l1 = self.b00[t] * dx
-                l1 += self.b01[t] * dy
-                l2 = self.b10[t] * dx
-                l2 += self.b11[t] * dy
+                dx, dy = q - self.u0.take(t, axis=1)
+                b00, b01, b10, b11 = self.B.take(t, axis=1)
+                l1 = b00 * dx
+                l1 += b01 * dy
+                l2 = b10 * dx
+                l2 += b11 * dy
                 l0 = 1.0 - l1
                 l0 -= l2
                 tri[at] = t
@@ -467,17 +509,16 @@ class _ImageLocator:
                 rows = at = rows[left]
                 if not rows.size:
                     break
-                qx, qy, t, l1, l2 = (a[left] for a in (qx, qy, t, l1, l2))
-                to_x = self.r0x[t] + l1 * self.e1x[t] + l2 * self.e2x[t]
-                to_y = self.r0y[t] + l1 * self.e1y[t] + l2 * self.e2y[t]
-                np.clip(to_x, -1.0, 1.0, out=to_x)
-                np.clip(to_y, -1.0, 1.0, out=to_y)
+                q, t, l1, l2 = q[:, left], t[left], l1[left], l2[left]
+                to = self.r0.take(t, axis=1)
+                to += l1 * self.e1.take(t, axis=1)
+                to += l2 * self.e2.take(t, axis=1)
+                np.minimum(to, 1.0, out=to)
+                np.maximum(to, -1.0, out=to)
                 if step >= _NEWTON_STEPS:  # go halfway: breaks two-cycles
-                    to_x += x[left]
-                    to_x *= 0.5
-                    to_y += y[left]
-                    to_y *= 0.5
-                x, y = to_x, to_y
+                    to += xy[:, left]
+                    to *= 0.5
+                xy = to
         if rows.size:
             tri[rows], cols[:, rows] = self._scan_query(pts[rows], rows, layer_index)
         return tri, cols.T
@@ -491,16 +532,17 @@ class _ImageLocator:
         batch's first.
         """
         tri, ls = np.empty(len(pts), dtype=np.int64), np.empty((3, len(pts)))
-        step = max(1, _SCAN_PAIRS // self.u0x.size)
+        (u0x, u0y), (b00, b01, b10, b11) = self.u0, self.B
+        step = max(1, _SCAN_PAIRS // u0x.size)
         for lo in range(0, len(pts), step):
             block = slice(lo, lo + step)
             # (points, T) scores, by the walk's expressions in its order.
-            dx = pts[block, :1] - self.u0x
-            dy = pts[block, 1:] - self.u0y
-            l1 = self.b00 * dx
-            l1 += self.b01 * dy
-            l2 = self.b10 * dx
-            l2 += self.b11 * dy
+            dx = pts[block, :1] - u0x
+            dy = pts[block, 1:] - u0y
+            l1 = b00 * dx
+            l1 += b01 * dy
+            l2 = b10 * dx
+            l2 += b11 * dy
             l0 = 1.0 - l1
             l0 -= l2
             score = np.minimum(np.minimum(l0, l1), l2)

@@ -12,12 +12,15 @@ is injective on its slab domain.  Its Jacobian at p is the constant matrix
 value exactly 1 along the frame's extrusion axis; ``apply_lifted`` applies
 it through the 2x2 block ``A_t`` alone.
 
-Point batches are (N, 3); Jacobian chains are (3, k, N) row stacks, whose
-entries are contiguous columns over the points.  Triplane frames, the only
-kind a job file can ask for, are unsigned permutation matrices: products
-with them pick columns of a batch or rows of a stack, exact and free of BLAS
-calls (signed ones negate batch columns too).  Any other rotation takes the
-matmul path: the library API and explicit checkpoint frames accept any.
+The layer walk carries a point batch as a (3, N) block of rows, one per
+coordinate, and records each point's cell as (3, N) barycentric rows;
+Jacobian chains are (3, k, N) row stacks.  Every entry is a contiguous
+column over the points.  ``forward_step`` and ``inverse_step`` are the same
+steps on (N, 3) batches.  Triplane frames, the only kind a job file can ask
+for, are unsigned permutation matrices: products with them pick rows of a
+block or stack (columns of a batch), exact and free of BLAS calls; signed
+ones negate the picked rows too.  Any other rotation takes the matmul path:
+the library API and explicit checkpoint frames accept any.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ class Frame:
     When the rotation is a signed permutation, as every triplane frame is,
     ``__post_init__`` records each output column's source column and sign,
     and both methods index instead of multiplying: the same values, without
-    a BLAS call.  When it is unsigned, ``_rows`` lets ``plane_rows`` and
+    a BLAS call.  The layer walk (``forward_rows``) picks the same rows of
+    its (3, N) row blocks.  When it is unsigned, ``_rows`` lets ``plane_rows`` and
     ``apply_lifted`` pick rows of row stacks the same way.  Any other
     rotation keeps the matmul, the only path for the arbitrary rotations
     that the library API and explicit checkpoint frames accept.
@@ -161,16 +165,79 @@ def inverse_step(layer: PrismLayer, points):
     return frame.to_world(local), tri
 
 
-def apply_lifted(frame: Frame, A, X):
+def _row_pair(X, a, b):
+    """Rows ``a`` and ``b`` (a != b) of a (3, ...) block as one (2, ...) view."""
+    return X[a::b - a][:2]
+
+
+def _step_rows(layer: PrismLayer, X, corners, locate):
+    """One layer on a (3, N) block of rows: ``(image rows, tri, bary)``.
+
+    ``locate`` places the (N, 2) local points in cells ``(tri, bary)``, and
+    ``corners`` are the (2, 3, T) corner columns the barycentrics combine.
+    For a signed permutation the local plane is two rows of X, picked
+    (a view when unsigned) and negated where the frame says; the image
+    goes straight into the output's rows, and the local z row is copied.
+    """
+    frame = layer.frame
+    if frame._local is None:  # any other rotation: through the frame by matmul
+        local = frame.rotation.T @ X
+        tri, bary = locate(local[:2].T)  # locate copies: local is free after it
+        mesh2d.combine(corners, tri, bary.T, out=local[:2])
+        return frame.rotation @ local, tri, bary
+    (c0, c1, c2), signs = frame._local
+    xy = _row_pair(X, c0, c1)
+    tri, bary = locate((xy if signs is None else xy * signs[:2, None]).T)
+    out = np.empty(X.shape)
+    image = mesh2d.combine(corners, tri, bary.T, out=_row_pair(out, c0, c1))
+    if signs is not None:
+        image *= signs[:2, None]
+    out[c2] = X[c2]
+    return out, tri, bary
+
+
+def forward_rows(layer: PrismLayer, X, cells=None):
+    """:func:`forward_step` on a (3, N) block of rows: the image rows, and
+    ``(tri, bary)`` with ``bary`` the (N, 3) view of (3, N) rows.  ``cells``,
+    a pair of an (N,) int64 array and a (3, N) block, takes the cells in
+    place of new arrays."""
+    plmap = layer.plmap
+    return _step_rows(layer, X, plmap.corners, lambda p: mesh2d.locate_points(
+        plmap.mesh, p, layer_index=layer.layer_index, out=cells))
+
+
+def inverse_rows(layer: PrismLayer, X):
+    """:func:`inverse_step` on a (3, N) block of rows: the preimage rows,
+    ``tri`` and the (N, 3) barycentrics."""
+    plmap = layer.plmap
+    return _step_rows(layer, X, plmap.mesh.corners, lambda p: mesh2d.locate_image_points(
+        plmap, p, layer_index=layer.layer_index))
+
+
+def apply_lifted(frame: Frame, A, X, out=None):
     """``R lift(A) R^T X`` for (N, 2, 2) blocks ``A`` and (3, k, N) row stacks
-    ``X`` (or (3, k, 1), one matrix for all points), as a new row stack: the
+    ``X`` (or (3, k, 1), one matrix for all points), as a row stack: the
     only product with a layer Jacobian (``A_t``), its inverse or transpose.
-    ``A`` mixes rows 0 and 1 of ``R^T X``; for an unsigned permutation, local
-    row m is row ``c_m`` of both X and the result, written there in place."""
-    c0, c1, c2 = frame._rows or (0, 1, 2)
-    if frame._rows is None:
-        X = np.tensordot(frame.rotation, X, axes=(0, 0))  # R^T X
-    out = np.empty((3, X.shape[1], len(A)))
+    It is written into ``out`` (3, k, N) when given, which must not overlap
+    X.  ``A`` mixes rows 0 and 1 of ``R^T X``; for an unsigned permutation,
+    local row m is row ``c_m`` of both X and the result, written there in
+    place.  ``A`` reads fastest as the view of (2, 2, N) entry rows that
+    ``PLMap2D.factors`` gives."""
+    if frame._rows is not None:
+        return _mix(A, X, frame._rows, out)
+    local = _mix(A, np.tensordot(frame.rotation, X, axes=(0, 0)), (0, 1, 2))  # R^T X
+    world = np.tensordot(frame.rotation, local, axes=1)
+    if out is None:
+        return world
+    out[...] = world
+    return out
+
+
+def _mix(A, X, rows, out=None):
+    """X with rows ``c0``, ``c1`` replaced by their mix through ``A``."""
+    c0, c1, c2 = rows
+    if out is None:
+        out = np.empty((3, X.shape[1], len(A)))
     # out[c0] = a00 x0 + a01 x1 and out[c1] = a10 x0 + a11 x1, in place with
     # one temporary: every fresh large array costs page faults.
     t = A[:, 0, 1] * X[c1]
@@ -178,7 +245,7 @@ def apply_lifted(frame: Frame, A, X):
     np.multiply(A[:, 1, 0], X[c0], out=t)
     np.add(np.multiply(A[:, 1, 1], X[c1], out=out[c1]), t, out=out[c1])
     out[c2] = X[c2]
-    return out if frame._rows else np.tensordot(frame.rotation, out, axes=1)
+    return out
 
 
 def map_points(layer: PrismLayer, points):

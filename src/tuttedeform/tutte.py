@@ -52,7 +52,7 @@ from scipy.linalg import LinAlgError, cholesky_banded, get_lapack_funcs
 from scipy.special import expit
 
 from .errors import InternalError
-from .mesh2d import Mesh2D, PLMap2D, _det22, _edge_matrices, _readonly
+from .mesh2d import Mesh2D, PLMap2D, _det22, _edge_matrices, _readonly, corner_columns
 # Not called here: bench/tracing.py wraps ``tutte.realize_plmap`` by name.
 from .mesh2d import realize_plmap  # noqa: F401
 
@@ -348,8 +348,12 @@ def solve_tutte_with_system(mesh: Mesh2D, params: Sequence[TutteLayerParams]):
             "construction")
     system = TutteSystem(params=stacked, weights=_readonly(w), factor=factor,
                          positions=_readonly(U), A=_readonly(A), det=_readonly(det))
+    # Each map's rows over the triangles, gathered once for all layers.
+    corners = _readonly(corner_columns(U, mesh.triangles))
+    A_rows = _readonly(np.moveaxis(A, 1, -1))
     maps = tuple(PLMap2D(mesh=mesh, vertex_positions=system.positions[l], A=system.A[l],
-                         det=system.det[l]) for l in range(L))
+                         det=system.det[l], corners=corners[l], A_rows=A_rows[l])
+                 for l in range(L))
     return maps, system
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,18 @@ from tuttedeform.deform import realize
 from tuttedeform.mesh2d import build_mesh
 from tuttedeform.prism import triplane_frames
 from tuttedeform.tutte import TutteLayerParams
+
+
+def signed_permutations():
+    """The 24 proper rotations with entries in {-1, 0, 1}."""
+    out = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            R = np.zeros((3, 3))
+            R[range(3), perm] = signs
+            if np.linalg.det(R) > 0:
+                out.append(R)
+    return out
 
 
 def random_params(rng, mesh, scale=1.0):

@@ -9,11 +9,11 @@ from tuttedeform.deform import (DeformationNet, PointSet, forward, forward_trace
 from tuttedeform.errors import OutOfDomainError
 from tuttedeform.mesh2d import (_ImageLocator, _inv22, build_mesh, interpolate,
                                 locate_image_points, locate_points, realize_plmap)
-from tuttedeform.prism import (PrismLayer, apply_lifted, forward_step,
+from tuttedeform.prism import (Frame, PrismLayer, apply_lifted, forward_step,
                                frame_from_axis_angle, inverse_step, triplane_frames)
 from tuttedeform.tutte import identity_params
 
-from conftest import random_net
+from conftest import random_net, signed_permutations
 
 
 def test_pointset_validation():
@@ -266,3 +266,98 @@ def test_forward_is_deterministic():
     a = forward(realize(mesh, params, triplane_frames(3)), pts)
     b = forward(realize(mesh, params, triplane_frames(3)), pts)
     assert np.array_equal(a, b)
+
+
+def _step_chains(net, pts, images):
+    """The oracle of the row walk: chains of (N, 3) ``forward_step`` and
+    ``inverse_step`` calls, with the Jacobian products on their cells."""
+    x, J, cells, prefixes = pts, np.eye(3)[:, :, None], [], []
+    for layer in net.layers:
+        prefixes.append(np.broadcast_to(J, (3, 3, len(pts))))
+        x, tri, bary = forward_step(layer, x)
+        cells.append((tri, bary))
+        J = apply_lifted(layer.frame, layer.plmap.A[tri], J)
+    y, Ji = images, np.eye(3)[:, :, None]
+    for layer in reversed(net.layers):
+        y, tri = inverse_step(layer, y)
+        Ji = apply_lifted(layer.frame, _inv22(layer.plmap.A[tri]), Ji)
+    return dict(forward=x, inverse=y, jacobians=J.transpose(2, 0, 1),
+                inverse_jacobians=Ji.transpose(2, 0, 1),
+                tris=np.stack([t for t, _ in cells]),
+                barys=np.stack([b for _, b in cells]), prefixes=np.stack(prefixes))
+
+
+def _walk_outputs(net, pts, images):
+    trace = forward_trace(net, pts, need_jacobian=True)
+    assert np.array_equal(trace.jac, jacobians(net, pts))
+    assert np.array_equal(trace.outputs, forward(net, pts))
+    return dict(forward=forward(net, pts), inverse=inverse(net, images),
+                jacobians=jacobians(net, pts),
+                inverse_jacobians=inverse_jacobians(net, images),
+                tris=trace.tris, barys=trace.barys, prefixes=trace.prefixes)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("order", ["listed", "shuffled"])
+def test_row_walk_matches_the_step_chain_bit_for_bit(order):
+    # Every signed permutation frame once, in two orders (a sign slip on one
+    # layer can be undone by a later one in a given order), on points that
+    # sit on gridlines, box faces and box corners, where ties decide the cells.
+    rng = np.random.default_rng(20)
+    frames = [Frame(R) for R in signed_permutations()]
+    if order == "shuffled":
+        frames = [frames[i] for i in rng.permutation(len(frames))]
+    net = random_net(rng, resolution=7, layers=len(frames), scale=1.5, frames=frames)
+    g = net.mesh.grid
+    on_grid = rng.choice(g, size=(300, 3))
+    on_grid[:, 0] = rng.uniform(-1, 1, 300)  # one free coordinate per point
+    faces = rng.uniform(-1, 1, size=(300, 3))
+    faces[np.arange(300), rng.integers(0, 3, 300)] = rng.choice([-1.0, 1.0], 300)
+    corners = np.stack(np.meshgrid(*[[-1.0, 1.0]] * 3, indexing="ij"), -1).reshape(-1, 3)
+    pts = np.concatenate([on_grid, faces, corners, rng.uniform(-1, 1, (300, 3))])
+    images = forward_step(net.layers[0], pts)[0]
+    for layer in net.layers[1:]:
+        images = forward_step(layer, images)[0]
+    want, got = _step_chains(net, pts, images), _walk_outputs(net, pts, images)
+    for key, w in want.items():
+        assert got[key].shape == w.shape, key
+        assert _bits(got[key]) == _bits(w), key
+
+
+def test_row_walk_on_tilted_frames_is_within_rounding():
+    # Frames off every permutation rotate by matmul in both layouts, which
+    # may round differently: each output agrees within 4e-15 of its largest
+    # entry, and every point lands in the same cells.
+    rng = np.random.default_rng(21)
+    for seed in range(4):
+        frames = [frame_from_axis_angle(rng.normal(size=3), rng.uniform(-3, 3))
+                  for _ in range(4)]
+        net = random_net(rng, resolution=7, layers=4, scale=1.2, frames=frames)
+        pts = rng.uniform(-0.3, 0.3, size=(400, 3))
+        images = forward(net, pts)
+        want, got = _step_chains(net, pts, images), _walk_outputs(net, pts, images)
+        assert np.array_equal(got["tris"], want["tris"])
+        for key, w in want.items():
+            assert got[key].shape == w.shape, key
+            assert np.abs(got[key] - w).max() <= 4e-15 * np.abs(w).max(), key
+
+
+def test_empty_batches_keep_their_shapes():
+    net = random_net(np.random.default_rng(22), resolution=5, layers=3)
+    empty = np.zeros((0, 3))
+    for fn in (forward, inverse):
+        assert fn(net, empty).shape == (0, 3)
+        assert len(fn(net, PointSet(empty))) == 0
+    for fn in (jacobians, inverse_jacobians):
+        assert fn(net, empty).shape == (0, 3, 3)
+    for need in (False, True):
+        trace = forward_trace(net, empty, need_jacobian=need)
+        assert trace.outputs.shape == (0, 3)
+        assert trace.tris.shape == (3, 0) and trace.barys.shape == (3, 0, 3)
+        if need:
+            assert trace.jac.shape == (0, 3, 3) and trace.prefixes.shape == (3, 3, 3, 0)
+        else:
+            assert trace.jac is None and trace.prefixes is None

@@ -904,3 +904,63 @@ def test_grid_file_overflowing_numbers_are_config_errors(extreme_workdir, key):
     assert code == 2, err
     assert f"{grid}: 1e999 overflows float64" in err
     assert "Traceback" not in err and not warned
+
+
+@pytest.mark.parametrize("command", ["apply", "check"])
+@pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
+def test_checkpoint_edge_weight_rows_of_the_wrong_length(extreme_workdir, command, change):
+    # A resolution-3 mesh has 16 edges.  A short or long row used to pass the
+    # reader and be rejected by the Tutte solve, naming neither the file nor
+    # the key ("expected 16 raw edge weights for resolution 3, got 15").
+    d = _checkpoint_dict("triplane")
+    row = d["raw_edge_weights"][1]
+    d["raw_edge_weights"][1] = row[:change] if change < 0 else row + [0.5] * change
+    code, err, warned, ck_path = _run_on_checkpoint(extreme_workdir, command, d)
+    assert code == 2, err
+    assert f"{ck_path}: key raw_edge_weights[1] must hold an array of 16 numbers" in err
+    assert "Traceback" not in err and not warned
+
+
+def _syntax_error_at(text):
+    """json's line and column for the syntax error in ``text``."""
+    with pytest.raises(json.JSONDecodeError) as ei:
+        json.loads(text)
+    return ei.value.lineno, ei.value.colno
+
+
+def test_checkpoint_json_syntax_error_names_file_line_and_column(extreme_workdir):
+    text = json.dumps(_checkpoint_dict("triplane"), indent=1).replace(
+        '"layers": 2,', '"layers": 2,,')
+    line, col = _syntax_error_at(text)
+    assert line > 1
+    ck_path = extreme_workdir / "syntax.ckpt.json"
+    ck_path.write_text(text)
+    path = extreme_workdir / "check_syntax.json"
+    path.write_text(json.dumps({"workflow": "check", "input": {"checkpoint": ck_path.name}}))
+    code, err, warned = _run_main("check", str(path))
+    assert code == 2, err
+    assert f"{ck_path}: invalid JSON at line {line} column {col}: " in err
+    assert "Traceback" not in err and not warned
+
+
+def test_grid_file_json_syntax_error_names_file_line_and_column(extreme_workdir):
+    grid = extreme_workdir / "syntax_grid.json"
+    text = '{"dims": [2, 2, 2],\n "origin": [-0.5, -0.5, -0.5,],\n "spacing": [0.5, 0.5, 0.5]}'
+    line, col = _syntax_error_at(text)
+    assert line == 2
+    grid.write_text(text)
+    path = extreme_workdir / "syntax_grid_job.json"
+    path.write_text(json.dumps(_plain_job(grid.name)))
+    code, err, warned = _run_main("elastic", str(path))
+    assert code == 2, err
+    assert f"{grid}: invalid JSON at line 2 column {col}: Expecting value" in err
+    assert "Traceback" not in err and not warned
+
+
+def test_jobfile_json_syntax_error_message_is_unchanged(extreme_workdir):
+    path = extreme_workdir / "syntax_job.json"
+    path.write_text('{"workflow": }')
+    code, err, warned = _run_main("elastic", str(path))
+    assert code == 2, err
+    assert f"{path} is not valid JSON: Expecting value: line 1 column 14 (char 13)" in err
+    assert "Traceback" not in err and not warned

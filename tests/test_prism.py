@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
@@ -11,19 +9,7 @@ from tuttedeform.prism import (Frame, PrismLayer, apply_lifted,
                                map_points, triplane_frames)
 from tuttedeform.tutte import identity_params, solve_tutte
 
-from conftest import random_params
-
-
-def signed_permutations():
-    """The 24 proper rotations with entries in {-1, 0, 1}."""
-    out = []
-    for perm in itertools.permutations(range(3)):
-        for signs in itertools.product((1.0, -1.0), repeat=3):
-            R = np.zeros((3, 3))
-            R[range(3), perm] = signs
-            if np.linalg.det(R) > 0:
-                out.append(R)
-    return out
+from conftest import random_params, signed_permutations
 
 
 def is_permutation(R):
