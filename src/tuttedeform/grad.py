@@ -196,7 +196,7 @@ def _parameter_half(net: DeformationNet, dU, dA, reg_coef):
     return d_edges, d_boundary
 
 
-def _trace_terms(net: DeformationNet, config: LossConfig):
+def _trace_terms(net: DeformationNet, config: LossConfig, carry=None):
     """Every loss value under ``config`` from one orbit trace.
 
     The batch holds the handle points, then the elastic samples, then the
@@ -204,7 +204,9 @@ def _trace_terms(net: DeformationNet, config: LossConfig):
     on.  Returns ``(values, trace, g_out, g_jac)``: the cotangents of the
     total with respect to the batch's images and Jacobians.  ``trace`` and
     ``g_out`` are None when no term has points, ``g_jac`` when the elastic
-    term is off.
+    term is off.  ``carry``, a one-item list, holds a trace that the
+    forward pass may overwrite (``forward_trace``'s ``out``), and then
+    this call's trace.
     """
     w = config.weights
     w_el = w.elastic_at(config.step)
@@ -221,7 +223,10 @@ def _trace_terms(net: DeformationNet, config: LossConfig):
 
     batch = np.concatenate([s.points for s in sets]) if sets else np.zeros((0, 3))
     if len(batch):
-        trace = forward_trace(net, batch, need_jacobian=n_el > 0)
+        trace = forward_trace(net, batch, need_jacobian=n_el > 0,
+                              out=None if carry is None else carry[0])
+        if carry is not None:
+            carry[0] = trace
         g_out = np.zeros((3, len(batch))).T  # the (N, 3) view of rows
 
     ofs = 0
@@ -281,15 +286,17 @@ def evaluate(net: DeformationNet, config: LossConfig) -> LossValues:
     return _trace_terms(net, config)[0]
 
 
-def evaluate_with_gradient(net: DeformationNet, config: LossConfig):
+def evaluate_with_gradient(net: DeformationNet, config: LossConfig, *, _carry=None):
     """Loss values and the exact gradient of their weighted total.
 
     Returns ``(LossValues, ParamGradient)``.  The gradient is exact for the
     piecewise definition of the losses: triangle memberships and distortion
     multipliers are treated as locally constant, which matches the losses
-    almost everywhere.
+    almost everywhere.  ``_carry`` is internal to the optimizer loop: a
+    one-item list whose trace each call overwrites and replaces (see
+    ``_trace_terms``), so that steps reuse its buffers.
     """
-    loss, trace, g_out, g_jac = _trace_terms(net, config)
+    loss, trace, g_out, g_jac = _trace_terms(net, config, _carry)
     reg_coef = (4.0 * config.weights.reg / net.num_layers
                 if config.use_regularization else None)
     d_edges, d_boundary = _parameter_half(

@@ -177,17 +177,22 @@ def _log_line(step, loss, lr, extra=""):
 def _run(mesh, spec: NetSpec, make_config: Callable[[int], LossConfig],
          lr: LearningRate, stop: StopRule, log_every: int):
     """Adam from the initial parameters until ``stop``; returns the final
-    net, the loss history (one entry per step run) and the elapsed seconds."""
+    net, the loss history (one entry per step run) and the elapsed seconds.
+
+    Each step's orbit trace refills the last step's arrays, whose batch has
+    the same size, instead of faulting in fresh pages; that trace never
+    leaves this loop."""
     frames = spec.make_frames()
     flat = pack_params(init_params(mesh, spec.layers))
     adam = AdamState(flat.size)
     history = []
+    carry = [None]  # the last step's trace
     t0 = time.perf_counter()
     for step in range(stop.max_steps):
         params = unpack_params(mesh, flat, spec.layers)
         net = realize(mesh, params, frames)
         with _numerically_checked(f"at step {step}"):
-            loss, grad = evaluate_with_gradient(net, make_config(step))
+            loss, grad = evaluate_with_gradient(net, make_config(step), _carry=carry)
             history.append(_check_total(loss, f"at step {step}"))
             rate = lr.at(step)
             if log_every and step % log_every == 0:

@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
+from tuttedeform import deform
 from tuttedeform.deform import (DeformationNet, PointSet, forward, forward_trace,
                                 inverse, inverse_jacobians, jacobians, realize)
-from tuttedeform.errors import OutOfDomainError
+from tuttedeform.errors import NotInImageError, OutOfDomainError
 from tuttedeform.mesh2d import (_ImageLocator, _inv22, build_mesh, interpolate,
                                 locate_image_points, locate_points, realize_plmap)
 from tuttedeform.prism import (Frame, PrismLayer, apply_lifted, forward_step,
@@ -361,3 +362,105 @@ def test_empty_batches_keep_their_shapes():
             assert trace.jac.shape == (0, 3, 3) and trace.prefixes.shape == (3, 3, 3, 0)
         else:
             assert trace.jac is None and trace.prefixes is None
+
+
+def _blocked_and_one_walk(monkeypatch, fn):
+    """``fn()`` with the batch in blocks of ``_BLOCK``, then in one walk."""
+    blocked = fn()
+    with monkeypatch.context() as m:
+        m.setattr(deform, "_BLOCK", 1 << 30)
+        return blocked, fn()
+
+
+def test_blocked_walks_match_one_walk_bit_for_bit(monkeypatch):
+    # Two full blocks and a ragged one: rows written at a wrong offset, or a
+    # block left out, change the bytes.
+    rng = np.random.default_rng(23)
+    net = random_net(rng, resolution=7, layers=4, scale=1.5)
+    n = 2 * deform._BLOCK + 17
+    pts = rng.uniform(-1, 1, size=(n, 3))
+    weights = rng.uniform(0, 2, n)
+    images = forward(net, pts[:, ::-1].copy())  # points in the image, inverted below
+    for name, fn in [
+            ("forward", lambda: forward(net, pts)),
+            ("pointset", lambda: forward(net, PointSet(pts, weights)).points),
+            ("jacobians", lambda: jacobians(net, pts)),
+            ("inverse", lambda: inverse(net, images)),
+            ("inverse_pointset", lambda: inverse(net, PointSet(images, weights)).points),
+            ("inverse_jacobians", lambda: inverse_jacobians(net, images))]:
+        blocked, whole = _blocked_and_one_walk(monkeypatch, fn)
+        assert blocked.shape == whole.shape == (n,) + whole.shape[1:], name
+        assert _bits(blocked) == _bits(whole), name
+    mapped = forward(net, PointSet(pts, weights))
+    assert mapped.weights.tobytes() == weights.tobytes()
+
+
+def test_blocked_walk_raises_the_one_walk_error(monkeypatch):
+    # Block 1's point ``mid`` leaves the box at layer 2, whose frame turns 45
+    # degrees about z, walked either way; block 2's point ``late`` lies
+    # outside the box and fails at the first layer walked, 0 forward and 3
+    # inverse.  One walk meets that layer first, and names the point by its
+    # index in the whole batch, not in its block.
+    mesh = build_mesh(5)
+    frames = triplane_frames(2) + [frame_from_axis_angle([0, 0, 1], np.pi / 4)] + \
+        triplane_frames(1)
+    net = realize(mesh, [identity_params(mesh)] * 4, frames)
+    n = 2 * deform._BLOCK + 17
+    pts = np.random.default_rng(24).uniform(-0.5, 0.5, size=(n, 3))
+    mid, late = deform._BLOCK + 100, 2 * deform._BLOCK + 5
+    pts[mid] = [0.95, 0.95, 0.0]
+    pts[late] = [0.0, 0.0, 1.5]
+
+    def error(fn, kind, batch):
+        with pytest.raises(kind) as info:
+            fn(net, batch)
+        e = info.value
+        return type(e), str(e), e.point_index, e.layer_index, e.point.tobytes()
+
+    for fn, kind, first in (
+            (forward, OutOfDomainError, 0),
+            (jacobians, OutOfDomainError, 0),
+            (lambda net, p: forward(net, PointSet(p)), OutOfDomainError, 0),
+            (inverse, NotInImageError, 3),
+            (inverse_jacobians, NotInImageError, 3),
+            (lambda net, p: inverse(net, PointSet(p)), NotInImageError, 3)):
+        blocked, whole = _blocked_and_one_walk(monkeypatch, lambda: error(fn, kind, pts))
+        assert blocked == whole
+        assert blocked[2:4] == (late, first)
+        # Without the outside point, block 1's fails at layer 2.
+        inside = np.delete(pts, late, axis=0)
+        blocked, whole = _blocked_and_one_walk(monkeypatch, lambda: error(fn, kind, inside))
+        assert blocked == whole
+        assert blocked[2:4] == (mid, 2)
+
+
+def test_forward_trace_refills_a_trace_of_the_same_shape():
+    rng = np.random.default_rng(25)
+    net = random_net(rng, resolution=7, layers=3)
+    a, b = rng.uniform(-1, 1, size=(2, 300, 3))
+    fields = ("points", "outputs", "tris", "barys", "jac", "prefixes")
+
+    def bits(trace):
+        return [_bits(getattr(trace, k)) for k in fields]
+
+    first = forward_trace(net, a, need_jacobian=True)
+    kept = bits(first)
+    spare = forward_trace(net, b, need_jacobian=True)
+    arrays = spare.tris, spare.barys, spare.prefixes
+    again = forward_trace(net, a, need_jacobian=True, out=spare)
+    assert again is spare
+    assert all(x is y for x, y in zip(arrays, (again.tris, again.barys, again.prefixes)))
+    assert bits(again) == bits(forward_trace(net, a, need_jacobian=True)) == kept
+    assert bits(first) == kept  # a trace no call was handed is never written
+
+    # Another N, or Jacobians on one side only: new arrays, ``out`` untouched.
+    before = bits(spare)
+    for batch, need in ((a[:-1], True), (a, False)):
+        other = forward_trace(net, batch, need_jacobian=need, out=spare)
+        assert other is not spare
+        assert not np.shares_memory(other.tris, spare.tris)
+        assert not np.shares_memory(other.barys, spare.barys)
+        assert bits(spare) == before
+    plain = forward_trace(net, b)
+    assert forward_trace(net, a, need_jacobian=True, out=plain) is not plain
+    assert forward_trace(net, a, out=plain) is plain

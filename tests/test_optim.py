@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from tuttedeform import optim
+from tuttedeform import grad, optim
 from tuttedeform.deform import PointSet, forward, realize
 from tuttedeform.energy import HandleConstraint, LossWeights
 from tuttedeform.errors import NumericalError
 from tuttedeform.mesh2d import build_mesh
 from tuttedeform.optim import (AdamState, ElasticJob, FitJob, LearningRate,
                                NetSpec, StopRule, adam_step, init_params,
-                               run_elastic, run_fit)
+                               pack_params, run_elastic, run_fit)
 from tuttedeform.prism import triplane_frames
 
 from conftest import fibonacci_sphere, random_net
@@ -176,3 +176,51 @@ def test_run_fit_rejects_a_mismatched_target_before_step_0(monkeypatch):
     with pytest.raises(ValueError):
         run_fit(job)
     assert steps == []
+
+
+def test_carried_trace_leaves_every_step_bit_for_bit(monkeypatch):
+    # 25 steps of each loop, carrying one trace from step to step and then
+    # tracing afresh each step: the same loss history and final parameters,
+    # byte for byte.  Every step after the first refills the carried trace.
+    rng = np.random.default_rng(6)
+    pts = rng.uniform(-0.4, 0.4, size=(200, 3))
+    src = fibonacci_sphere(150)
+    jobs = [
+        (run_elastic, ElasticJob(
+            constraints=[HandleConstraint(points=PointSet(pts[:40]),
+                                          translation=np.array([0.0, 0.05, 0.0]))],
+            free_samples=PointSet(pts[40:], rng.uniform(0.5, 2.0, 160)),
+            spec=NetSpec(layers=3, resolution=5), lr=LearningRate(0.02, 0.002, 25),
+            max_steps=25, log_every=1000)),
+        (run_fit, FitJob(
+            source=PointSet(src),
+            target_vertices=forward(random_net(rng, resolution=5, layers=2, scale=0.6), src),
+            spec=NetSpec(layers=3, resolution=5), max_steps=25, log_every=1000)),
+    ]
+    traces = []
+
+    def recorded(net, points, need_jacobian=False, out=None, _fn=grad.forward_trace):
+        trace = _fn(net, points, need_jacobian=need_jacobian, out=out)
+        traces.append((out, trace))
+        return trace
+
+    def fresh(net, config, _carry=None, _fn=optim.evaluate_with_gradient):
+        return _fn(net, config)
+
+    monkeypatch.setattr(grad, "forward_trace", recorded)
+    for run, job in jobs:
+        traces.clear()
+        net, carried = run(job)
+        outs = [out for out, _ in traces[:25]]
+        assert outs[0] is None
+        assert all(out is trace for out, (_, trace) in zip(outs[1:], traces[:25]))
+        assert all(trace is out for out, trace in traces[1:25])  # refilled
+        with monkeypatch.context() as m:
+            m.setattr(optim, "evaluate_with_gradient", fresh)
+            traces.clear()
+            again, alone = run(job)
+            assert all(out is None for out, _ in traces)
+        assert np.array(carried.loss_history).tobytes() == \
+            np.array(alone.loss_history).tobytes()
+        assert carried.final_loss == alone.final_loss
+        assert pack_params(net.params).tobytes() == pack_params(again.params).tobytes()
