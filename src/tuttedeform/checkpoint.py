@@ -30,9 +30,11 @@ FORMAT_VERSION = 1
 
 @dataclass
 class Checkpoint:
+    """A stored net; ``params`` stacks its layers' raw parameters."""
+
     resolution: int
     frames: Sequence[Frame]
-    params: Sequence[TutteLayerParams]
+    params: TutteLayerParams
     frames_kind: str = "explicit"  # "triplane" | "explicit"
     normalization: Normalization = field(default_factory=Normalization.identity)
     seed: Optional[int] = None
@@ -40,11 +42,11 @@ class Checkpoint:
 
     @property
     def layers(self):
-        return len(self.params)
+        return len(self.params.raw_edge_weights)
 
     def realize(self) -> DeformationNet:
         mesh = build_mesh(self.resolution)
-        return realize(mesh, list(self.params), list(self.frames))
+        return realize(mesh, self.params, list(self.frames))
 
 
 def from_net(net: DeformationNet, normalization=None, seed=None,
@@ -54,7 +56,7 @@ def from_net(net: DeformationNet, normalization=None, seed=None,
     return Checkpoint(
         resolution=net.mesh.resolution,
         frames=list(net.frames),
-        params=list(net.params),
+        params=net.params,
         frames_kind=frames_kind,
         normalization=normalization or Normalization.identity(),
         seed=seed,
@@ -67,10 +69,6 @@ def _is_triplane(frames):
     return all(np.array_equal(f.rotation, r.rotation) for f, r in zip(frames, ref))
 
 
-def _floats(a):
-    return [float(x) for x in np.asarray(a, dtype=np.float64).ravel()]
-
-
 def to_dict(ck: Checkpoint) -> dict:
     d = {
         "format": FORMAT_NAME,
@@ -78,15 +76,14 @@ def to_dict(ck: Checkpoint) -> dict:
         "resolution": int(ck.resolution),
         "layers": int(ck.layers),
         "normalization": ck.normalization.to_dict(),
-        "raw_edge_weights": [_floats(p.raw_edge_weights) for p in ck.params],
-        "raw_boundary_increments": [_floats(p.raw_boundary_increments)
-                                    for p in ck.params],
+        "raw_edge_weights": ck.params.raw_edge_weights.tolist(),
+        "raw_boundary_increments": ck.params.raw_boundary_increments.tolist(),
     }
     if ck.frames_kind == "triplane":
         d["frames"] = {"kind": "triplane"}
     else:
         d["frames"] = {"kind": "explicit",
-                       "matrices": [_floats(f.rotation) for f in ck.frames]}
+                       "matrices": [f.rotation.ravel().tolist() for f in ck.frames]}
     if ck.seed is not None:
         d["seed"] = int(ck.seed)
     if ck.config_hash is not None:
@@ -140,6 +137,8 @@ def from_dict(d) -> Checkpoint:
         raise ValueError(f"unsupported checkpoint version {d.get('version')!r}")
     res = _field(d, "resolution", (int,))
     layers = _field(d, "layers", (int,))
+    if layers < 1:
+        raise ValueError(f"key layers must be at least 1, got {layers}")
     # Row counts bound ``layers``, and the rows' widths (the mesh's edge
     # and boundary vertex counts) the resolution, by the file's size before
     # any frame or mesh is built.
@@ -162,8 +161,7 @@ def from_dict(d) -> Checkpoint:
                          f"inverse, got {scale!r}")
     return Checkpoint(
         resolution=res, frames=frames, frames_kind=kind,
-        params=[TutteLayerParams(raw_edge_weights=w, raw_boundary_increments=b)
-                for w, b in zip(ew, bi)],
+        params=TutteLayerParams(np.stack(ew), np.stack(bi)),
         normalization=Normalization(center=center, scale=scale),
         seed=_field(d, "seed", (int,)) if "seed" in d else None,
         config_hash=_field(d, "config_hash", (str,)) if "config_hash" in d else None,

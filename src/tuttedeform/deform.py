@@ -29,7 +29,7 @@ from . import prism
 from .errors import DeformError
 from .mesh2d import Mesh2D, _inv22, _readonly, _reject_non_finite
 from .prism import Frame, PrismLayer
-from .tutte import TutteLayerParams, TutteSystem, solve_tutte_with_system
+from .tutte import TutteLayerParams, TutteSystem, solve_tutte_with_system, stack_params
 
 
 @dataclass(frozen=True)
@@ -61,45 +61,43 @@ class PointSet:
 class DeformationNet:
     """Composition of prismatic layers; layer 0 is applied first.
 
-    ``layers`` and ``system`` are a pure cache of ``params``: re-realizing
-    the stored parameters reproduces them exactly.  ``system`` is the one
-    ``TutteSystem`` of all layers: the band factor the adjoint solves reuse,
-    and the stacked raw parameters, weights, positions, ``A`` and ``det``
-    that each layer's map views and the backward reads.
+    ``system``, the one ``TutteSystem`` of all layers, holds the net's only
+    copy of its raw parameters (``params``, one stack), the band factor the
+    adjoint solves reuse, and the stacked weights, positions, ``A`` and
+    ``det`` that the layers' maps view and the backward reads.  ``layers``
+    is a pure cache: re-realizing ``params`` reproduces it exactly.
     """
 
     mesh: Mesh2D
-    params: tuple                  # tuple[TutteLayerParams]
     frames: tuple                  # tuple[Frame]
     layers: tuple                  # tuple[PrismLayer]
     system: TutteSystem
+
+    @property
+    def params(self) -> TutteLayerParams:
+        return self.system.params
 
     @property
     def num_layers(self) -> int:
         return len(self.layers)
 
 
-def realize(mesh: Mesh2D, params: Sequence[TutteLayerParams],
-            frames: Sequence[Frame]) -> DeformationNet:
+def realize(mesh: Mesh2D, params, frames: Sequence[Frame]) -> DeformationNet:
     """Solve every layer and assemble the composite net.
 
-    Validates shapes, then solves all layers with one stacked call that
-    certifies injectivity over every triangle of every layer (strictly
-    positive determinants).  Raises ValueError on empty or mismatched
-    inputs.
+    ``params`` is one stacked TutteLayerParams, or a sequence of per-layer
+    ones to stack.  One stacked solve certifies injectivity over every
+    triangle of every layer (strictly positive determinants).  Raises
+    ValueError on empty or mismatched inputs.
     """
-    params = tuple(params)
-    frames = tuple(frames)
-    if len(params) == 0:
-        raise ValueError("a deformation net needs at least one layer")
-    if len(params) != len(frames):
-        raise ValueError(
-            f"got {len(params)} parameter sets but {len(frames)} frames")
+    params, frames = stack_params(params), tuple(frames)
+    L = len(params.raw_edge_weights)
+    if L != len(frames):
+        raise ValueError(f"got {L} parameter sets but {len(frames)} frames")
     maps, system = solve_tutte_with_system(mesh, params)
     layers = tuple(PrismLayer(frame=f, plmap=plmap, layer_index=idx)
                    for idx, (plmap, f) in enumerate(zip(maps, frames)))
-    return DeformationNet(mesh=mesh, params=params, frames=frames,
-                          layers=layers, system=system)
+    return DeformationNet(mesh=mesh, frames=frames, layers=layers, system=system)
 
 
 def _point_array(points):

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .deform import PointSet
+from .deform import DeformationNet, PointSet
 from .mesh2d import _det22, _edge_matrices, _inv22, _readonly
-from .prism import PrismLayer
 
 # Distortion-adaptive reweighting: samples whose strain energy exceeds the
 # first threshold count double, beyond the second they count five-fold.
@@ -85,14 +84,14 @@ class HandleConstraint:
         return self.points.points @ self.rotation.T + self.translation
 
 
-def layer_regularization(layer: PrismLayer) -> float:
-    """Exact strain integral of one layer's 2D map over the square.
+def layer_regularization(net: DeformationNet):
+    """Exact strain integral of each layer's 2D map over the square, an (L,)
+    array computed from the net's stacked ``A``.
 
-    The map is affine per triangle, so the integral is the sum of rest
+    Each map is affine per triangle, so its integral is the sum of rest
     triangle areas times per-triangle strain energy; no sampling error.
     """
-    return float(np.sum(layer.plmap.mesh.areas
-                        * strain_energy_density(layer.plmap.A)))
+    return np.sum(net.mesh.areas * strain_energy_density(net.system.A), axis=-1)
 
 
 @dataclass(frozen=True)

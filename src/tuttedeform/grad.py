@@ -46,21 +46,19 @@ from .energy import (HandleConstraint, LossWeights, _quarter_strain_gradient,
                      strain_energy_density, triangle_gradient_frames)
 from .errors import NumericalError
 from .mesh2d import _edge_matrices
-from .tutte import tutte_backward
+from .tutte import flat_layout, tutte_backward
 
 
 @dataclass(frozen=True)
 class ParamGradient:
-    """Gradient with the same per-layer structure as the raw parameters."""
+    """Gradient in the stacked raw parameters' shapes: row l is layer l's."""
 
-    edge_weights: tuple      # (E,) arrays, one per layer: rows of one (L, E) stack
-    boundary_increments: tuple  # (m,) arrays: rows of one (L, m) stack
+    edge_weights: np.ndarray         # (L, E)
+    boundary_increments: np.ndarray  # (L, m)
 
     def flat(self):
-        parts = []
-        for e, b in zip(self.edge_weights, self.boundary_increments):
-            parts.extend([e, b])
-        return np.concatenate(parts)
+        """The gradient in the flat layout of ``optim.pack_params``."""
+        return flat_layout(self.edge_weights, self.boundary_increments)
 
 
 @dataclass(frozen=True)
@@ -270,8 +268,8 @@ def _trace_terms(net: DeformationNet, config: LossConfig, carry=None):
             _add_edge_cotangents(g_fit, tris, dEd)
 
     if config.use_regularization:
-        for layer in net.layers:
-            values["reg"] += layer_regularization(layer) / net.num_layers
+        for r in layer_regularization(net):
+            values["reg"] += float(r) / net.num_layers
 
     total = (w_el * values["elastic"] + w.handle * values["handle"]
              + w.reg * values["reg"]
@@ -301,5 +299,4 @@ def evaluate_with_gradient(net: DeformationNet, config: LossConfig, *, _carry=No
                 if config.use_regularization else None)
     d_edges, d_boundary = _parameter_half(
         net, *_backward_sweep(net, trace, g_out, g_jac), reg_coef)
-    return loss, ParamGradient(edge_weights=tuple(d_edges),
-                               boundary_increments=tuple(d_boundary))
+    return loss, ParamGradient(edge_weights=d_edges, boundary_increments=d_boundary)

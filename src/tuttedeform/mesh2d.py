@@ -285,29 +285,21 @@ class PLMap2D:
     On each rest triangle t the map is affine with linear part ``A[t]``; it
     is evaluated by barycentric interpolation of ``vertex_positions``.
     ``det`` holds the per-triangle determinants; a map realized from a Tutte
-    embedding has all determinants strictly positive.  Instances are frozen
-    in practice: arrays are read-only and the image-side locator is the only
-    lazily built (cached) member.
-
-    ``corners`` and ``A_rows`` hold the positions and ``A`` again as rows
-    over the triangles, so that a point batch gathers whole rows; they are
-    built from the other two unless given.
+    embedding has all determinants strictly positive.  ``corners`` and
+    ``A_rows`` hold the positions and ``A`` again as rows over the
+    triangles, so that a point batch gathers whole rows.  Instances are
+    frozen in practice: every map comes from :func:`realize_plmaps`, its
+    arrays are read-only, and the image-side locator is the only lazily
+    built (cached) member.
     """
 
     mesh: Mesh2D
     vertex_positions: np.ndarray  # (V, 2) deformed vertex positions
     A: np.ndarray                 # (T, 2, 2)
     det: np.ndarray               # (T,)
-    corners: np.ndarray = field(default=None, repr=False, compare=False)  # (2, 3, T)
-    A_rows: np.ndarray = field(default=None, repr=False, compare=False)   # (2, 2, T)
+    corners: np.ndarray = field(repr=False, compare=False)  # (2, 3, T)
+    A_rows: np.ndarray = field(repr=False, compare=False)   # (2, 2, T)
     _locator: object = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.corners is None:
-            self.corners = _readonly(corner_columns(self.vertex_positions,
-                                                    self.mesh.triangles))
-        if self.A_rows is None:
-            self.A_rows = _readonly(np.moveaxis(self.A, 0, -1))
 
     def factors(self, tri):
         """``A[tri]`` as an (N, 2, 2) view of (2, 2, N) entry rows: each
@@ -321,26 +313,32 @@ class PLMap2D:
         return self._locator
 
 
-def realize_plmap(mesh: Mesh2D, vertex_positions) -> PLMap2D:
-    """Realize per-triangle linear factors from deformed vertex positions.
-
-    ``A_t`` maps each rest triangle's two edge vectors onto its deformed
-    ones.
+def realize_plmaps(mesh: Mesh2D, positions):
+    """``(maps, A, det)`` of an (L, V, 2) stack of deformed vertex positions:
+    each layer's map, the stacked linear factors ``A`` (L, T, 2, 2), which
+    take each rest triangle's edge vectors onto its deformed ones, and their
+    determinants (L, T).  The maps are read-only views into ``positions``,
+    which is marked read-only, and into these stacks.
     """
+    U = _readonly(positions)
+    A = _readonly(_edge_matrices(U, mesh.triangles) @ mesh.edge_inverse)
+    det = _readonly(_det22(A))
+    corners = _readonly(corner_columns(U, mesh.triangles))
+    A_rows = _readonly(np.moveaxis(A, 1, -1))
+    maps = tuple(PLMap2D(mesh, *rows) for rows in zip(U, A, det, corners, A_rows))
+    return maps, A, det
+
+
+def realize_plmap(mesh: Mesh2D, vertex_positions) -> PLMap2D:
+    """The map of one layer's deformed vertex positions (V, 2), which it
+    copies: :func:`realize_plmaps` on a stack of one."""
     U = np.asarray(vertex_positions, dtype=np.float64)
     if U.shape != (mesh.num_vertices, 2):
         raise ValueError(
             f"vertex positions must have shape {(mesh.num_vertices, 2)}, got {U.shape}")
     if not np.all(np.isfinite(U)):
         raise ValueError("vertex positions contain non-finite values")
-
-    A = _edge_matrices(U, mesh.triangles) @ mesh.edge_inverse
-    return PLMap2D(
-        mesh=mesh,
-        vertex_positions=_readonly(U.copy()),
-        A=_readonly(A),
-        det=_readonly(_det22(A)),
-    )
+    return realize_plmaps(mesh, U[None].copy())[0][0]
 
 
 def corner_columns(positions, triangles):

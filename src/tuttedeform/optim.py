@@ -22,7 +22,7 @@ from .errors import NumericalError
 from .grad import FitTarget, LossConfig, evaluate, evaluate_with_gradient
 from .mesh2d import Mesh2D, build_mesh
 from .prism import Frame, triplane_frames
-from .tutte import TutteLayerParams
+from .tutte import TutteLayerParams, flat_layout, stack_params
 
 log = logging.getLogger("tuttedeform")
 
@@ -96,23 +96,21 @@ def _check_total(loss, when: str):
     return loss.total
 
 
-def pack_params(params: Sequence[TutteLayerParams]):
-    parts = []
-    for p in params:
-        parts.extend([p.raw_edge_weights, p.raw_boundary_increments])
-    return np.concatenate(parts)
+def pack_params(params):
+    """The flat Adam vector (``tutte.flat_layout``) of one stacked
+    TutteLayerParams, or of a sequence of per-layer ones."""
+    p = stack_params(params)
+    return flat_layout(p.raw_edge_weights, p.raw_boundary_increments)
 
 
-def unpack_params(mesh: Mesh2D, flat, num_layers: int):
+def unpack_params(mesh: Mesh2D, flat, num_layers: int) -> TutteLayerParams:
+    """The stack of ``num_layers`` layers whose flat vector is ``flat``."""
     e, m = mesh.edges.shape[0], mesh.boundary_loop.size
-    out = []
-    ofs = 0
-    for _ in range(num_layers):
-        out.append(TutteLayerParams(flat[ofs:ofs + e], flat[ofs + e:ofs + e + m]))
-        ofs += e + m
-    if ofs != len(flat):
-        raise ValueError(f"flat parameter vector has length {len(flat)}, expected {ofs}")
-    return out
+    if len(flat) != num_layers * (e + m):
+        raise ValueError(f"flat parameter vector has length {len(flat)}, "
+                         f"expected {num_layers * (e + m)}")
+    rows = np.reshape(flat, (num_layers, e + m))
+    return TutteLayerParams(rows[:, :e], rows[:, e:])
 
 
 @dataclass(frozen=True)
@@ -127,13 +125,13 @@ class NetSpec:
         return list(self.frames) if self.frames is not None else triplane_frames(self.layers)
 
 
-def init_params(mesh: Mesh2D, num_layers: int):
-    """All-zero raw parameters, the start of every run: edge weights 0.5 and
-    boundary vertices at equal angles within each side.  This is not the
-    identity (:func:`tutte.identity_params`): at resolution 11 each layer
-    moves vertices by up to 0.09 and its regularization reads 0.48."""
+def init_params(mesh: Mesh2D, num_layers: int) -> TutteLayerParams:
+    """One stack of all-zero raw parameters, the start of every run: edge
+    weights 0.5 and boundary vertices at equal angles within each side.
+    This is not the identity (:func:`tutte.identity_params`): at resolution
+    11 each layer moves vertices by up to 0.09 and its regularization reads 0.48."""
     e, m = mesh.edges.shape[0], mesh.boundary_loop.size
-    return [TutteLayerParams(np.zeros(e), np.zeros(m)) for _ in range(num_layers)]
+    return TutteLayerParams(np.zeros((num_layers, e)), np.zeros((num_layers, m)))
 
 
 @dataclass(frozen=True)

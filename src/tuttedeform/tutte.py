@@ -45,14 +45,13 @@ while keeping the same raw parameter count and the same squashed bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky_banded, get_lapack_funcs
 from scipy.special import expit
 
 from .errors import InternalError
-from .mesh2d import Mesh2D, PLMap2D, _det22, _edge_matrices, _readonly, corner_columns
+from .mesh2d import Mesh2D, PLMap2D, _readonly, realize_plmaps
 # Not called here: bench/tracing.py wraps ``tutte.realize_plmap`` by name.
 from .mesh2d import realize_plmap  # noqa: F401
 
@@ -81,22 +80,45 @@ def squash_derivative(x, eps):
 @dataclass(frozen=True)
 class TutteLayerParams:
     """Raw (unconstrained) parameters of one layer's 2D deformation, or of
-    L layers stacked along a leading axis."""
+    L layers stacked along a leading axis, the form a net's parameters take."""
 
     raw_edge_weights: np.ndarray         # (E,) or (L, E)
     raw_boundary_increments: np.ndarray  # (4(n-1),) or (L, 4(n-1))
 
     def __post_init__(self):
-        object.__setattr__(self, "raw_edge_weights",
-                           _readonly(np.asarray(self.raw_edge_weights, dtype=np.float64)))
-        object.__setattr__(self, "raw_boundary_increments",
-                           _readonly(np.asarray(self.raw_boundary_increments, dtype=np.float64)))
-        e, b = self.raw_edge_weights, self.raw_boundary_increments
+        e, b = (_readonly(np.asarray(a, dtype=np.float64))
+                for a in (self.raw_edge_weights, self.raw_boundary_increments))
+        object.__setattr__(self, "raw_edge_weights", e)
+        object.__setattr__(self, "raw_boundary_increments", b)
         if e.ndim not in (1, 2) or e.shape[:-1] != b.shape[:-1]:
             raise ValueError("layer parameters must be 1D arrays, or 2D with one row per layer")
-        if not (np.all(np.isfinite(self.raw_edge_weights))
-                and np.all(np.isfinite(self.raw_boundary_increments))):
+        if not (np.all(np.isfinite(e)) and np.all(np.isfinite(b))):
             raise ValueError("layer parameters contain non-finite values")
+
+
+def stack_params(params) -> TutteLayerParams:
+    """``params`` as one stack of L >= 1 layers (else ValueError): a stacked
+    TutteLayerParams as it is, or a sequence of per-layer ones stacked."""
+    if isinstance(params, TutteLayerParams):
+        return _stacked(params)
+    params = list(params)
+    if not params:
+        raise ValueError("a deformation net needs at least one layer")
+    return TutteLayerParams(np.stack([p.raw_edge_weights for p in params]),
+                            np.stack([p.raw_boundary_increments for p in params]))
+
+
+def _stacked(params: TutteLayerParams):
+    """``params`` if it stacks L >= 1 layers, else ValueError."""
+    if params.raw_edge_weights.ndim != 2 or len(params.raw_edge_weights) == 0:
+        raise ValueError("expected the parameters of at least one layer, stacked "
+                         "along a leading layer axis")
+    return params
+
+
+def flat_layout(edge_rows, boundary_rows):
+    """(L, E) and (L, m) rows as one vector, layer by layer, edges first."""
+    return np.concatenate([edge_rows, boundary_rows], axis=1).ravel()
 
 
 def validate_params(mesh: Mesh2D, params: TutteLayerParams):
@@ -302,24 +324,20 @@ def _boundary_chain(mesh: Mesh2D, raw, d_b):
     return d_s.reshape(raw.shape) * squash_derivative(raw, BOUNDARY_EPS)
 
 
-def solve_tutte_with_system(mesh: Mesh2D, params: Sequence[TutteLayerParams]):
+def solve_tutte_with_system(mesh: Mesh2D, params: TutteLayerParams):
     """Solve L layers at once: their PL maps plus one factored system.
 
-    ``params`` holds one TutteLayerParams per layer.  One assembly, one
-    boundary construction, one banded Cholesky factor of the block-diagonal
-    band and one injectivity certificate run over the layer axis; each
-    layer's interior solve is one LAPACK ``pbtrs`` against its column slice
-    of the factor.  The maps are read-only views into the system's stacked
-    positions, ``A`` and ``det``.  A triangle without a strictly positive
-    determinant raises InternalError naming the lowest such layer.
+    ``params`` is the (L, E)/(L, m) stack of :func:`stack_params`.  One
+    assembly, one boundary construction, one banded Cholesky factor of the
+    block-diagonal band and one injectivity certificate run over the layer
+    axis; each layer's interior solve is one LAPACK ``pbtrs`` against its
+    column slice of the factor.  :func:`mesh2d.realize_plmaps` makes the
+    maps.  A triangle without a strictly positive determinant raises
+    InternalError naming the lowest such layer.
     """
-    for p in params:
-        validate_params(mesh, p)
-    stacked = TutteLayerParams(np.stack([p.raw_edge_weights for p in params]),
-                               np.stack([p.raw_boundary_increments for p in params]))
-    w, band = assemble_laplacian(mesh, stacked)
-    boundary = build_boundary(mesh, stacked)
-    L, k = len(w), mesh.interior_ids.size
+    L, k = len(_stacked(params).raw_edge_weights), mesh.interior_ids.size
+    w, band = assemble_laplacian(mesh, params)
+    boundary = build_boundary(mesh, params)
 
     # RHS: for interior c, sum over boundary neighbors p of w_cp b_p.
     r, c, p = mesh.rim_edges.T
@@ -337,8 +355,7 @@ def solve_tutte_with_system(mesh: Mesh2D, params: Sequence[TutteLayerParams]):
     U[:, mesh.boundary_loop] = boundary.points
     for l in range(L):
         U[l, mesh.interior_ids] = _layer_solve(factor, l, rhs[l])
-    A = _edge_matrices(U, mesh.triangles) @ mesh.edge_inverse
-    det = _det22(A)
+    maps, A, det = realize_plmaps(mesh, U)
     failed = ~np.all(det > 0.0, axis=1)
     if failed.any():
         l = int(np.flatnonzero(failed)[0])
@@ -346,23 +363,17 @@ def solve_tutte_with_system(mesh: Mesh2D, params: Sequence[TutteLayerParams]):
             f"injectivity certificate failed in layer {l}: min determinant "
             f"{det[l].min():.3e}; this indicates a bug in the boundary or weight "
             "construction")
-    system = TutteSystem(params=stacked, weights=_readonly(w), factor=factor,
-                         positions=_readonly(U), A=_readonly(A), det=_readonly(det))
-    # Each map's rows over the triangles, gathered once for all layers.
-    corners = _readonly(corner_columns(U, mesh.triangles))
-    A_rows = _readonly(np.moveaxis(A, 1, -1))
-    maps = tuple(PLMap2D(mesh=mesh, vertex_positions=system.positions[l], A=system.A[l],
-                         det=system.det[l], corners=corners[l], A_rows=A_rows[l])
-                 for l in range(L))
+    system = TutteSystem(params=params, weights=_readonly(w), factor=factor,
+                         positions=_readonly(U), A=A, det=det)
     return maps, system
 
 
 def solve_tutte(mesh: Mesh2D, params: TutteLayerParams) -> PLMap2D:
-    """Injective PL map of the square from raw layer parameters.
+    """Injective PL map of the square from one layer's raw parameters.
 
     The one-layer call of :func:`solve_tutte_with_system`.  The returned map
     carries strictly positive per-triangle determinants; a violation raises
     InternalError because the construction is supposed to make it
     impossible.
     """
-    return solve_tutte_with_system(mesh, [params])[0][0]
+    return solve_tutte_with_system(mesh, stack_params([params]))[0][0]

@@ -185,7 +185,7 @@ def test_criterion_05_regularization_monte_carlo():
         net = realize(mesh, [random_params(rng, mesh, scale=2.0)],
                       triplane_frames(1))
         layer = net.layers[0]
-        exact = layer_regularization(layer)
+        exact = layer_regularization(net)[0]
         samples = rng.uniform(-1, 1, size=(1_000_000, 2))
         tri, _ = locate_points(mesh, samples)
         A = layer.plmap.A[tri]

@@ -12,9 +12,11 @@ from tuttedeform.mesh2d import (_ImageLocator, _inv22, build_mesh, interpolate,
                                 locate_image_points, locate_points, realize_plmap)
 from tuttedeform.prism import (Frame, PrismLayer, apply_lifted, forward_step,
                                frame_from_axis_angle, inverse_step, triplane_frames)
-from tuttedeform.tutte import identity_params
+from tuttedeform.optim import pack_params
+from tuttedeform.tutte import (TutteLayerParams, identity_params, solve_tutte_with_system,
+                               stack_params)
 
-from conftest import random_net, signed_permutations
+from conftest import random_net, random_params, signed_permutations
 
 
 def test_pointset_validation():
@@ -41,6 +43,41 @@ def test_realize_validates_counts():
     params = [identity_params(mesh)] * 2
     with pytest.raises(ValueError):
         realize(mesh, params, triplane_frames(3))
+
+
+def test_realize_on_a_list_and_on_its_stack_agree():
+    mesh = build_mesh(7)
+    rng = np.random.default_rng(12)
+    params = [random_params(rng, mesh, 1.5) for _ in range(3)]
+    frames = triplane_frames(3)
+    a = realize(mesh, params, frames)
+    b = realize(mesh, stack_params(params), frames)
+    assert a.params is a.system.params  # the net holds its parameters once
+    for name in ("raw_edge_weights", "raw_boundary_increments"):
+        assert getattr(a.params, name).tobytes() == getattr(b.params, name).tobytes()
+    for name in ("weights", "factor", "positions", "A", "det"):
+        assert getattr(a.system, name).tobytes() == getattr(b.system, name).tobytes()
+    for la, lb in zip(a.layers, b.layers):
+        for name in ("vertex_positions", "A", "det", "corners", "A_rows"):
+            assert getattr(la.plmap, name).tobytes() == getattr(lb.plmap, name).tobytes()
+
+
+def test_a_stack_is_required_where_one_is_expected():
+    mesh = build_mesh(5)
+    one = random_params(np.random.default_rng(13), mesh)
+    for call in (lambda: realize(mesh, one, triplane_frames(1)),
+                 lambda: solve_tutte_with_system(mesh, one),
+                 lambda: pack_params(one)):
+        with pytest.raises(ValueError, match="stacked along a leading layer axis"):
+            call()
+    for params in ([one, one], stack_params([one, one])):
+        with pytest.raises(ValueError, match="got 2 parameter sets but 3 frames"):
+            realize(mesh, params, triplane_frames(3))
+    empty = TutteLayerParams(np.zeros((0, mesh.edges.shape[0])),
+                             np.zeros((0, mesh.boundary_loop.size)))
+    for params in ([], empty):
+        with pytest.raises(ValueError, match="at least one layer"):
+            realize(mesh, params, [])
 
 
 def test_forward_inverse_roundtrip():
@@ -118,7 +155,7 @@ def test_tie_heavy_inverse_takes_the_bin_rule(monkeypatch):
     frames = triplane_frames(6)
     layers = tuple(PrismLayer(frame=f, plmap=realize_plmap(mesh, mesh.vertices),
                               layer_index=i) for i, f in enumerate(frames))
-    net = DeformationNet(mesh=mesh, params=(), frames=tuple(frames),
+    net = DeformationNet(mesh=mesh, frames=tuple(frames),
                          layers=layers, system=None)
     g = mesh.grid
     axis = np.concatenate([g, 0.5 * (g[1:] + g[:-1])])

@@ -109,7 +109,7 @@ def test_layer_regularization_against_monte_carlo():
     rng = np.random.default_rng(4)
     net = random_net(rng, resolution=7, layers=1, scale=2.0)
     layer = net.layers[0]
-    exact = layer_regularization(layer)
+    exact = layer_regularization(net)[0]
     samples = rng.uniform(-1, 1, size=(400_000, 2))
     tri, _ = locate_points(net.mesh, samples)
     A = layer.plmap.A[tri]
@@ -124,7 +124,7 @@ def test_layer_regularization_against_monte_carlo():
 def test_net_regularization_is_layer_mean():
     rng = np.random.default_rng(5)
     net = random_net(rng, resolution=5, layers=4)
-    per_layer = [layer_regularization(l) for l in net.layers]
+    per_layer = layer_regularization(net)
     assert np.isclose(evaluate(net, LossConfig()).reg, np.mean(per_layer))
 
 

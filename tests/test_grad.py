@@ -13,7 +13,7 @@ from tuttedeform.grad import FitTarget, LossConfig, evaluate, evaluate_with_grad
 from tuttedeform.mesh2d import build_mesh
 from tuttedeform.optim import pack_params, unpack_params
 from tuttedeform.prism import frame_from_axis_angle, triplane_frames
-from tuttedeform.tutte import TutteLayerParams
+from tuttedeform.tutte import TutteLayerParams, stack_params
 
 from conftest import random_params
 
@@ -76,11 +76,29 @@ def test_pack_unpack_roundtrip():
     _, mesh, params, _ = build_setup(seed=1, layers=3)
     flat = pack_params(params)
     back = unpack_params(mesh, flat, 3)
-    for p, q in zip(params, back):
-        assert np.array_equal(p.raw_edge_weights, q.raw_edge_weights)
-        assert np.array_equal(p.raw_boundary_increments, q.raw_boundary_increments)
+    for p, q, r in zip(params, back.raw_edge_weights, back.raw_boundary_increments):
+        assert np.array_equal(p.raw_edge_weights, q)
+        assert np.array_equal(p.raw_boundary_increments, r)
+    # One stack of rows, which packs back to every byte, as the stack of
+    # the sequence does.
+    assert back.raw_edge_weights.shape == (3, mesh.edges.shape[0])
+    assert back.raw_boundary_increments.shape == (3, mesh.boundary_loop.size)
+    assert pack_params(back).tobytes() == flat.tobytes()
+    assert pack_params(stack_params(params)).tobytes() == flat.tobytes()
     with pytest.raises(ValueError):
         unpack_params(mesh, flat[:-1], 3)
+
+
+def test_gradient_flat_lays_out_rows_like_pack_params():
+    rng, mesh, params, frames = build_setup(seed=7, layers=3)
+    net = realize(mesh, params, frames)
+    pts = rng.uniform(-0.5, 0.5, size=(20, 3))
+    c = HandleConstraint(points=PointSet(pts), translation=np.array([0.05, 0.0, 0.0]))
+    g = evaluate_with_gradient(net, LossConfig(constraints=[c]))[1]
+    assert g.edge_weights.shape == (3, mesh.edges.shape[0])
+    assert g.boundary_increments.shape == (3, mesh.boundary_loop.size)
+    rows = [TutteLayerParams(e, b) for e, b in zip(g.edge_weights, g.boundary_increments)]
+    assert g.flat().tobytes() == pack_params(rows).tobytes()
 
 
 def test_handle_gradient_matches_fd():
@@ -159,7 +177,7 @@ def test_gradient_values_match_total_loss():
     handle = np.mean(np.sum(d * d, axis=1))
     e = strain_energy_density(jacobians(net, np.concatenate([pts, free])))
     elastic = np.mean(np.where(e > 0.05, 5.0, np.where(e > 0.02, 2.0, 1.0)) * e)
-    reg = np.mean([layer_regularization(l) for l in net.layers])
+    reg = np.mean(layer_regularization(net))
     reference = w.elastic_at(650) * elastic + w.handle * handle + w.reg * reg
     assert np.isclose(value, reference, rtol=1e-12)
 

@@ -281,8 +281,8 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
     path2 = tmp_path / "b.json"
     ckpt.save_checkpoint(path2, loaded)
     assert path.read_bytes() == path2.read_bytes()
-    for p, q in zip(ck.params, loaded.params):
-        assert np.array_equal(p.raw_edge_weights, q.raw_edge_weights)
+    for p, q in zip(ck.params.raw_edge_weights, loaded.params.raw_edge_weights):
+        assert np.array_equal(p, q)
     net2 = loaded.realize()
     pts = rng.uniform(-0.8, 0.8, size=(50, 3))
     from tuttedeform.deform import forward
@@ -918,6 +918,26 @@ def test_checkpoint_edge_weight_rows_of_the_wrong_length(extreme_workdir, comman
     code, err, warned, ck_path = _run_on_checkpoint(extreme_workdir, command, d)
     assert code == 2, err
     assert f"{ck_path}: key raw_edge_weights[1] must hold an array of 16 numbers" in err
+    assert "Traceback" not in err and not warned
+
+
+@pytest.mark.parametrize("command", ["apply", "check"])
+@pytest.mark.parametrize("kind", ["triplane", "explicit"])
+@pytest.mark.parametrize("layers", [0, -1])
+def test_checkpoint_without_a_layer_names_the_key(extreme_workdir, command, kind, layers):
+    # No message used to name the key.  With no row to count against, 0
+    # reached the frame builder ("frame count must be >= 1") for triplane
+    # frames and the net's own check ("a deformation net needs at least one
+    # layer", naming no file) for explicit ones; -1 was blamed on the rows
+    # of raw_edge_weights.
+    d = _checkpoint_dict(kind)
+    d["layers"] = layers
+    d["raw_edge_weights"] = d["raw_boundary_increments"] = []
+    if kind == "explicit":
+        d["frames"]["matrices"] = []
+    code, err, warned, ck_path = _run_on_checkpoint(extreme_workdir, command, d)
+    assert code == 2, err
+    assert f"{ck_path}: key layers must be at least 1, got {layers}" in err
     assert "Traceback" not in err and not warned
 
 

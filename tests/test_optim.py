@@ -10,8 +10,9 @@ from tuttedeform.optim import (AdamState, ElasticJob, FitJob, LearningRate,
                                NetSpec, StopRule, adam_step, init_params,
                                pack_params, run_elastic, run_fit)
 from tuttedeform.prism import triplane_frames
+from tuttedeform.tutte import TutteLayerParams
 
-from conftest import fibonacci_sphere, random_net
+from conftest import fibonacci_sphere, random_net, twist_about_z
 
 
 def test_learning_rate_linear_decay():
@@ -76,7 +77,7 @@ def test_stop_rule():
 def test_zero_init_is_near_identity_and_injective():
     mesh = build_mesh(9)
     params = init_params(mesh, 3)
-    assert all(np.all(p.raw_edge_weights == 0) for p in params)
+    assert all(np.all(p == 0) for p in params.raw_edge_weights)
     net = realize(mesh, params, triplane_frames(3))
     assert all(np.all(l.plmap.det > 0) for l in net.layers)
     pts = np.random.default_rng(0).uniform(-0.8, 0.8, size=(200, 3))
@@ -224,3 +225,27 @@ def test_carried_trace_leaves_every_step_bit_for_bit(monkeypatch):
             np.array(alone.loss_history).tobytes()
         assert carried.final_loss == alone.final_loss
         assert pack_params(net.params).tobytes() == pack_params(again.params).tobytes()
+
+
+def test_a_run_builds_parameter_stacks_not_layers(monkeypatch):
+    # The raw parameters travel as one (L, E)/(L, m) stack from Adam's flat
+    # vector through realize, the gradient and the final net: a 3-step run
+    # builds one TutteLayerParams at the start, one per step and one for
+    # the final net, however many layers it has.
+    built = []
+    post_init = TutteLayerParams.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(TutteLayerParams, "__post_init__", counted)
+    pts = fibonacci_sphere(40)
+    counts = {}
+    for layers in (2, 5):
+        built.clear()
+        run_fit(FitJob(source=PointSet(pts), target_vertices=twist_about_z(pts),
+                       spec=NetSpec(layers=layers, resolution=5), max_steps=3,
+                       log_every=0))
+        counts[layers] = len(built)
+    assert counts == {2: 5, 5: 5}

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from tuttedeform.mesh2d import build_mesh
+from tuttedeform.mesh2d import build_mesh, realize_plmap
 from tuttedeform.tutte import (BOUNDARY_EPS, EDGE_WEIGHT_EPS, TutteLayerParams,
                                _boundary_angles, assemble_laplacian, build_boundary,
                                identity_params, solve_tutte, solve_tutte_with_system,
-                               squash, squash_derivative, tutte_backward,
+                               squash, squash_derivative, stack_params, tutte_backward,
                                validate_params)
 
 from conftest import random_params
@@ -180,7 +180,7 @@ def test_stacked_backward_equals_each_layer_alone(res, scale):
     rng = np.random.default_rng(10 * res + int(10 * scale))
     for L in (1, 2, 5):
         params = [random_params(rng, mesh, scale) for _ in range(L)]
-        plmaps, system = solve_tutte_with_system(mesh, params)
+        plmaps, system = solve_tutte_with_system(mesh, stack_params(params))
         U = np.stack([m.vertex_positions for m in plmaps])
         dU = rng.normal(size=U.shape)
         dU[:, ::5] = 0.0
@@ -190,7 +190,7 @@ def test_stacked_backward_equals_each_layer_alone(res, scale):
             assert d_edges.shape == (L, mesh.edges.shape[0])
             assert d_boundary.shape == (L, mesh.boundary_loop.size)
             for l in range(L):
-                alone = solve_tutte_with_system(mesh, params[l:l + 1])[1]
+                alone = solve_tutte_with_system(mesh, stack_params(params[l:l + 1]))[1]
                 one = tutte_backward(mesh, alone, dU[l:l + 1])
                 assert d_edges[l].tobytes() == one[0][0].tobytes()
                 assert d_boundary[l].tobytes() == one[1][0].tobytes()
@@ -232,13 +232,20 @@ def test_stacked_realize_matches_per_layer_solves(res, L):
     params = [TutteLayerParams(*(np.clip(rng.normal(0.0, scale, n), -40.0, 40.0)
                                  for n in sizes))
               for scale in np.resize([1.0, 5.0, 40.0], L)]
-    maps, system = solve_tutte_with_system(mesh, params)
+    maps, system = solve_tutte_with_system(mesh, stack_params(params))
     k = mesh.interior_ids.size
     for l, p in enumerate(params):
         U, A, det, factor = _one_layer_reference(mesh, p)
         assert maps[l].vertex_positions.tobytes() == U.tobytes()
         assert maps[l].A.tobytes() == A.tobytes()
         assert maps[l].det.tobytes() == det.tobytes()
+        # The stacked maps and a map of one layer's positions come from the
+        # same constructor, and agree in every row they carry.
+        one = realize_plmap(mesh, U)
+        for name in ("A", "det", "corners", "A_rows"):
+            assert getattr(maps[l], name).tobytes() == getattr(one, name).tobytes(), name
+        assert maps[l].A.tobytes() == system.A[l].tobytes()
+        assert maps[l].det.tobytes() == system.det[l].tobytes()
         assert system.factor[:, l * k:(l + 1) * k].tobytes() == factor.tobytes()
         rhs = rng.normal(size=(k, 2))
         want = cho_solve_banded((factor, False), rhs, check_finite=False)
