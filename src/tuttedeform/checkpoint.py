@@ -136,6 +136,8 @@ def from_dict(d) -> Checkpoint:
     if type(d.get("version")) is not int or d["version"] != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version {d.get('version')!r}")
     res = _field(d, "resolution", (int,))
+    if res < 2:
+        raise ValueError(f"key resolution must be at least 2, got {res}")
     layers = _field(d, "layers", (int,))
     if layers < 1:
         raise ValueError(f"key layers must be at least 1, got {layers}")

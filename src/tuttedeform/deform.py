@@ -13,8 +13,9 @@ are read through their transposed view, and the ones they return are the
 (N, 3) transposed views of the last block.  The maps and their Jacobians
 walk a batch of more than ``_BLOCK`` points in blocks of that many, each
 through every layer, so that a block's rows and its per-layer temporaries
-fit in cache and the allocator hands the same pages from block to block
-instead of faulting in fresh ones.  Points are independent, so the bits
+fit in cache.  A walk writes each layer's rows, cells and Jacobian
+products into buffers that every layer and every block of the call reuses,
+instead of faulting in fresh pages.  Points are independent, so the bits
 are those of one walk over the whole batch.
 """
 
@@ -117,48 +118,73 @@ def _as_array(points):
 
 
 # Batches above this many points walk in blocks of this many.  Medians on a
-# 2-core x86 box, one BLAS thread: 1e5 points through 24 res-25 layers take
-# 63 ms in blocks of 8192 or 16384, 67 ms in 32768, 86-88 ms in 2048 or
-# 65536, and 104 ms in one walk; 1e4 Jacobians take 9.0 ms in one walk and
-# 9.9 ms in blocks of 8192; 5e4 image points invert in 134 ms in one walk,
-# 100 ms in blocks of 8192 and 92 ms in blocks of 16384.
+# shared 2-core x86 box, one BLAS thread, with the walks' reused buffers:
+# 1e5 points through 24 res-25 layers take 88-123 ms in blocks of 4096 to
+# 65536, 120 ms in one walk and 176 ms in blocks of 2048.  Paired against
+# 16384, blocks of 8192 tie on that forward (78.3 vs 77.9 ms, 6 of 12 wins)
+# and lose on 1e4 Jacobians (15.2 vs 13.1 ms) and 1e4 inverses (35.2 vs
+# 29.4 ms), which they split in two.
 _BLOCK = 1 << 14
 
 
 def _in_blocks(walk, pts):
-    """``walk(pts)``, the (..., N) array of a walk of the (N, 3) ``pts``,
-    in blocks of ``_BLOCK`` points written into slices of one output.
+    """``walk(pts, scratch)``, the (..., N) array of a walk of the (N, 3)
+    ``pts``, in blocks of ``_BLOCK`` points written into slices of one
+    output.  Every block's walk is handed the same ``scratch`` dict, whose
+    buffers (see ``_buffer``) it reuses; a block's result is copied out
+    before the next block overwrites them.
 
     A point that fails in a block fails in one walk over the batch too,
     which is then run to raise that walk's error: the first failing layer
     in walk order and its first failing point, indexed in the batch."""
     n = len(pts)
+    scratch = {}
     if n <= _BLOCK:
-        return walk(pts)
+        return walk(pts, scratch)
     out = None
     try:
         for lo in range(0, n, _BLOCK):
-            rows = walk(pts[lo:lo + _BLOCK])
+            rows = walk(pts[lo:lo + _BLOCK], scratch)
             if out is None:
                 out = np.empty(rows.shape[:-1] + (n,))
             out[..., lo:lo + _BLOCK] = rows
     except DeformError:
-        walk(pts)
+        walk(pts, {})
         raise
     return out
 
 
-def _walk(net: DeformationNet, pts, cells=None):
+def _buffer(scratch, key, shape, dtype=np.float64):
+    """An array of ``shape`` from the ``scratch`` dict of a walk: the first
+    ``shape[-1]`` columns of the one held under ``key``, which the first
+    request (a batch's first block, its largest) allocates."""
+    if key not in scratch:
+        scratch[key] = np.empty(shape, dtype)
+    return scratch[key][..., :shape[-1]]
+
+
+def _walk(net: DeformationNet, pts, cells=None, scratch=None):
     """Yield ``(layer, tri, out)`` per layer: each point's input cell, and the
     (3, N) rows of the layer's images.  ``cells``, a pair of (L, N) and
-    (L, 3, N) arrays, takes every layer's triangles and barycentric rows.
+    (L, 3, N) arrays, takes every layer's triangles and barycentric rows;
+    without it, every layer's cells go to one scratch pair.
 
-    A generator, so ``forward`` and ``jacobians`` hold one layer's cells at a time.
+    A generator, so ``forward`` and ``jacobians`` hold one layer's cells at a
+    time.  The images alternate between two scratch row blocks, and the
+    scratch cells are overwritten by the next layer: a step's ``tri`` and
+    ``out`` hold until the walk resumes, and the last ``out`` until
+    ``scratch`` is handed to another walk.
     """
+    scratch = {} if scratch is None else scratch
+    n = len(pts)
+    rows = [_buffer(scratch, k, (3, n)) for k in ("rows0", "rows1")]
+    if cells is None:
+        cell = (_buffer(scratch, "tri", (n,), np.int64), _buffer(scratch, "bary", (3, n)))
     out = pts.T
     for l, layer in enumerate(net.layers):
-        out, tri, _ = prism.forward_rows(
-            layer, out, None if cells is None else (cells[0][l], cells[1][l]))
+        if cells is not None:
+            cell = (cells[0][l], cells[1][l])
+        out, tri, _ = prism.forward_rows(layer, out, cell, out=rows[l % 2])
         yield layer, tri, out
 
 
@@ -177,19 +203,21 @@ def forward(net: DeformationNet, points):
     that many, with the same bits and the same errors as one walk.
     """
     pts, weights = _as_array(points)
-    out = _in_blocks(lambda p: _last(_walk(net, p)), pts)
+    out = _in_blocks(lambda p, scratch: _last(_walk(net, p, scratch=scratch)), pts)
     if isinstance(points, PointSet):
         return PointSet(points=out.T, weights=weights)
     return out.T
 
 
-def _walk_back(net: DeformationNet, pts):
+def _walk_back(net: DeformationNet, pts, scratch=None):
     """Yield ``(layer, tri, out)`` per layer, last layer first: the image-side
     cell of each point and the (3, N) rows of its preimages.  The reverse
-    of ``_walk``."""
+    of ``_walk``, with its two scratch row blocks."""
+    scratch = {} if scratch is None else scratch
+    rows = [_buffer(scratch, k, (3, len(pts))) for k in ("rows0", "rows1")]
     out = pts.T
-    for layer in reversed(net.layers):
-        out, tri, _ = prism.inverse_rows(layer, out)
+    for l, layer in enumerate(reversed(net.layers)):
+        out, tri, _ = prism.inverse_rows(layer, out, out=rows[l % 2])
         yield layer, tri, out
 
 
@@ -199,20 +227,21 @@ def inverse(net: DeformationNet, points):
     Walks a batch of more than ``_BLOCK`` points in blocks, as ``forward``
     does."""
     pts, weights = _as_array(points)
-    out = _in_blocks(lambda p: _last(_walk_back(net, p)), pts)
+    out = _in_blocks(lambda p, scratch: _last(_walk_back(net, p, scratch)), pts)
     if isinstance(points, PointSet):
         return PointSet(points=out.T, weights=weights)
     return out.T
 
 
-def _chain(steps, factors):
+def _chain(steps, factors, scratch):
     """The (3, 3, N) row stack of the Jacobian product over ``steps``, with
-    ``factors(layer, tri)`` each layer's (N, 2, 2) blocks.  Two buffers
-    take turns holding the product."""
-    J = spare = None
-    for layer, tri, _ in steps:
+    ``factors(layer, tri)`` each layer's (N, 2, 2) blocks.  Two ``scratch``
+    buffers take turns holding the product."""
+    J = None
+    for l, (layer, tri, _) in enumerate(steps):
         X = np.eye(3)[:, :, None] if J is None else J
-        J, spare = prism.apply_lifted(layer.frame, factors(layer, tri), X, out=spare), J
+        J = prism.apply_lifted(layer.frame, factors(layer, tri), X,
+                               out=_buffer(scratch, f"J{l % 2}", (3, 3, len(tri))))
     return J
 
 
@@ -230,7 +259,8 @@ def jacobians(net: DeformationNet, points):
     Walks a batch of more than ``_BLOCK`` points in blocks, as ``forward``
     does, into one (3, 3, N) row stack."""
     pts, _ = _as_array(points)
-    return _in_blocks(lambda p: _chain(_walk(net, p), _factors), pts).transpose(2, 0, 1)
+    return _in_blocks(lambda p, scratch: _chain(_walk(net, p, scratch=scratch), _factors,
+                                                scratch), pts).transpose(2, 0, 1)
 
 
 def inverse_jacobians(net: DeformationNet, points):
@@ -241,8 +271,8 @@ def inverse_jacobians(net: DeformationNet, points):
     a batch of more than ``_BLOCK`` points in blocks, as ``jacobians`` does.
     """
     pts, _ = _as_array(points)
-    return _in_blocks(lambda p: _chain(_walk_back(net, p), _inverse_factors),
-                      pts).transpose(2, 0, 1)
+    return _in_blocks(lambda p, scratch: _chain(_walk_back(net, p, scratch), _inverse_factors,
+                                                scratch), pts).transpose(2, 0, 1)
 
 
 @dataclass

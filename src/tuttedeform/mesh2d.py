@@ -64,6 +64,9 @@ class Mesh2D:
     # Rows over the triangles: corner k's vertex, and its rest coordinates.
     triangle_rows: np.ndarray  # (3, T) int64, triangles.T
     corners: np.ndarray        # (2, 3, T) coordinate c of corner k
+    # The image-side walk's rest rows: corner 0, and its edges to corners
+    # 1 and 2, each (2, T).
+    corner_edges: np.ndarray   # (3, 2, T)
 
     @property
     def cell_size(self) -> float:
@@ -129,6 +132,7 @@ def build_mesh(resolution: int) -> Mesh2D:
     rim_edges = np.column_stack(
         [np.flatnonzero(rim), np.maximum(a, b)[rim], -1 - np.minimum(a, b)[rim]])
 
+    corners = corner_columns(vertices, triangles)
     rest_edges = _edge_matrices(vertices, triangles)
     edge_inverse = _inv22(rest_edges)
     areas = 0.5 * _det22(rest_edges)
@@ -149,7 +153,9 @@ def build_mesh(resolution: int) -> Mesh2D:
         interior_edges=_readonly(interior_edges),
         rim_edges=_readonly(rim_edges),
         triangle_rows=_readonly(triangles.T),
-        corners=_readonly(corner_columns(vertices, triangles)),
+        corners=_readonly(corners),
+        corner_edges=_readonly(np.stack(
+            [corners[:, 0], corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]])),
     )
 
 
@@ -192,19 +198,40 @@ def _axis_cells(mesh, coords):
     its lower side, with local fraction ``w / w == 1.0`` for that cell's
     width w, which realizes the lowest-index tie-break of
     :func:`locate_points`.
+
+    **The fast path.**  The guess ``i = min(floor((c + 1) / h), n - 2)``
+    gives ``frac = fl(c - g_i) / w_i`` by one take of each row.  When every
+    fraction lies strictly inside (0, 1) the guess is the cell, and these
+    are the bits the corrections below would give.  ``fl(c - g_i) > 0`` iff
+    ``c > g_i``: an IEEE difference is zero only for equal operands.  And
+    ``c > g_{i+1}`` would give ``c - g_i > g_{i+1} - g_i``, so, rounding
+    being monotone, ``fl(c - g_i) >= fl(g_{i+1} - g_i) = w_i`` and
+    ``frac >= 1``.  (Not conversely: at resolution 12, one float above an
+    interior gridline has fraction exactly 1 in the cell below, so 1 is a
+    miss.)  So on a fraction in (0, 1) neither correction moves i,
+    and ``frac`` is the expression they end with.  Only the coordinates
+    with a fraction outside (0, 1) (gridline ties, a guess one cell off,
+    ``c = +-1``) take the corrections, on that subset alone.
     """
-    grid = mesh.grid
+    grid, widths = mesh.grid, mesh.cell_widths
     t = coords + 1.0
     t /= mesh.cell_size
     idx = t.astype(np.int64)  # >= 0, as coords >= -1
     np.minimum(idx, mesh.resolution - 2, out=idx)
+    frac = np.subtract(coords, grid.take(idx), out=t)
+    frac /= widths.take(idx)
+    if not frac.size or (frac.min() > 0.0 and frac.max() < 1.0):
+        return idx, frac
+    miss = np.nonzero(~((frac > 0.0) & (frac < 1.0)))
+    c, i = coords[miss], idx[miss]
     # The floor can land one cell off near a gridline; snap back in place,
     # a point on the cell's lower line down to the cell below (-1 stays).
-    idx -= coords <= grid.take(idx)
-    np.maximum(idx, 0, out=idx)
-    idx += coords > grid[1:].take(idx)
-    frac = coords - grid.take(idx)
-    frac /= mesh.cell_widths.take(idx)
+    i -= c <= grid.take(i)
+    np.maximum(i, 0, out=i)
+    i += c > grid[1:].take(i)
+    f = c - grid.take(i)
+    f /= widths.take(i)
+    idx[miss], frac[miss] = i, f
     return idx, frac
 
 
@@ -241,7 +268,8 @@ def locate_points(mesh, points, layer_index=None, out=None):
     the triangles and the barycentric rows in place of new arrays.  For a
     point incident to several triangles (on a shared edge or vertex) the
     lowest-index incident triangle is returned.  Points within DOMAIN_TOL
-    outside the square are clamped; beyond that an OutOfDomainError
+    outside the square are clamped, on a copy of the batch; a batch inside
+    the square is read where it lies.  Beyond that an OutOfDomainError
     identifies the first offender.  A non-finite point raises ValueError.
     A single point (shape (2,)) gives an ``int`` triangle and a (3,)
     barycentric vector.
@@ -262,7 +290,9 @@ def locate_points(mesh, points, layer_index=None, out=None):
             point=pts[i].copy(), layer_index=layer_index, point_index=i,
         )
     tri, rows = (None, np.empty((3, pts.shape[0]))) if out is None else out
-    tri, (fx, fy), upper = _grid_cells(mesh, _clamped(pts), tri)
+    # Points inside the square are read where they lie: the clamp is a copy.
+    xy = pts.T if low >= -1.0 and high <= 1.0 else _clamped(pts)
+    tri, (fx, fy), upper = _grid_cells(mesh, xy, tri)
 
     # Lower triangle (v00, v10, v11): bary = (1-fx, fx-fy, fy).
     # Upper triangle (v00, v11, v01): bary = (1-fy, fx, fy-fx).
@@ -445,10 +475,7 @@ class _ImageLocator:
         self.u0 = np.ascontiguousarray(plmap.corners[:, 0])
         B = mesh.edge_inverse @ _inv22(plmap.A)
         self.B = np.ascontiguousarray(B.reshape(-1, 4).T)
-        # The walk's rest rows: the first corner and the two edges.
-        rest = mesh.corners
-        self.r0 = np.ascontiguousarray(rest[:, 0])
-        self.e1, self.e2 = rest[:, 1] - rest[:, 0], rest[:, 2] - rest[:, 0]
+        self.r0, self.e1, self.e2 = mesh.corner_edges
         self.thr = self._thresholds(*(plmap.corners[:, 1:] - plmap.corners[:, :1]))
 
     def _thresholds(self, ex, ey):

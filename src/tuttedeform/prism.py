@@ -170,7 +170,7 @@ def _row_pair(X, a, b):
     return X[a::b - a][:2]
 
 
-def _step_rows(layer: PrismLayer, X, corners, locate):
+def _step_rows(layer: PrismLayer, X, corners, locate, out=None):
     """One layer on a (3, N) block of rows: ``(image rows, tri, bary)``.
 
     ``locate`` places the (N, 2) local points in cells ``(tri, bary)``, and
@@ -178,17 +178,19 @@ def _step_rows(layer: PrismLayer, X, corners, locate):
     For a signed permutation the local plane is two rows of X, picked
     (a view when unsigned) and negated where the frame says; the image
     goes straight into the output's rows, and the local z row is copied.
+    The output is ``out``, a (3, N) block that must not overlap X, when it
+    is given; any other rotation returns new rows.
     """
     frame = layer.frame
     if frame._local is None:  # any other rotation: through the frame by matmul
         local = frame.rotation.T @ X
-        tri, bary = locate(local[:2].T)  # locate copies: local is free after it
+        tri, bary = locate(local[:2].T)  # locate has done reading local here
         mesh2d.combine(corners, tri, bary.T, out=local[:2])
         return frame.rotation @ local, tri, bary
     (c0, c1, c2), signs = frame._local
     xy = _row_pair(X, c0, c1)
     tri, bary = locate((xy if signs is None else xy * signs[:2, None]).T)
-    out = np.empty(X.shape)
+    out = np.empty(X.shape) if out is None else out
     image = mesh2d.combine(corners, tri, bary.T, out=_row_pair(out, c0, c1))
     if signs is not None:
         image *= signs[:2, None]
@@ -196,22 +198,23 @@ def _step_rows(layer: PrismLayer, X, corners, locate):
     return out, tri, bary
 
 
-def forward_rows(layer: PrismLayer, X, cells=None):
+def forward_rows(layer: PrismLayer, X, cells=None, out=None):
     """:func:`forward_step` on a (3, N) block of rows: the image rows, and
     ``(tri, bary)`` with ``bary`` the (N, 3) view of (3, N) rows.  ``cells``,
     a pair of an (N,) int64 array and a (3, N) block, takes the cells in
-    place of new arrays."""
+    place of new arrays, and ``out`` the image rows (see ``_step_rows``)."""
     plmap = layer.plmap
     return _step_rows(layer, X, plmap.corners, lambda p: mesh2d.locate_points(
-        plmap.mesh, p, layer_index=layer.layer_index, out=cells))
+        plmap.mesh, p, layer_index=layer.layer_index, out=cells), out)
 
 
-def inverse_rows(layer: PrismLayer, X):
+def inverse_rows(layer: PrismLayer, X, out=None):
     """:func:`inverse_step` on a (3, N) block of rows: the preimage rows,
-    ``tri`` and the (N, 3) barycentrics."""
+    ``tri`` and the (N, 3) barycentrics.  ``out`` takes the preimage rows,
+    as in ``forward_rows``."""
     plmap = layer.plmap
     return _step_rows(layer, X, plmap.mesh.corners, lambda p: mesh2d.locate_image_points(
-        plmap, p, layer_index=layer.layer_index))
+        plmap, p, layer_index=layer.layer_index), out)
 
 
 def apply_lifted(frame: Frame, A, X, out=None):

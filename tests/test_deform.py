@@ -501,3 +501,50 @@ def test_forward_trace_refills_a_trace_of_the_same_shape():
     plain = forward_trace(net, b)
     assert forward_trace(net, a, need_jacobian=True, out=plain) is not plain
     assert forward_trace(net, a, out=plain) is plain
+
+
+def _aliasing_net(rng):
+    # A tilted first frame (the matmul path), then every signed permutation
+    # (row picks, negated rows): each layer kind writes its own rows.
+    frames = [frame_from_axis_angle([0.3, -0.2, 1.0], 0.7)] + \
+        [Frame(R) for R in signed_permutations()]
+    return random_net(rng, resolution=7, layers=len(frames), scale=1.2, frames=frames)
+
+
+def _four_walks(net, pts, images):
+    return [forward(net, pts), jacobians(net, pts), inverse(net, images),
+            inverse_jacobians(net, images)]
+
+
+def test_reused_buffers_never_alias_a_result():
+    # The walks keep their row blocks, cells and Jacobian products from layer
+    # to layer and from block to block: no result may be one of them, or
+    # share memory with one a later call writes.
+    rng = np.random.default_rng(26)
+    net = _aliasing_net(rng)
+    for n in (300, deform._BLOCK + 1000):
+        a, b = rng.uniform(-0.55, 0.55, size=(2, n, 3))
+        first = _four_walks(net, a, forward(net, a))
+        kept = [_bits(r) for r in first]
+        for batch in (b, b[:n // 2], a):
+            later = _four_walks(net, batch, forward(net, batch))
+            assert [_bits(r) for r in first] == kept, n
+            for x in first:
+                assert not any(np.shares_memory(x, y) for y in later)
+
+
+def test_a_ragged_last_block_equals_the_chunks_walked_alone():
+    # A batch of _BLOCK + 1000 points walks a full block, then a ragged one
+    # in the first columns of the same buffers: byte for byte the results of
+    # the two chunks walked as batches of their own.
+    rng = np.random.default_rng(27)
+    net = _aliasing_net(rng)
+    n = deform._BLOCK + 1000
+    pts = rng.uniform(-0.55, 0.55, size=(n, 3))
+    images = forward(net, pts[::-1].copy())
+    whole = _four_walks(net, pts, images)
+    head = _four_walks(net, pts[:deform._BLOCK], images[:deform._BLOCK])
+    tail = _four_walks(net, pts[deform._BLOCK:], images[deform._BLOCK:])
+    for w, h, t in zip(whole, head, tail):
+        assert w.shape[0] == n
+        assert _bits(w) == _bits(np.concatenate([h, t]))

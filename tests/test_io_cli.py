@@ -941,6 +941,21 @@ def test_checkpoint_without_a_layer_names_the_key(extreme_workdir, command, kind
     assert "Traceback" not in err and not warned
 
 
+@pytest.mark.parametrize("resolution", [1, 0, -3])
+def test_checkpoint_resolution_below_two_names_the_key(extreme_workdir, resolution):
+    # 1 used to pass the file reader and fail in build_mesh ("resolution
+    # must be >= 2", naming neither file nor key); 0 was blamed on
+    # raw_boundary_increments[0] with a width of -4.
+    d = _checkpoint_dict("triplane")
+    d["resolution"] = resolution
+    d["raw_edge_weights"] = [[]] * d["layers"]
+    d["raw_boundary_increments"] = [[]] * d["layers"]
+    code, err, warned, ck_path = _run_on_checkpoint(extreme_workdir, "check", d)
+    assert code == 2, err
+    assert f"{ck_path}: key resolution must be at least 2, got {resolution}" in err
+    assert "Traceback" not in err and not warned
+
+
 def _syntax_error_at(text):
     """json's line and column for the syntax error in ``text``."""
     with pytest.raises(json.JSONDecodeError) as ei:

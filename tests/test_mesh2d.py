@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tuttedeform.errors import NotInImageError, OutOfDomainError
-from tuttedeform.mesh2d import (_BARY_FALLBACK, _BARY_STRICT, _SCAN_PAIRS, _star_shaped_loop,
-                                build_mesh, interpolate, locate_image_points,
-                                locate_points, realize_plmap)
+from tuttedeform.mesh2d import (_BARY_FALLBACK, _BARY_STRICT, _SCAN_PAIRS, DOMAIN_TOL,
+                                _axis_cells, _grid_cells, _star_shaped_loop, build_mesh,
+                                interpolate, locate_image_points, locate_points,
+                                realize_plmap)
 from tuttedeform.tutte import solve_tutte
 
 from conftest import random_params
@@ -320,6 +321,139 @@ def test_locate_property(coords):
     assert np.abs(rebuilt - pts).max() <= 1e-12
     assert np.all(bary >= -1e-12)
     assert np.allclose(bary.sum(axis=1), 1.0)
+
+
+# ------------------------------------- grid cells: fast path vs the oracle
+
+def oracle_axis_cells(mesh, coords):
+    """``_axis_cells`` without its fast path: the floor guess, then both
+    gridline corrections on every coordinate.  Frozen as the oracle."""
+    grid = mesh.grid
+    t = coords + 1.0
+    t /= mesh.cell_size
+    idx = t.astype(np.int64)  # >= 0, as coords >= -1
+    np.minimum(idx, mesh.resolution - 2, out=idx)
+    idx -= coords <= grid.take(idx)
+    np.maximum(idx, 0, out=idx)
+    idx += coords > grid[1:].take(idx)
+    frac = coords - grid.take(idx)
+    frac /= mesh.cell_widths.take(idx)
+    return idx, frac
+
+
+def oracle_grid_cells(mesh, xy):
+    idx, (fx, fy) = oracle_axis_cells(mesh, xy)
+    upper = fx < fy
+    return (idx[1] * (mesh.resolution - 1) + idx[0]) * 2 + upper, np.stack([fx, fy]), upper
+
+
+def oracle_locate(mesh, pts):
+    """``locate_points`` on a copy clamped onto the square, by the oracle."""
+    xy = np.maximum(np.minimum(pts.T, 1.0), -1.0)
+    tri, (fx, fy), upper = oracle_grid_cells(mesh, xy)
+    return tri, np.stack([1.0 - np.maximum(fx, fy), fx - fy * ~upper, fy - fx * upper], axis=1)
+
+
+def _bits(*arrays):
+    return [(a.dtype.str, a.shape, np.ascontiguousarray(a).tobytes()) for a in arrays]
+
+
+def assert_cells_match_oracle(mesh, pts):
+    """``_axis_cells``, ``_grid_cells`` and ``locate_points`` on the (N, 2)
+    ``pts`` against the oracle, byte for byte."""
+    xy = np.maximum(np.minimum(pts.T, 1.0), -1.0)
+    assert _bits(*_axis_cells(mesh, xy)) == _bits(*oracle_axis_cells(mesh, xy))
+    assert _bits(*_grid_cells(mesh, xy)) == _bits(*oracle_grid_cells(mesh, xy))
+    assert _bits(*locate_points(mesh, pts)) == _bits(*oracle_locate(mesh, pts))
+
+
+def axis_probes(mesh):
+    """Every gridline and its float neighbours on both sides, +-1, +-0.0,
+    subnormals, and coordinates within DOMAIN_TOL outside the square."""
+    g = mesh.grid
+    tiny = np.finfo(np.float64).smallest_subnormal
+    return np.concatenate([
+        g, np.nextafter(g, -np.inf), np.nextafter(g, np.inf),
+        [-1.0, 1.0, 0.0, -0.0, tiny, -tiny, 1e-310, -1e-310],
+        [1.0 + 0.99 * DOMAIN_TOL, -1.0 - 0.99 * DOMAIN_TOL, 1.0 + 1e-15, -1.0 - 1e-15],
+    ])
+
+
+# At 12 a coordinate one float above a gridline can have a fraction of
+# exactly 1 in the cell below, so the fast path must reject frac == 1.
+RESOLUTIONS = [2, 3, 5, 7, 11, 12, 13, 25, 64]
+
+
+@pytest.mark.parametrize("res", RESOLUTIONS)
+def test_grid_cells_match_the_oracle_bit_for_bit(res):
+    # Every pair of probe coordinates, so ties on both axes at once and the
+    # box's corners are covered, then random points, where the fast path
+    # holds for the whole batch.
+    mesh = build_mesh(res)
+    c = axis_probes(mesh)
+    x, y = np.meshgrid(c, c)
+    assert_cells_match_oracle(mesh, np.column_stack([x.ravel(), y.ravel()]))
+    # Each probe alone, next to a point inside a cell: the whole-batch test
+    # of the fast path then turns on that one coordinate.
+    rng = np.random.default_rng(res)
+    for v in c:
+        assert_cells_match_oracle(mesh, np.array([[v, rng.uniform(-1, 1)]]))
+    assert_cells_match_oracle(mesh, rng.uniform(-1, 1, (5000, 2)))
+    empty = np.zeros((0, 2))
+    assert_cells_match_oracle(mesh, empty)
+    tri, bary = locate_points(mesh, empty)
+    assert tri.shape == (0,) and bary.shape == (0, 3)
+
+
+@pytest.mark.parametrize("res", [3, 25])
+def test_image_walk_positions_on_box_faces_match_the_oracle(res):
+    # The image walk clamps its positions onto the square, so most of its
+    # misses of the fast path are coordinates of exactly +-1; some sit on a
+    # gridline as well.
+    mesh = build_mesh(res)
+    rng = np.random.default_rng(40 + res)
+    on_face = rng.uniform(-1.2, 1.2, (4000, 2))
+    on_line = rng.random((4000, 2)) < 0.1
+    on_face[on_line] = rng.choice(mesh.grid, on_line.sum())
+    xy = np.maximum(np.minimum(on_face.T, 1.0), -1.0)
+    assert np.mean(np.abs(xy) == 1.0) > 0.1
+    assert _bits(*_grid_cells(mesh, xy)) == _bits(*oracle_grid_cells(mesh, xy))
+    tri = np.empty(xy.shape[1], dtype=np.int64)
+    assert _grid_cells(mesh, xy, tri)[0] is tri
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(RESOLUTIONS),
+       st.lists(st.tuples(st.integers(0, 1 << 20), st.integers(-6, 6),
+                          st.integers(0, 1 << 20), st.integers(-6, 6)),
+                min_size=1, max_size=12))
+def test_gridlines_give_or_take_some_ulps_match_the_oracle(res, picks):
+    # Each coordinate is a gridline stepped k floats up or down, clamped.
+    mesh = build_mesh(res)
+
+    def near_line(i, k):
+        v = mesh.grid[i % res]
+        for _ in range(abs(k)):
+            v = np.nextafter(v, np.inf if k > 0 else -np.inf)
+        return float(np.clip(v, -1.0, 1.0))
+
+    pts = np.array([[near_line(i, k), near_line(j, m)] for i, k, j, m in picks])
+    assert_cells_match_oracle(mesh, pts)
+
+
+def test_locate_reads_in_box_rows_without_writing_them():
+    # In-box points are read where they lie; their cells equal those of the
+    # clamp path, taken when one point lies just outside the box.
+    mesh = build_mesh(7)
+    rng = np.random.default_rng(41)
+    rows = rng.uniform(-1, 1, (2, 3000))
+    rows[:, :50] = rng.choice(mesh.grid, (2, 50))
+    before = rows.copy()
+    tri, bary = locate_points(mesh, rows.T)
+    assert np.array_equal(rows, before)
+    assert not np.shares_memory(bary, rows)
+    out_tri, out_bary = locate_points(mesh, np.column_stack([rows, [1.0 + 1e-10, 0.0]]).T)
+    assert _bits(tri, bary) == _bits(out_tri[:-1], out_bary[:-1])
 
 
 # --------------------------------------------- image-side walk vs the scan
