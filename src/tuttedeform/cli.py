@@ -171,12 +171,24 @@ def _cmd_fit(job: JobFile) -> int:
     return EXIT_OK if report.injective else EXIT_INVARIANT
 
 
+def _checkpoint_points(job: JobFile, ck):
+    """The job's geometry and its points through the checkpoint's
+    normalization, which must keep them finite."""
+    path = job.inputs["geometry"]
+    geo = load_geometry(path, normalize=False, grid_threshold=job.grid_threshold)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = ck.normalization.apply(geo.points)
+    bad = np.flatnonzero(~np.isfinite(q).all(axis=1))
+    if bad.size:
+        raise ConfigError(f"{path}: point {bad[0]} overflows float64 under the "
+                          "checkpoint's normalization")
+    return geo, q
+
+
 def _apply_or_invert(job: JobFile, invert_map: bool) -> int:
     ck = ckpt.load_checkpoint(job.inputs["checkpoint"])
     net = ck.realize()
-    geo = load_geometry(job.inputs["geometry"], normalize=False,
-                        grid_threshold=job.grid_threshold)
-    q = ck.normalization.apply(geo.points)
+    geo, q = _checkpoint_points(job, ck)
     out = inverse(net, q) if invert_map else forward(net, q)
     result = ck.normalization.invert(out)
     save_geometry(job.outputs["geometry"], result,
@@ -220,11 +232,8 @@ def _cmd_check(job: JobFile) -> int:
 def _cmd_report(job: JobFile) -> int:
     ck = ckpt.load_checkpoint(job.inputs["checkpoint"])
     net = ck.realize()
-    samples = None
     if "geometry" in job.inputs:
-        geo = load_geometry(job.inputs["geometry"], normalize=False,
-                            grid_threshold=job.grid_threshold)
-        samples = ck.normalization.apply(geo.points)
+        samples = _checkpoint_points(job, ck)[1]
     else:
         rng = np.random.default_rng(job.seed)
         samples = rng.uniform(-0.7, 0.7, size=(5000, 3))
@@ -243,6 +252,13 @@ _COMMANDS = {
 }
 
 
+def _seed(text):
+    """A ``--seed`` value: an int >= 0, as the job file's ``seed`` must be."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tuttedeform",
@@ -252,7 +268,7 @@ def build_parser():
     for name in _COMMANDS:
         p = sub.add_parser(name, help=f"run the {name!r} workflow")
         p.add_argument("jobfile", help="path to the job description (JSON)")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="override the seed recorded in the job file")
         p.add_argument("--quiet", action="store_true",
                        help="log warnings and errors only")

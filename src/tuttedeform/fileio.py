@@ -85,6 +85,23 @@ class Geometry:
             self.transform = Normalization.identity()
 
 
+def _numbers(cast, tokens, where):
+    """``tokens`` read by ``cast`` (float or int); a bad one raises
+    ValueError naming ``where``, the file's format and line."""
+    try:
+        return [cast(x) for x in tokens]
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
+
+
+def _check_faces(faces, count, fmt):
+    """(F, 3) int64 faces, or None.  The indices are checked as Python ints,
+    so a huge one is out of range rather than an OverflowError in NumPy."""
+    if faces and not 0 <= min(map(min, faces)) <= max(map(max, faces)) < count:
+        raise ValueError(f"{fmt} face index out of range")
+    return np.asarray(faces, dtype=np.int64) if faces else None
+
+
 def _parse_obj(text):
     verts, faces = [], []
     for ln, line in enumerate(text.splitlines(), 1):
@@ -94,12 +111,11 @@ def _parse_obj(text):
         if parts[0] == "v":
             if len(parts) < 4:
                 raise ValueError(f"OBJ line {ln}: vertex needs 3 coordinates")
-            verts.append([float(x) for x in parts[1:4]])
+            verts.append(_numbers(float, parts[1:4], f"OBJ line {ln}"))
         elif parts[0] == "f":
             idx = []
-            for tok in parts[1:]:
-                head = tok.split("/")[0]
-                i = int(head)
+            for i in _numbers(int, [tok.split("/")[0] for tok in parts[1:]],
+                              f"OBJ line {ln}"):
                 if i < 0:
                     i = len(verts) + 1 + i
                 idx.append(i - 1)
@@ -109,11 +125,7 @@ def _parse_obj(text):
                 faces.append([idx[0], idx[k], idx[k + 1]])
     if not verts:
         raise ValueError("OBJ file contains no vertices")
-    v = np.asarray(verts, dtype=np.float64)
-    f = np.asarray(faces, dtype=np.int64) if faces else None
-    if f is not None and (f.min() < 0 or f.max() >= len(v)):
-        raise ValueError("OBJ face index out of range")
-    return v, f
+    return np.asarray(verts, dtype=np.float64), _check_faces(faces, len(verts), "OBJ")
 
 
 def _parse_ply(text):
@@ -169,7 +181,8 @@ def _parse_ply(text):
                 if len(xs) != len(names):
                     raise ValueError(f"PLY line {first + j}: vertex row width "
                                      f"does not match header")
-            data = np.array([[float(x) for x in xs] for xs in split])
+            data = np.array([_numbers(float, xs, f"PLY line {first + j}")
+                             for j, xs in enumerate(split)])
             data = data.reshape(count, len(names))
             verts = data[:, [names.index(a) for a in "xyz"]]
             for wname in ("density", "weight"):
@@ -177,19 +190,16 @@ def _parse_ply(text):
                     weights = data[:, names.index(wname)]
                     break
         elif name == "face":
-            tri = []
+            faces = []
             for j, r in enumerate(rows):
-                xs = [int(x) for x in r.split()]
+                xs = _numbers(int, r.split(), f"PLY line {first + j}")
                 if not xs or xs[0] != len(xs) - 1 or xs[0] < 3:
                     raise ValueError(f"PLY line {first + j}: malformed face row {r!r}")
                 for k in range(2, xs[0]):
-                    tri.append([xs[1], xs[k], xs[k + 1]])
-            faces = np.asarray(tri, dtype=np.int64) if tri else None
-    if verts is None:
-        raise ValueError("PLY file has no vertex element")
-    if faces is not None and (faces.min() < 0 or faces.max() >= len(verts)):
-        raise ValueError("PLY face index out of range")
-    return verts, weights, faces
+                    faces.append([xs[1], xs[k], xs[k + 1]])
+    if verts is None or not len(verts):
+        raise ValueError("PLY file has no vertices")
+    return verts, weights, _check_faces(faces, len(verts), "PLY")
 
 
 def _parse_json(text, source, allow_overflow=False):
@@ -247,28 +257,33 @@ def _parse_grid(text, threshold, source):
         if key not in d:
             raise ValueError(f"grid file missing key {key!r}")
 
-    def numbers(key):
+    def numbers(key, three=False):
         try:
-            return np.asarray(d[key], dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ValueError(f"grid {key!r} must hold numbers, got {d[key]!r}") from None
+            a = np.asarray(d[key])
+        except ValueError:  # a ragged nesting
+            a = np.asarray(None)
+        # Numbers only (a string would convert); _parse_json made them finite.
+        if a.dtype.kind not in "iuf" or (three and a.shape != (3,)):
+            raise ValueError(f"grid key {key!r} must hold {'3 ' * three}numbers, "
+                             f"got {d[key]!r}")
+        return a.astype(np.float64)
 
-    dims = numbers("dims")
-    if (dims.shape != (3,) or not np.all(np.isfinite(dims))
-            or dims.min() < 1 or np.any(dims != np.floor(dims))):
-        raise ValueError(f"grid dims must be three positive ints, got {d['dims']!r}")
+    dims = numbers("dims", three=True)
+    if dims.min() < 1 or np.any(dims != np.floor(dims)):
+        raise ValueError(f"grid key 'dims' must hold three positive ints, got {d['dims']!r}")
     dims = [int(x) for x in dims]
-    origin = numbers("origin")
-    spacing = numbers("spacing")
+    origin = numbers("origin", three=True)
+    spacing = numbers("spacing", three=True)
     values = numbers("values")
     if values.size != dims[0] * dims[1] * dims[2]:
-        raise ValueError(
-            f"grid has {values.size} values but dims imply {dims[0]*dims[1]*dims[2]}")
+        raise ValueError(f"grid key 'values' has {values.size} numbers but dims "
+                         f"imply {dims[0]*dims[1]*dims[2]}")
     values = values.reshape(dims)  # C order, z fastest
     kept = np.argwhere(values > threshold)
     if kept.size == 0:
         raise ValueError(f"no grid cells exceed threshold {threshold}")
-    points = origin + (kept + 0.5) * spacing
+    with np.errstate(over="ignore", invalid="ignore"):  # load_geometry rejects inf
+        points = origin + (kept + 0.5) * spacing
     weights = values[kept[:, 0], kept[:, 1], kept[:, 2]]
     return points, weights
 
@@ -279,25 +294,31 @@ def load_geometry(path, grid_threshold: float = 1.0, normalize: bool = True) -> 
     The normalization transform is recorded on the returned object;
     ``transform.invert`` restores original coordinates to within 1e-9.
     With ``normalize=False`` the identity transform is recorded instead.
+    Every ValueError it raises starts with ``path``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     lower = str(path).lower()
     weights = triangles = None
-    if lower.endswith(".obj"):
-        points, triangles = _parse_obj(text)
-    elif lower.endswith(".ply"):
-        points, weights, triangles = _parse_ply(text)
-    elif lower.endswith(".json"):
-        points, weights = _parse_grid(text, grid_threshold, path)
-    else:
-        raise ValueError(f"unsupported geometry extension: {path}")
-    if not np.all(np.isfinite(points)):
-        raise ValueError(f"{path}: geometry contains non-finite coordinates")
-    geo = Geometry(points=points, weights=weights, triangles=triangles)
-    if normalize:
-        geo.transform = fit_normalization(points)
-        geo.points = geo.transform.apply(points)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        if lower.endswith(".obj"):
+            points, triangles = _parse_obj(text)
+        elif lower.endswith(".ply"):
+            points, weights, triangles = _parse_ply(text)
+        elif lower.endswith(".json"):
+            points, weights = _parse_grid(text, grid_threshold, path)
+        else:
+            raise ValueError("unsupported geometry extension")
+        if not np.all(np.isfinite(points)):
+            raise ValueError("geometry contains non-finite coordinates")
+        geo = Geometry(points=points, weights=weights, triangles=triangles)
+        if normalize:
+            geo.transform = fit_normalization(points)
+            geo.points = geo.transform.apply(points)
+    except ValueError as e:
+        if str(e).startswith(f"{path}: "):  # _parse_json names the file itself
+            raise
+        raise ValueError(f"{path}: {e}") from None
     return geo
 
 

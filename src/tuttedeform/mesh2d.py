@@ -518,15 +518,8 @@ class _ImageLocator:
             xy = _clamped(pts)
             for step in range(_NEWTON_STEPS + _HALF_STEPS):
                 t = _grid_cells(self.mesh, xy)[0]
-                # The rule's expressions, in the scan's order: the same bits.
-                dx, dy = q - self.u0.take(t, axis=1)
-                b00, b01, b10, b11 = self.B.take(t, axis=1)
-                l1 = b00 * dx
-                l1 += b01 * dy
-                l2 = b10 * dx
-                l2 += b11 * dy
-                l0 = 1.0 - l1
-                l0 -= l2
+                l0, l1, l2 = _barycentrics(*(q - self.u0.take(t, axis=1)),
+                                           *self.B.take(t, axis=1))
                 tri[at] = t
                 for col, l in zip(cols, (l0, l1, l2)):
                     col[at] = l
@@ -557,19 +550,11 @@ class _ImageLocator:
         batch's first.
         """
         tri, ls = np.empty(len(pts), dtype=np.int64), np.empty((3, len(pts)))
-        (u0x, u0y), (b00, b01, b10, b11) = self.u0, self.B
+        u0x, u0y = self.u0
         step = max(1, _SCAN_PAIRS // u0x.size)
         for lo in range(0, len(pts), step):
             block = slice(lo, lo + step)
-            # (points, T) scores, by the walk's expressions in its order.
-            dx = pts[block, :1] - u0x
-            dy = pts[block, 1:] - u0y
-            l1 = b00 * dx
-            l1 += b01 * dy
-            l2 = b10 * dx
-            l2 += b11 * dy
-            l0 = 1.0 - l1
-            l0 -= l2
+            l0, l1, l2 = _barycentrics(pts[block, :1] - u0x, pts[block, 1:] - u0y, *self.B)
             score = np.minimum(np.minimum(l0, l1), l2)
             # fmax skips a degenerate triangle's NaN scores: it holds nothing.
             best = np.fmax.reduce(score, axis=1)
@@ -587,6 +572,20 @@ class _ImageLocator:
             tri[block] = pick
             ls[:, block] = [l[np.arange(pick.size), pick] for l in (l0, l1, l2)]
         return tri, ls
+
+
+def _barycentrics(dx, dy, b00, b01, b10, b11):
+    """The rule's scores ``(l0, l1, l2)`` of offsets ``(dx, dy)`` from a
+    triangle's first image corner, through the entries of its inverse
+    deformed edge matrix.  The walk and the scan both call it, so their
+    bits agree by construction."""
+    l1 = b00 * dx
+    l1 += b01 * dy
+    l2 = b10 * dx
+    l2 += b11 * dy
+    l0 = 1.0 - l1
+    l0 -= l2
+    return l0, l1, l2
 
 
 def _star_shaped_loop(P):

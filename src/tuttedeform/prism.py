@@ -16,11 +16,12 @@ The layer walk carries a point batch as a (3, N) block of rows, one per
 coordinate, and records each point's cell as (3, N) barycentric rows;
 Jacobian chains are (3, k, N) row stacks.  Every entry is a contiguous
 column over the points.  ``forward_step`` and ``inverse_step`` are the same
-steps on (N, 3) batches.  Triplane frames, the only kind a job file can ask
-for, are unsigned permutation matrices: products with them pick rows of a
-block or stack (columns of a batch), exact and free of BLAS calls; signed
-ones negate the picked rows too.  Any other rotation takes the matmul path:
-the library API and explicit checkpoint frames accept any.
+steps on (N, 3) batches, written as plain products with ``R``: the oracle
+the tests hold the row walk to.  Triplane frames, the only kind a job file
+can ask for, are unsigned permutation matrices: products with them pick
+rows of a block or stack, exact and free of BLAS calls.  Every other
+rotation, signed permutations included, multiplies: the library API and
+explicit checkpoint frames accept any.
 """
 
 from __future__ import annotations
@@ -38,20 +39,14 @@ from .mesh2d import PLMap2D, _readonly
 class Frame:
     """A proper rotation fixing a layer's extrusion axis (local z).
 
-    ``to_local`` and ``to_world`` multiply point batches by ``rotation``.
-    When the rotation is a signed permutation, as every triplane frame is,
-    ``__post_init__`` records each output column's source column and sign,
-    and both methods index instead of multiplying: the same values, without
-    a BLAS call.  The layer walk (``forward_rows``) picks the same rows of
-    its (3, N) row blocks.  When it is unsigned, ``_rows`` lets ``plane_rows`` and
-    ``apply_lifted`` pick rows of row stacks the same way.  Any other
-    rotation keeps the matmul, the only path for the arbitrary rotations
-    that the library API and explicit checkpoint frames accept.
+    When the rotation is an unsigned permutation, as every triplane frame
+    is, ``_rows`` holds the row of X that each row of ``R^T X`` is, and the
+    walk (``_step_rows``), ``plane_rows`` and ``apply_lifted`` pick rows
+    instead of multiplying: the same values, without a BLAS call.  Any
+    other rotation keeps the matmul.
     """
 
     rotation: np.ndarray  # (3, 3)
-    _local: Optional[tuple] = field(init=False, repr=False, compare=False, default=None)
-    _world: Optional[tuple] = field(init=False, repr=False, compare=False, default=None)
     _rows: Optional[tuple] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -61,25 +56,14 @@ class Frame:
         if np.abs(R @ R.T - np.eye(3)).max() > 1e-10 or np.linalg.det(R) < 0.0:
             raise ValueError("frame rotation must be a proper rotation (R R^T = I, det +1)")
         object.__setattr__(self, "rotation", _readonly(R))
-        # Orthogonal with entries in {-1, 0, 1}: one nonzero per row and column.
-        if set(R.flat) <= {-1.0, 0.0, 1.0}:
-            object.__setattr__(self, "_local", _column_picks(R))
-            object.__setattr__(self, "_world", _column_picks(R.T))
-            if self._local[1] is None:  # row m of R^T X is X[c_m]: no signs
-                object.__setattr__(self, "_rows", tuple(self._local[0]))
+        # Orthogonal with entries in {0, 1}: row m of R^T X is X[argmax R[:, m]].
+        if set(R.flat) <= {0.0, 1.0}:
+            object.__setattr__(self, "_rows", tuple(int(c) for c in R.argmax(axis=0)))
 
     @property
     def axis(self):
         """The extrusion axis in world coordinates (local z)."""
         return self.rotation[:, 2]
-
-    def to_local(self, x):
-        """``x @ R`` over the last axis: world coordinates into the frame."""
-        return _times(x, self.rotation, self._local)
-
-    def to_world(self, x):
-        """``x @ R^T`` over the last axis: frame coordinates back to world."""
-        return _times(x, self.rotation.T, self._world)
 
     def plane_rows(self, X):
         """Rows 0 and 1 of ``R^T X`` for a row stack ``X`` (3, ...): views of
@@ -87,22 +71,6 @@ class Frame:
         if self._rows is None:
             return np.tensordot(self.rotation[:, :2], X, axes=(0, 0))
         return X[self._rows[0]], X[self._rows[1]]
-
-
-def _column_picks(M):
-    """``(cols, signs)`` with ``(x @ M)[..., j] == signs[j] * x[..., cols[j]]``
-    for a signed permutation ``M``; ``signs`` is None when all are +1."""
-    cols = np.abs(M).argmax(axis=0)
-    signs = M[cols, np.arange(3)]
-    return cols, (None if np.all(signs > 0) else signs)
-
-
-def _times(x, M, picks):
-    if picks is None:
-        return x @ M
-    cols, signs = picks
-    out = x[..., cols]
-    return out if signs is None else out * signs
 
 
 def frame_from_axis_angle(axis, angle_rad: float) -> Frame:
@@ -144,25 +112,24 @@ class PrismLayer:
 
 def forward_step(layer: PrismLayer, points):
     """Images of an (N, 3) batch plus the cell ``(tri, bary)`` of each point."""
-    frame, plmap = layer.frame, layer.plmap
-    local = frame.to_local(np.asarray(points, dtype=np.float64))  # row-wise R^T p
+    R, plmap = layer.frame.rotation, layer.plmap
+    local = np.asarray(points, dtype=np.float64) @ R  # row-wise R^T p, a new array
     tri, bary = mesh2d.locate_points(plmap.mesh, local[:, :2],
                                      layer_index=layer.layer_index)
-    # ``to_local`` made a new array, so the image overwrites its xy in place.
     local[:, :2] = mesh2d.interpolate(plmap.vertex_positions, plmap.mesh.triangles,
                                       tri, bary)
-    return frame.to_world(local), tri, bary
+    return local @ R.T, tri, bary
 
 
 def inverse_step(layer: PrismLayer, points):
     """Preimages of an (N, 3) batch in the layer's image, plus each cell ``tri``."""
-    frame, plmap = layer.frame, layer.plmap
-    local = frame.to_local(np.asarray(points, dtype=np.float64))
+    R, plmap = layer.frame.rotation, layer.plmap
+    local = np.asarray(points, dtype=np.float64) @ R
     tri, bary = mesh2d.locate_image_points(plmap, local[:, :2],
                                            layer_index=layer.layer_index)
     local[:, :2] = mesh2d.interpolate(plmap.mesh.vertices, plmap.mesh.triangles,
                                       tri, bary)
-    return frame.to_world(local), tri
+    return local @ R.T, tri
 
 
 def _row_pair(X, a, b):
@@ -175,25 +142,21 @@ def _step_rows(layer: PrismLayer, X, corners, locate, out=None):
 
     ``locate`` places the (N, 2) local points in cells ``(tri, bary)``, and
     ``corners`` are the (2, 3, T) corner columns the barycentrics combine.
-    For a signed permutation the local plane is two rows of X, picked
-    (a view when unsigned) and negated where the frame says; the image
-    goes straight into the output's rows, and the local z row is copied.
-    The output is ``out``, a (3, N) block that must not overlap X, when it
-    is given; any other rotation returns new rows.
+    For an unsigned permutation the local plane is a view of two rows of X;
+    the image goes straight into the output's rows, and the local z row is
+    copied.  The output is ``out``, a (3, N) block that must not overlap X,
+    when it is given; any other rotation returns new rows.
     """
     frame = layer.frame
-    if frame._local is None:  # any other rotation: through the frame by matmul
+    if frame._rows is None:  # any other rotation: through the frame by matmul
         local = frame.rotation.T @ X
         tri, bary = locate(local[:2].T)  # locate has done reading local here
         mesh2d.combine(corners, tri, bary.T, out=local[:2])
         return frame.rotation @ local, tri, bary
-    (c0, c1, c2), signs = frame._local
-    xy = _row_pair(X, c0, c1)
-    tri, bary = locate((xy if signs is None else xy * signs[:2, None]).T)
+    c0, c1, c2 = frame._rows
+    tri, bary = locate(_row_pair(X, c0, c1).T)
     out = np.empty(X.shape) if out is None else out
-    image = mesh2d.combine(corners, tri, bary.T, out=_row_pair(out, c0, c1))
-    if signs is not None:
-        image *= signs[:2, None]
+    mesh2d.combine(corners, tri, bary.T, out=_row_pair(out, c0, c1))
     out[c2] = X[c2]
     return out, tri, bary
 

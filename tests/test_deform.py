@@ -164,11 +164,11 @@ def test_tie_heavy_inverse_takes_the_bin_rule(monkeypatch):
     # The rule alone: the scan on every row, layer by layer.
     want, want_J = pts, np.eye(3)[:, :, None]
     for layer in reversed(layers):
-        local = layer.frame.to_local(want)
+        local = want @ layer.frame.rotation
         tri, ls = layer.plmap.image_locator()._scan_query(
             local[:, :2], np.arange(len(pts)), layer.layer_index)
         local[:, :2] = interpolate(mesh.vertices, mesh.triangles, tri, np.column_stack(ls))
-        want = layer.frame.to_world(local)
+        want = local @ layer.frame.rotation.T
         want_J = apply_lifted(layer.frame, _inv22(layer.plmap.A[tri]), want_J)
 
     fallback_rows = []

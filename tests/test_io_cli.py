@@ -999,3 +999,185 @@ def test_jobfile_json_syntax_error_message_is_unchanged(extreme_workdir):
     assert code == 2, err
     assert f"{path} is not valid JSON: Expecting value: line 1 column 14 (char 13)" in err
     assert "Traceback" not in err and not warned
+
+
+# ------------------------------------------------------- bad geometry files
+
+def _apply_to(work, geometry):
+    """``apply`` on one geometry file through a 1-layer res-3 net whose
+    checkpoint scales by 2.5 about (0.1, -0.2, 0.3): exit code, stderr and
+    RuntimeWarnings."""
+    ck_path = work / "geometry.ckpt.json"
+    if not ck_path.exists():
+        norm = Normalization(center=np.array([0.1, -0.2, 0.3]), scale=2.5)
+        net = random_net(np.random.default_rng(12), 3, 1)
+        ckpt.save_checkpoint(ck_path, ckpt.from_net(net, normalization=norm))
+    path = work / "apply_geometry.json"
+    path.write_text(json.dumps({"workflow": "apply",
+                                "input": {"geometry": geometry.name, "checkpoint": ck_path.name},
+                                "output": {"geometry": "applied.obj"}}))
+    return _run_main("apply", str(path))
+
+
+_GRID = {"dims": [2, 2, 2], "origin": [-0.3, -0.3, -0.3], "spacing": [0.3, 0.3, 0.3],
+         "values": [2.0] * 8}
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("spacing", [1, 1], "grid key 'spacing' must hold 3 numbers, got [1, 1]"),
+    ("origin", [[0, 0, 0]] * 3, "grid key 'origin' must hold 3 numbers"),
+    ("origin", ["nan", 0, 0], "grid key 'origin' must hold 3 numbers, got ['nan', 0, 0]"),
+    ("spacing", [0.1, [0.1], 0.1], "grid key 'spacing' must hold 3 numbers"),
+    ("dims", None, "grid file missing key 'dims'"),
+])
+def test_grid_file_errors_name_the_file_and_the_key(extreme_workdir, key, value, message):
+    # A 2-entry spacing used to fail in a NumPy broadcast ("operands could
+    # not be broadcast together"), a 3x3 origin was broadcast into wrong
+    # points (exit 3), and a missing key named no file.
+    d = dict(_GRID)
+    if value is None:
+        del d[key]
+    else:
+        d[key] = value
+    grid = extreme_workdir / "keys_grid.json"
+    grid.write_text(json.dumps(d))
+    code, err, warned = _apply_to(extreme_workdir, grid)
+    assert code == 2, err
+    assert f"{grid}: {message}" in err
+    assert "Traceback" not in err and not warned
+
+
+_PLY_HEAD = ("ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
+             "property float y\nproperty float z\nelement face 1\n"
+             "property list uchar int vertex_indices\nend_header\n")
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("token.obj", "v 0 0 0\nv 0 0.1 x\n", "OBJ line 2: could not convert string to float: 'x'"),
+    ("face.obj", "v 0 0 0\nv 0 0.1 0\nv 0.1 0 0\nf 1 2 q\n",
+     "OBJ line 4: invalid literal for int() with base 10: 'q'"),
+    ("huge_index.obj", "v 0 0 0\nv 0 0.1 0\nv 0.1 0 0\nf 1 2 " + "9" * 30 + "\n",
+     "OBJ face index out of range"),
+    ("token.ply", _PLY_HEAD + "0 0 0\n0.1 0 y\n0 0.1 0\n3 0 1 2\n",
+     "PLY line 11: could not convert string to float: 'y'"),
+    ("face.ply", _PLY_HEAD + "0 0 0\n0.1 0 0\n0 0.1 0\n3 0 1 z\n",
+     "PLY line 13: invalid literal for int() with base 10: 'z'"),
+    ("empty.ply", _PLY_HEAD.replace("vertex 3", "vertex 0").replace("face 1", "face 0"),
+     "PLY file has no vertices"),
+])
+def test_geometry_token_errors_name_the_file_and_the_line(extreme_workdir, name, text,
+                                                          message):
+    # Bad tokens used to print Python's bare conversion error, naming
+    # neither the file nor the line.
+    path = extreme_workdir / name
+    path.write_text(text)
+    code, err, warned = _apply_to(extreme_workdir, path)
+    assert code == 2, err
+    assert f"{path}: {message}" in err
+    assert "Traceback" not in err and not warned
+
+
+def test_points_that_overflow_the_checkpoint_normalization_name_the_file(extreme_workdir):
+    # 1e308 times the checkpoint's scale of 2.5 is inf: it used to print a
+    # NumPy overflow warning and "point 0 is not finite", naming no file.
+    path = _write_obj(extreme_workdir / "overflow.obj", [[1e308, 0, 0], [0, 0, 0]])
+    code, err, warned = _apply_to(extreme_workdir, path)
+    assert code == 2, err
+    assert f"{path}: point 0 overflows float64 under the checkpoint's normalization" in err
+    assert "Traceback" not in err and not warned
+
+
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_cli_bad_seed_is_rejected_before_any_work(extreme_workdir, capsys, seed):
+    # --seed -1 used to run the checks (check=PASS ...) and then fail in the
+    # random generator with "expected non-negative integer".
+    d = _checkpoint_dict("triplane")
+    ck_path = extreme_workdir / "seed.ckpt.json"
+    ck_path.write_text(json.dumps(d))
+    path = extreme_workdir / "seed_check.json"
+    path.write_text(json.dumps({"workflow": "check", "input": {"checkpoint": ck_path.name}}))
+    assert _run_main("check", str(path))[0] == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["check", str(path), "--seed", seed])
+    assert ei.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --seed: expected an integer" in err
+
+
+def _obj_text(pts, faces):
+    return "".join([f"v {x!r} {y!r} {z!r}\n" for x, y, z in pts]
+                   + [f"f {' '.join(map(str, f))}\n" for f in faces])
+
+
+def _ply_text(pts, faces, weights):
+    head = ["ply", "format ascii 1.0", f"element vertex {len(pts)}",
+            "property float x", "property float y", "property float z"]
+    if weights is not None:
+        head.append("property float weight")
+    head += [f"element face {len(faces)}", "property list uchar int vertex_indices",
+             "end_header"]
+    rows = [" ".join(map(repr, p)) + ("" if weights is None else f" {weights[k]!r}")
+            for k, p in enumerate(pts)]
+    rows += [f"{len(f)} {' '.join(map(str, f))}" for f in faces]
+    return "\n".join(head + rows) + "\n"
+
+
+@st.composite
+def _geometry_files(draw):
+    """An OBJ, PLY or grid file of at most 50 points: extreme coordinates
+    (±1e308, subnormals), all-coincident points, zero-count elements, and
+    valid files cut at a random byte."""
+    kind = draw(st.sampled_from(["obj", "ply", "json"]), label="kind")
+    n = draw(st.integers(0, 50), label="n")
+    # Plain coordinates map into the net's box; extreme ones mostly do not.
+    coordinate = draw(st.sampled_from([_extreme(), st.floats(-0.3, 0.3)]), label="range")
+    if draw(st.booleans(), label="coincident"):
+        pts = [draw(_vec3(coordinate), label="point")] * n
+    else:
+        pts = draw(st.lists(_vec3(coordinate), min_size=n, max_size=n), label="points")
+    # Indices in and just outside range, 1-based for OBJ (negatives count back).
+    lo, hi = (-n - 1, n + 1) if kind == "obj" else (-1, n)
+    faces = draw(st.lists(st.lists(st.integers(lo, hi), min_size=3, max_size=4),
+                          max_size=4), label="faces")
+    if kind == "obj":
+        text = _obj_text(pts, faces)
+    elif kind == "ply":
+        weights = draw(st.one_of(st.none(), st.lists(_extreme(), min_size=n, max_size=n)),
+                       label="weights")
+        text = _ply_text(pts, faces, weights)
+    else:
+        dims = draw(st.lists(st.integers(1, 4), min_size=3, max_size=3)
+                    .filter(lambda d: d[0] * d[1] * d[2] <= 50), label="dims")
+        values = draw(st.lists(st.sampled_from([0.0, 0.5, 2.0, 1e308, 5e-324]),
+                               min_size=dims[0] * dims[1] * dims[2],
+                               max_size=dims[0] * dims[1] * dims[2]), label="values")
+        text = json.dumps({"dims": dims, "origin": draw(_vec3(coordinate), label="origin"),
+                           "spacing": draw(_vec3(coordinate), label="spacing"),
+                           "values": values})
+    if draw(st.booleans(), label="truncate"):
+        text = text[:draw(st.integers(0, len(text)), label="cut")]
+    return kind, text
+
+
+@settings(max_examples=80, deadline=None)
+@given(geometry=_geometry_files())
+@example(geometry=("obj", _obj_text([[1e308, -1e308, 0.0], [5e-324, 0.0, -5e-324]], [])))
+@example(geometry=("obj", _obj_text([[0.1, 0.1, 0.1]] * 50, [[1, 2, 3]])))
+@example(geometry=("ply", _ply_text([], [], None)))
+@example(geometry=("ply", _ply_text([[0.0, 0.1, 0.2]] * 3, [[0, 1, 2]], [1e308] * 3)[:-9]))
+@example(geometry=("json", json.dumps({**_GRID, "spacing": [1e308] * 3})))
+@example(geometry=("json", json.dumps({**_GRID, "dims": [0, 2, 2], "values": []})))
+def test_cli_geometry_files_exit_cleanly(extreme_workdir, geometry):
+    """``apply`` on a fuzzed geometry file runs, or fails as a configuration
+    error naming the file, or as a numerical failure (a point outside the
+    net's box); never with a traceback or a NumPy warning.  The net's
+    certificate is not at stake here, so exit 1 is wrong too."""
+    kind, text = geometry
+    path = extreme_workdir / f"fuzz.{kind}"
+    path.write_text(text)
+    code, err, warned = _apply_to(extreme_workdir, path)
+    assert code in (0, 2, 3), err
+    assert code != 2 or f"{path}: " in err, err
+    assert "Traceback" not in err and not warned
