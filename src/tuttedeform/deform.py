@@ -28,7 +28,7 @@ import numpy as np
 
 from . import prism
 from .errors import DeformError
-from .mesh2d import Mesh2D, _inv22, _readonly, _reject_non_finite
+from .mesh2d import Mesh2D, _readonly, _reject_non_finite
 from .prism import Frame, PrismLayer
 from .tutte import TutteLayerParams, TutteSystem, solve_tutte_with_system, stack_params
 
@@ -250,7 +250,7 @@ def _factors(layer, tri):
 
 
 def _inverse_factors(layer, tri):
-    return _inv22(layer.plmap.factors(tri))
+    return layer.plmap.inverse_factors(tri)
 
 
 def jacobians(net: DeformationNet, points):
@@ -267,7 +267,8 @@ def inverse_jacobians(net: DeformationNet, points):
     """(N, 3, 3) Jacobians of the inverse map at image-space points.
 
     Each layer contributes the inverse Jacobian of the cell its image-side
-    locator found; the chain multiplies out as M_1^-1 ... M_k^-1.  Walks
+    locator found, from the ``inv(A)`` rows that locator holds; the chain
+    multiplies out as M_1^-1 ... M_k^-1.  Walks
     a batch of more than ``_BLOCK`` points in blocks, as ``jacobians`` does.
     """
     pts, _ = _as_array(points)

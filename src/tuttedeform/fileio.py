@@ -188,6 +188,10 @@ def _parse_ply(text):
             for wname in ("density", "weight"):
                 if wname in names:
                     weights = data[:, names.index(wname)]
+                    bad = np.flatnonzero(~(np.isfinite(weights) & (weights >= 0.0)))
+                    if bad.size:
+                        raise ValueError(f"PLY line {first + int(bad[0])}: {wname} "
+                                         "must be finite and nonnegative")
                     break
         elif name == "face":
             faces = []

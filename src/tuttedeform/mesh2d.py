@@ -10,7 +10,9 @@ of the resolution alone.
 A :class:`PLMap2D` carries the realized piecewise-linear map for one layer:
 the deformed vertex positions, per-triangle linear factors ``A_t`` and their
 determinants.  Meshes and maps are immutable after construction (arrays are
-marked read-only), which makes them safe to share across threads.
+marked read-only), which makes them safe to share across threads; the maps
+of one realize build their image-side locators together, at the first
+inverse.
 """
 
 from __future__ import annotations
@@ -319,8 +321,9 @@ class PLMap2D:
     ``A_rows`` hold the positions and ``A`` again as rows over the
     triangles, so that a point batch gathers whole rows.  Instances are
     frozen in practice: every map comes from :func:`realize_plmaps`, its
-    arrays are read-only, and the image-side locator is the only lazily
-    built (cached) member.
+    arrays are read-only, and the image-side locators that the maps of one
+    realize share (``_stack``, this map's layer ``_layer``) are the only
+    lazily built (cached) member.
     """
 
     mesh: Mesh2D
@@ -329,18 +332,46 @@ class PLMap2D:
     det: np.ndarray               # (T,)
     corners: np.ndarray = field(repr=False, compare=False)  # (2, 3, T)
     A_rows: np.ndarray = field(repr=False, compare=False)   # (2, 2, T)
-    _locator: object = field(default=None, repr=False, compare=False)
+    _stack: "_LocatorStack" = field(repr=False, compare=False)
+    _layer: int = field(repr=False, compare=False)
 
     def factors(self, tri):
         """``A[tri]`` as an (N, 2, 2) view of (2, 2, N) entry rows: each
         entry is one contiguous column over the points."""
         return self.A_rows.take(tri, axis=2).transpose(2, 0, 1)
 
+    def inverse_factors(self, tri):
+        """``inv(A[tri])``, laid out as :meth:`factors`: gathered from the
+        image locator's ``A_inv`` rows, the bits of ``_inv22(factors(tri))``
+        (each entry is the same elementwise arithmetic)."""
+        return self.image_locator().A_inv.take(tri, axis=2).transpose(2, 0, 1)
+
     def image_locator(self):
-        # Benign race under concurrent first use: both builds agree.
-        if self._locator is None:
-            object.__setattr__(self, "_locator", _ImageLocator(self))
-        return self._locator
+        """This map's :class:`_ImageLocator`.  The first call on any map of
+        one realize builds every layer's locator at once, in one stacked
+        pass over the layer axis (:func:`_build_image_locators`); later
+        calls on any of those maps return the cached one.  Benign race
+        under concurrent first use: every build writes complete, equal
+        tables, and each caller gets one of them."""
+        return self._stack.locator(self._layer)
+
+
+class _LocatorStack:
+    """What the maps of one realize share for image-side location: the
+    (L, V, 2) positions, (L, 2, 3, T) corners and (L, T, 2, 2) ``A`` that
+    :func:`realize_plmaps` already holds, and, from the first
+    :meth:`locator` call on, the L locators built from them together."""
+
+    def __init__(self, mesh, positions, corners, A):
+        self.mesh, self.positions, self.corners, self.A = mesh, positions, corners, A
+        self._locators = None
+
+    def locator(self, layer):
+        locators = self._locators
+        if locators is None:
+            locators = self._locators = _build_image_locators(
+                self.mesh, self.positions, self.corners, self.A)
+        return locators[layer]
 
 
 def realize_plmaps(mesh: Mesh2D, positions):
@@ -348,14 +379,18 @@ def realize_plmaps(mesh: Mesh2D, positions):
     each layer's map, the stacked linear factors ``A`` (L, T, 2, 2), which
     take each rest triangle's edge vectors onto its deformed ones, and their
     determinants (L, T).  The maps are read-only views into ``positions``,
-    which is marked read-only, and into these stacks.
+    which is marked read-only, and into these stacks.  Their image
+    locators cost nothing here: the maps share one :class:`_LocatorStack`,
+    which builds them all at the first inverse.
     """
     U = _readonly(positions)
     A = _readonly(_edge_matrices(U, mesh.triangles) @ mesh.edge_inverse)
     det = _readonly(_det22(A))
     corners = _readonly(corner_columns(U, mesh.triangles))
     A_rows = _readonly(np.moveaxis(A, 1, -1))
-    maps = tuple(PLMap2D(mesh, *rows) for rows in zip(U, A, det, corners, A_rows))
+    stack = _LocatorStack(mesh, U, corners, A)
+    maps = tuple(PLMap2D(mesh, *rows, _stack=stack, _layer=l)
+                 for l, rows in enumerate(zip(U, A, det, corners, A_rows)))
     return maps, A, det
 
 
@@ -464,43 +499,24 @@ class _ImageLocator:
     oriented beyond its rounding and the boundary polygon is simple (see
     ``_star_shaped_loop``), which makes the map injective; otherwise every
     point takes the scan.
+
+    **The tables.**  A locator holds about 11 floats per triangle: ``u0``
+    (2), ``B`` (4), ``A_inv`` (4, which ``PLMap2D.inverse_factors``
+    gathers) and ``thr`` (1), each row a view of an (L, ..., T) stack.
+    Realize builds none of them: :func:`_build_image_locators` builds every
+    layer's at once, at the first ``PLMap2D.image_locator()`` call on any
+    map of the realize, and the maps share the result.  Concurrent first
+    calls may each build; every build writes complete, equal tables, so
+    the race is benign.
     """
 
-    def __init__(self, plmap: PLMap2D):
-        mesh = self.mesh = plmap.mesh
-        self.positions = plmap.vertex_positions
+    def __init__(self, mesh, u0, B, A_inv, thr):
+        self.mesh = mesh
         # Per-triangle (2, T) and (4, T) rows: the first image corner, and
         # the inverse of the deformed edge matrix, B_rest @ inv(A), entry by
-        # entry (b00, b01, b10, b11).
-        self.u0 = np.ascontiguousarray(plmap.corners[:, 0])
-        B = mesh.edge_inverse @ _inv22(plmap.A)
-        self.B = np.ascontiguousarray(B.reshape(-1, 4).T)
+        # entry (b00, b01, b10, b11); inv(A) itself as (2, 2, T) entry rows.
+        self.u0, self.B, self.A_inv, self.thr = u0, B, A_inv, thr
         self.r0, self.e1, self.e2 = mesh.corner_edges
-        self.thr = self._thresholds(*(plmap.corners[:, 1:] - plmap.corners[:, :1]))
-
-    def _thresholds(self, ex, ey):
-        """Per-triangle walk thresholds from the (2, T) image edge columns,
-        or None when the map is not certified injective (see the class
-        docstring)."""
-        u = 0.5 * np.finfo(np.float64).eps
-        (e1x, e2x), (e1y, e2y) = ex, ey
-        p, q = e1x * e2y, e1y * e2x
-        cross_lo = p - q - 8.0 * u * (np.abs(p) + np.abs(q))  # 2 area, low side
-        if not np.all(cross_lo > 0.0) or not _star_shaped_loop(
-                self.positions[self.mesh.boundary_loop]):
-            return None
-        b00, b01, b10, b11 = self.B
-        with np.errstate(over="ignore", invalid="ignore"):
-            D = np.abs(e1x) + np.abs(e1y) + np.abs(e2x) + np.abs(e2y)
-            beta = np.maximum(np.abs(b00) + np.abs(b01), np.abs(b10) + np.abs(b11))
-            rho = np.maximum(
-                np.abs(b00 * e1x + b01 * e1y - 1.0) + np.abs(b00 * e2x + b01 * e2y),
-                np.abs(b10 * e1x + b11 * e1y) + np.abs(b10 * e2x + b11 * e2y - 1.0))
-            rho += 16.0 * u * beta * D
-            delta = 5.0 * rho + 16.0 * u * (beta * D + 1.0)
-            K = 2.0 * np.max((_BARY_STRICT + delta) * D)
-            thr = delta + 2.0 * K * D / cross_lo
-        return thr if np.all(np.isfinite(thr)) else None
 
     def query(self, points, layer_index=None):
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -588,17 +604,63 @@ def _barycentrics(dx, dy, b00, b01, b10, b11):
     return l0, l1, l2
 
 
-def _star_shaped_loop(P):
-    """True when every edge of the closed polygon P turns counterclockwise
-    about P's vertex mean c, beyond rounding, and P goes round c once: then
-    each ray from c crosses P once, so P is simple."""
+def _build_image_locators(mesh, positions, corners, A):
+    """Every layer's :class:`_ImageLocator`, from the (L, V, 2) positions,
+    (L, 2, 3, T) corners and (L, T, 2, 2) ``A`` of one realize, in one pass
+    over the layer axis.  Each locator's ``u0``, ``B``, ``A_inv`` and
+    ``thr`` are views of (L, ...) stacks; ``thr`` is None for a layer that
+    fails its own certificate (see :func:`_thresholds`).  Every entry is
+    the elementwise arithmetic of one layer built alone, so the bits are
+    those of L separate builds."""
+    L, T = A.shape[:2]
+    u0 = _readonly(corners[:, :, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        A_inv = _inv22(A)
+        B = _readonly((mesh.edge_inverse @ A_inv).reshape(L, T, 4).transpose(0, 2, 1))
+    A_inv = _readonly(np.moveaxis(A_inv, 1, -1))
+    thr = _thresholds(mesh, positions, corners, B)
+    return tuple(_ImageLocator(mesh, *rows) for rows in zip(u0, B, A_inv, thr))
+
+
+def _thresholds(mesh, positions, corners, B):
+    """Per-triangle walk thresholds of L layers from their image corners
+    (L, 2, 3, T) and their ``B`` rows (L, 4, T): a list that holds each
+    layer's (T,) row, or None where the layer is not certified injective
+    (see the :class:`_ImageLocator` docstring).  ``K`` is the largest bound
+    over one layer's triangles, so a failing (or NaN) layer reaches no
+    other layer's thresholds."""
     u = 0.5 * np.finfo(np.float64).eps
-    ax, ay = (P - P.mean(axis=0)).T
-    bx, by = np.roll(ax, -1), np.roll(ay, -1)
+    (e1x, e2x), (e1y, e2y) = (corners[:, :, 1:] - corners[:, :, :1]).transpose(1, 2, 0, 3)
+    p, q = e1x * e2y, e1y * e2x
+    cross_lo = p - q - 8.0 * u * (np.abs(p) + np.abs(q))  # 2 area, low side
+    b00, b01, b10, b11 = B.transpose(1, 0, 2)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        D = np.abs(e1x) + np.abs(e1y) + np.abs(e2x) + np.abs(e2y)
+        beta = np.maximum(np.abs(b00) + np.abs(b01), np.abs(b10) + np.abs(b11))
+        rho = np.maximum(
+            np.abs(b00 * e1x + b01 * e1y - 1.0) + np.abs(b00 * e2x + b01 * e2y),
+            np.abs(b10 * e1x + b11 * e1y) + np.abs(b10 * e2x + b11 * e2y - 1.0))
+        rho += 16.0 * u * beta * D
+        delta = 5.0 * rho + 16.0 * u * (beta * D + 1.0)
+        K = 2.0 * np.max((_BARY_STRICT + delta) * D, axis=-1)
+        thr = _readonly(delta + 2.0 * K[:, None] * D / cross_lo)
+        certified = (np.all(cross_lo > 0.0, axis=-1)
+                     & _star_shaped_loop(positions[:, mesh.boundary_loop])
+                     & np.all(np.isfinite(thr), axis=-1))
+    return [t if ok else None for t, ok in zip(thr, certified)]
+
+
+def _star_shaped_loop(P):
+    """True when every edge of the closed polygon P (m, 2) turns
+    counterclockwise about P's vertex mean c, beyond rounding, and P goes
+    round c once: then each ray from c crosses P once, so P is simple.
+    A (..., m, 2) stack of polygons gives one answer per polygon."""
+    u = 0.5 * np.finfo(np.float64).eps
+    ax, ay = np.moveaxis(P - P.mean(axis=-2, keepdims=True), -1, 0)
+    bx, by = np.roll(ax, -1, axis=-1), np.roll(ay, -1, axis=-1)
     p, q = ax * by, ay * bx
-    if not np.all(p - q - 8.0 * u * (np.abs(p) + np.abs(q)) > 0.0):
-        return False
-    return bool(np.arctan2(p - q, ax * bx + ay * by).sum() < 3.0 * np.pi)
+    turns = np.all(p - q - 8.0 * u * (np.abs(p) + np.abs(q)) > 0.0, axis=-1)
+    return turns & (np.arctan2(p - q, ax * bx + ay * by).sum(axis=-1) < 3.0 * np.pi)
 
 
 def locate_image_points(plmap: PLMap2D, points, layer_index=None):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tuttedeform.deform import realize
-from tuttedeform.mesh2d import build_mesh
+from tuttedeform.mesh2d import _BARY_STRICT, _inv22, build_mesh
 from tuttedeform.prism import triplane_frames
 from tuttedeform.tutte import TutteLayerParams
 
@@ -32,6 +32,49 @@ def random_net(rng, resolution, layers, scale=1.0, frames=None):
     if frames is None:
         frames = triplane_frames(layers)
     return realize(mesh, params, frames)
+
+
+def oracle_star_shaped_loop(P):
+    """``mesh2d._star_shaped_loop`` on one (m, 2) polygon as it was before
+    the locators were built over the layer axis.  Frozen as the oracle."""
+    u = 0.5 * np.finfo(np.float64).eps
+    ax, ay = (P - P.mean(axis=0)).T
+    bx, by = np.roll(ax, -1), np.roll(ay, -1)
+    p, q = ax * by, ay * bx
+    if not np.all(p - q - 8.0 * u * (np.abs(p) + np.abs(q)) > 0.0):
+        return False
+    return bool(np.arctan2(p - q, ax * bx + ay * by).sum() < 3.0 * np.pi)
+
+
+def oracle_image_tables(plmap):
+    """One map's image-locator tables built on their own, ``(u0, B, A_inv,
+    thr)``: the per-layer ``_ImageLocator.__init__`` and ``_thresholds`` as
+    they were before the locators were built over the layer axis, with
+    ``A_inv`` the ``_inv22(A)`` that ``inverse_jacobians`` took per block.
+    Frozen as the oracle."""
+    mesh = plmap.mesh
+    u0 = np.ascontiguousarray(plmap.corners[:, 0])
+    B = np.ascontiguousarray((mesh.edge_inverse @ _inv22(plmap.A)).reshape(-1, 4).T)
+    A_inv = np.ascontiguousarray(np.moveaxis(_inv22(plmap.A), 0, -1))
+    u = 0.5 * np.finfo(np.float64).eps
+    (e1x, e2x), (e1y, e2y) = plmap.corners[:, 1:] - plmap.corners[:, :1]
+    p, q = e1x * e2y, e1y * e2x
+    cross_lo = p - q - 8.0 * u * (np.abs(p) + np.abs(q))
+    if not np.all(cross_lo > 0.0) or not oracle_star_shaped_loop(
+            plmap.vertex_positions[mesh.boundary_loop]):
+        return u0, B, A_inv, None
+    b00, b01, b10, b11 = B
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = np.abs(e1x) + np.abs(e1y) + np.abs(e2x) + np.abs(e2y)
+        beta = np.maximum(np.abs(b00) + np.abs(b01), np.abs(b10) + np.abs(b11))
+        rho = np.maximum(
+            np.abs(b00 * e1x + b01 * e1y - 1.0) + np.abs(b00 * e2x + b01 * e2y),
+            np.abs(b10 * e1x + b11 * e1y) + np.abs(b10 * e2x + b11 * e2y - 1.0))
+        rho += 16.0 * u * beta * D
+        delta = 5.0 * rho + 16.0 * u * (beta * D + 1.0)
+        K = 2.0 * np.max((_BARY_STRICT + delta) * D)
+        thr = delta + 2.0 * K * D / cross_lo
+    return u0, B, A_inv, (thr if np.all(np.isfinite(thr)) else None)
 
 
 def fibonacci_sphere(n, radius=0.5):

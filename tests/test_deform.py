@@ -1,10 +1,12 @@
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from tuttedeform import deform
+from tuttedeform import deform, mesh2d, optim
 from tuttedeform.deform import (DeformationNet, PointSet, forward, forward_trace,
                                 inverse, inverse_jacobians, jacobians, realize)
 from tuttedeform.errors import NotInImageError, OutOfDomainError
@@ -145,6 +147,110 @@ def test_inverse_jacobians_on_grid_aligned_points():
         J = jacobians(net, pts)
         Ji = inverse_jacobians(net, forward(net, pts))
         assert np.abs(Ji @ J - np.eye(3)).max() < 1e-8
+
+
+def test_inverse_jacobians_keep_the_bits_of_per_block_inverses():
+    # Oracle: the same walk and chain with every gathered 2x2 block inverted
+    # by _inv22, as inverse_jacobians did before it gathered the locator's
+    # inv(A) rows.
+    rng = np.random.default_rng(105)
+    net = random_net(rng, resolution=7, layers=5, scale=1.5)
+    g = net.mesh.grid[1:-1]
+    grid = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    for pts in (rng.uniform(-0.9, 0.9, size=(500, 3)), grid):
+        images = forward(net, pts)
+        want = deform._chain(deform._walk_back(net, images),
+                             lambda layer, tri: _inv22(layer.plmap.factors(tri)), {})
+        got = inverse_jacobians(net, images)
+        assert got.tobytes() == np.ascontiguousarray(want.transpose(2, 0, 1)).tobytes()
+    tri = rng.integers(0, net.mesh.num_triangles, 300)
+    for layer in net.layers:
+        assert (layer.plmap.inverse_factors(tri).tobytes()
+                == _inv22(layer.plmap.factors(tri)).tobytes())
+
+
+def test_inverse_errors_on_a_fresh_net():
+    # The first inverse of a net builds its locators; a point outside the
+    # image still raises the walk's error, naming the point and the layer.
+    rng = np.random.default_rng(106)
+    mesh = build_mesh(5)
+    params = stack_params([random_params(rng, mesh) for _ in range(4)])
+    pts = rng.uniform(-0.5, 0.5, size=(40, 3))
+    pts[7] = [0.0, 0.0, 1.5]
+    errors = []
+    for fn in (inverse, inverse_jacobians):
+        net = realize(mesh, params, triplane_frames(4))
+        with pytest.raises(NotInImageError) as info:
+            fn(net, pts)
+        e = info.value
+        assert (e.point_index, e.layer_index, e.point.tolist()) == (7, 3, [0.0, 1.5])
+        errors.append(str(e))
+    assert errors[0] == errors[1]
+    assert re.fullmatch(r"point \[0\. +1\.5\] is outside the deformed mesh "
+                        r"\(best containment violation \S+\)", errors[0])
+
+
+def test_one_locator_build_per_realize(monkeypatch):
+    builds = []
+    build = mesh2d._build_image_locators
+
+    def counted(*args):
+        builds.append(len(args[3]))
+        return build(*args)
+
+    monkeypatch.setattr(mesh2d, "_build_image_locators", counted)
+    rng = np.random.default_rng(107)
+    mesh = build_mesh(5)
+    params = stack_params([random_params(rng, mesh) for _ in range(4)])
+    net = realize(mesh, params, triplane_frames(4))
+    pts = rng.uniform(-0.8, 0.8, size=(200, 3))
+    images = forward(net, pts)
+    jacobians(net, pts)
+    forward_trace(net, pts, need_jacobian=True)
+    assert builds == []
+    inverse(net, images)
+    inverse_jacobians(net, images)
+    for layer in net.layers:
+        locate_image_points(layer.plmap, pts[:, :2], layer_index=layer.layer_index)
+    assert builds == [4]  # one stacked build of all four layers
+    inverse(realize(mesh, params, triplane_frames(4)), images)
+    assert builds == [4, 4]
+    job = optim.FitJob(source=PointSet(pts), target_vertices=images,
+                       spec=optim.NetSpec(layers=3, resolution=5), max_steps=2, log_every=0)
+    optim.run_fit(job)
+    assert builds == [4, 4]
+
+
+def test_concurrent_first_inverses_agree():
+    # Threads racing to a fresh net's first inverse may each build the
+    # stacked tables; every build is complete and equal, so every thread
+    # gets the one-thread answer.
+    rng = np.random.default_rng(108)
+    mesh = build_mesh(7)
+    params = stack_params([random_params(rng, mesh) for _ in range(6)])
+    images = forward(realize(mesh, params, triplane_frames(6)), rng.uniform(-0.8, 0.8, (300, 3)))
+    want = inverse(realize(mesh, params, triplane_frames(6)), images).tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            net = realize(mesh, params, triplane_frames(6))
+            got = [None] * 6
+            barrier = threading.Barrier(len(got))
+
+            def run(i):
+                barrier.wait(timeout=30)
+                got[i] = inverse(net, images).tobytes()
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(got))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert got == [want] * len(got)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_tie_heavy_inverse_takes_the_bin_rule(monkeypatch):

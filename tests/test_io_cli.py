@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -1050,6 +1051,7 @@ def test_grid_file_errors_name_the_file_and_the_key(extreme_workdir, key, value,
 _PLY_HEAD = ("ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
              "property float y\nproperty float z\nelement face 1\n"
              "property list uchar int vertex_indices\nend_header\n")
+_PLY_WEIGHTED = _PLY_HEAD.replace("property float z\n", "property float z\nproperty float weight\n")
 
 
 @pytest.mark.parametrize("name, text, message", [
@@ -1064,11 +1066,17 @@ _PLY_HEAD = ("ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
      "PLY line 13: invalid literal for int() with base 10: 'z'"),
     ("empty.ply", _PLY_HEAD.replace("vertex 3", "vertex 0").replace("face 1", "face 0"),
      "PLY file has no vertices"),
+    ("nan_weight.ply", _PLY_WEIGHTED + "0 0 0 1\n0.1 0 0 nan\n0 0.1 0 1\n3 0 1 2\n",
+     "PLY line 12: weight must be finite and nonnegative"),
+    ("negative_weight.ply", _PLY_WEIGHTED + "0 0 0 1\n0.1 0 0 1\n0 0.1 0 -1\n3 0 1 2\n",
+     "PLY line 13: weight must be finite and nonnegative"),
+    ("inf_weight.ply", _PLY_WEIGHTED + "0 0 0 inf\n0.1 0 0 1\n0 0.1 0 1\n3 0 1 2\n",
+     "PLY line 11: weight must be finite and nonnegative"),
 ])
 def test_geometry_token_errors_name_the_file_and_the_line(extreme_workdir, name, text,
                                                           message):
-    # Bad tokens used to print Python's bare conversion error, naming
-    # neither the file nor the line.
+    # Bad tokens used to print Python's bare conversion error, and bad
+    # weights a message from PointSet, naming neither the file nor the line.
     path = extreme_workdir / name
     path.write_text(text)
     code, err, warned = _apply_to(extreme_workdir, path)
@@ -1127,8 +1135,9 @@ def _ply_text(pts, faces, weights):
 @st.composite
 def _geometry_files(draw):
     """An OBJ, PLY or grid file of at most 50 points: extreme coordinates
-    (±1e308, subnormals), all-coincident points, zero-count elements, and
-    valid files cut at a random byte."""
+    (±1e308, subnormals), all-coincident points, zero-count elements, PLY
+    weights that are extreme, negative or not finite, and valid files cut
+    at a random byte."""
     kind = draw(st.sampled_from(["obj", "ply", "json"]), label="kind")
     n = draw(st.integers(0, 50), label="n")
     # Plain coordinates map into the net's box; extreme ones mostly do not.
@@ -1144,7 +1153,8 @@ def _geometry_files(draw):
     if kind == "obj":
         text = _obj_text(pts, faces)
     elif kind == "ply":
-        weights = draw(st.one_of(st.none(), st.lists(_extreme(), min_size=n, max_size=n)),
+        weight = st.one_of(_extreme(), st.sampled_from([math.nan, math.inf, -math.inf, -1.0]))
+        weights = draw(st.one_of(st.none(), st.lists(weight, min_size=n, max_size=n)),
                        label="weights")
         text = _ply_text(pts, faces, weights)
     else:
@@ -1167,6 +1177,8 @@ def _geometry_files(draw):
 @example(geometry=("obj", _obj_text([[0.1, 0.1, 0.1]] * 50, [[1, 2, 3]])))
 @example(geometry=("ply", _ply_text([], [], None)))
 @example(geometry=("ply", _ply_text([[0.0, 0.1, 0.2]] * 3, [[0, 1, 2]], [1e308] * 3)[:-9]))
+@example(geometry=("ply", _ply_text([[0.0, 0.1, 0.2]] * 3, [[0, 1, 2]], [1.0, math.nan, 1.0])))
+@example(geometry=("ply", _ply_text([[0.0, 0.1, 0.2]] * 3, [[0, 1, 2]], [1.0, 1.0, -1.0])))
 @example(geometry=("json", json.dumps({**_GRID, "spacing": [1e308] * 3})))
 @example(geometry=("json", json.dumps({**_GRID, "dims": [0, 2, 2], "values": []})))
 def test_cli_geometry_files_exit_cleanly(extreme_workdir, geometry):

@@ -6,10 +6,10 @@ from tuttedeform.errors import NotInImageError, OutOfDomainError
 from tuttedeform.mesh2d import (_BARY_FALLBACK, _BARY_STRICT, _SCAN_PAIRS, DOMAIN_TOL,
                                 _axis_cells, _grid_cells, _star_shaped_loop, build_mesh,
                                 interpolate, locate_image_points, locate_points,
-                                realize_plmap)
+                                realize_plmap, realize_plmaps)
 from tuttedeform.tutte import solve_tutte
 
-from conftest import random_params
+from conftest import oracle_image_tables, oracle_star_shaped_loop, random_net, random_params
 
 
 def brute_force_locate(positions, triangles, q, tol=1e-12):
@@ -639,3 +639,54 @@ def test_star_shaped_loop():
     c_shape = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, -0.6], [-0.6, -0.6],
                         [-0.6, 0.6], [1.0, 0.6], [1.0, 1.0], [-1.0, 1.0]])
     assert not _star_shaped_loop(c_shape)               # simple; its mean is outside
+    # A stack of loops gives one answer each, the oracle's: each loop turns
+    # about its own mean (the last one is far from the stack's).
+    loops = [square, square[::-1], hook, c_shape, np.roll(square, 3, axis=0),
+             5.0 + 0.1 * square]
+    assert _star_shaped_loop(np.stack(loops)).tolist() == [
+        oracle_star_shaped_loop(P) for P in loops] == [True, False, False, False, True, True]
+
+
+# ----------------------------- image-locator tables: stacked vs per layer
+
+def assert_tables_match_oracle(maps):
+    """Each map's locator tables, built for the whole stack at once, equal
+    the per-layer oracle's byte for byte, and so does ``thr is None``."""
+    for plmap in maps:
+        loc = plmap.image_locator()
+        u0, B, A_inv, thr = oracle_image_tables(plmap)
+        assert [loc.u0.tobytes(), loc.B.tobytes(), loc.A_inv.tobytes()] == [
+            u0.tobytes(), B.tobytes(), A_inv.tobytes()]
+        assert (loc.thr is None) == (thr is None)
+        assert thr is None or loc.thr.tobytes() == thr.tobytes()
+
+
+@pytest.mark.parametrize("res", [3, 7, 11, 25])
+def test_stacked_locator_tables_match_the_per_layer_oracle(res):
+    rng = np.random.default_rng(50 + res)
+    for scale in (0.3, 1.0, 2.0):
+        net = random_net(rng, res, layers=4, scale=scale)
+        assert_tables_match_oracle([layer.plmap for layer in net.layers])
+
+
+def test_a_layer_that_fails_its_certificate_reaches_no_other_layer():
+    # One stack of five layers: certified, folded (det < 0), positively
+    # oriented with a boundary that is not star-shaped, collapsed to a
+    # point (NaN B and thresholds), certified again.
+    mesh = build_mesh(7)
+    rng = np.random.default_rng(51)
+    good = [solve_tutte(mesh, random_params(rng, mesh)).vertex_positions for _ in range(2)]
+    folded = mesh.vertices.copy()
+    folded[24] = [0.9, 0.2]  # the center vertex, pulled over its neighbors
+    x, y = mesh.vertices.T
+    theta, r = 0.9 * np.pi * x, 1.5 - 0.25 * (y + 1.0)  # an annular sector
+    sector = 0.5 * np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+    maps, A, det = realize_plmaps(mesh, np.stack(
+        [good[0], folded, sector, np.zeros_like(folded), good[1]]))
+    assert np.any(det[1] < 0) and np.all(det[2] > 0)
+    assert not oracle_star_shaped_loop(sector[mesh.boundary_loop])
+    assert_tables_match_oracle(maps)
+    assert [m.image_locator().thr is None for m in maps] == [False, True, True, True, False]
+    for plmap, U in ((maps[0], good[0]), (maps[4], good[1])):
+        alone = realize_plmap(mesh, U).image_locator()
+        assert plmap.image_locator().thr.tobytes() == alone.thr.tobytes()

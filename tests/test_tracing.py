@@ -36,6 +36,20 @@ def test_tracer_wraps_and_restores_every_name():
             "mesh2d.locate_image_points", "mesh2d.image_locator"} <= names
 
 
+def test_a_traced_inverse_locates_once_per_layer():
+    # The first of the L locator calls builds every layer's tables, but the
+    # tracer still sees one call per layer under each name.
+    tracer = Tracer(layers=True)
+    with tracer.installed():
+        net = random_net(np.random.default_rng(2), resolution=5, layers=4)
+        images = deform.forward(net, fibonacci_sphere(50))
+        with tracer.root(OP):
+            deform.inverse(net, images)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("mesh2d.image_locator") == 4
+    assert names.count("mesh2d.locate_image_points") == 4
+
+
 def test_one_adjoint_span_per_layer():
     tracer = Tracer(layers=True)
     with tracer.installed():
