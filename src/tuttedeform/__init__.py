@@ -25,7 +25,7 @@ from .errors import (DeformError, InternalError, NotInImageError,
 from .mesh2d import Mesh2D, PLMap2D, build_mesh, locate_points, realize_plmap
 from .tutte import (TutteLayerParams, boundary_rest_angles, build_boundary,
                     identity_params, solve_tutte, squash)
-from .prism import Frame, PrismLayer, frame_from_axis_angle, triplane_frames
+from .prism import Frame, frame_from_axis_angle, triplane_frames
 from .deform import (DeformationNet, PointSet, forward, forward_trace, inverse,
                      inverse_jacobians, jacobians, realize)
 from .energy import (HandleConstraint, LossWeights, distortion_multipliers,
@@ -47,7 +47,7 @@ __all__ = [
     "Mesh2D", "PLMap2D", "build_mesh", "locate_points", "realize_plmap",
     "TutteLayerParams", "boundary_rest_angles", "build_boundary",
     "identity_params", "solve_tutte", "squash",
-    "Frame", "PrismLayer", "frame_from_axis_angle", "triplane_frames",
+    "Frame", "frame_from_axis_angle", "triplane_frames",
     "DeformationNet", "PointSet", "forward", "forward_trace", "inverse",
     "inverse_jacobians", "jacobians", "realize",
     "HandleConstraint", "LossWeights", "distortion_multipliers",

@@ -1,7 +1,8 @@
 """Deep composition of prismatic layers into one injective 3D deformation.
 
-A deformation net is an ordered list of prismatic layers; the net applies
-layer 0 first.  Injectivity of the composite follows from injectivity of
+A deformation net is an ordered list of prismatic layers, each a frame and
+a realized 2D map (``frames[l]``, ``maps[l]``); the net applies layer 0
+first.  Injectivity of the composite follows from injectivity of
 every layer, and the chain rule gives its Jacobian as the product of the
 per-layer Jacobians evaluated along the orbit of the point, multiplied out
 as (3, 3, N) row stacks and returned as their (N, 3, 3) transposed views.
@@ -28,8 +29,8 @@ import numpy as np
 
 from . import prism
 from .errors import DeformError
-from .mesh2d import Mesh2D, _readonly, _reject_non_finite
-from .prism import Frame, PrismLayer
+from .mesh2d import Mesh2D, PLMap2D, _readonly, _reject_non_finite
+from .prism import Frame, _point_array
 from .tutte import TutteLayerParams, TutteSystem, solve_tutte_with_system, stack_params
 
 
@@ -62,16 +63,17 @@ class PointSet:
 class DeformationNet:
     """Composition of prismatic layers; layer 0 is applied first.
 
-    ``system``, the one ``TutteSystem`` of all layers, holds the net's only
-    copy of its raw parameters (``params``, one stack), the band factor the
-    adjoint solves reuse, and the stacked weights, positions, ``A`` and
-    ``det`` that the layers' maps view and the backward reads.  ``layers``
-    is a pure cache: re-realizing ``params`` reproduces it exactly.
+    Layer l is ``frames[l]`` and ``maps[l]``.  ``system``, the one
+    ``TutteSystem`` of all layers, holds the net's only copy of its raw
+    parameters (``params``, one stack), the band factor the adjoint solves
+    reuse, and the stacked weights, positions, ``A`` and ``det`` that the
+    maps view and the backward reads.  ``maps`` is a pure cache:
+    re-realizing ``params`` reproduces it exactly.
     """
 
     mesh: Mesh2D
     frames: tuple                  # tuple[Frame]
-    layers: tuple                  # tuple[PrismLayer]
+    maps: tuple                    # tuple[PLMap2D]
     system: TutteSystem
 
     @property
@@ -80,7 +82,7 @@ class DeformationNet:
 
     @property
     def num_layers(self) -> int:
-        return len(self.layers)
+        return len(self.maps)
 
 
 def realize(mesh: Mesh2D, params, frames: Sequence[Frame]) -> DeformationNet:
@@ -96,17 +98,7 @@ def realize(mesh: Mesh2D, params, frames: Sequence[Frame]) -> DeformationNet:
     if L != len(frames):
         raise ValueError(f"got {L} parameter sets but {len(frames)} frames")
     maps, system = solve_tutte_with_system(mesh, params)
-    layers = tuple(PrismLayer(frame=f, plmap=plmap, layer_index=idx)
-                   for idx, (plmap, f) in enumerate(zip(maps, frames)))
-    return DeformationNet(mesh=mesh, frames=frames, layers=layers, system=system)
-
-
-def _point_array(points):
-    """``points`` as a float64 array; ValueError unless its shape is (N, 3)."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"points must have shape (N, 3), got {pts.shape}")
-    return pts
+    return DeformationNet(mesh=mesh, frames=frames, maps=maps, system=system)
 
 
 def _as_array(points):
@@ -164,7 +156,7 @@ def _buffer(scratch, key, shape, dtype=np.float64):
 
 
 def _walk(net: DeformationNet, pts, cells=None, scratch=None):
-    """Yield ``(layer, tri, out)`` per layer: each point's input cell, and the
+    """Yield ``(l, tri, out)`` per layer l: each point's input cell, and the
     (3, N) rows of the layer's images.  ``cells``, a pair of (L, N) and
     (L, 3, N) arrays, takes every layer's triangles and barycentric rows;
     without it, every layer's cells go to one scratch pair.
@@ -181,11 +173,11 @@ def _walk(net: DeformationNet, pts, cells=None, scratch=None):
     if cells is None:
         cell = (_buffer(scratch, "tri", (n,), np.int64), _buffer(scratch, "bary", (3, n)))
     out = pts.T
-    for l, layer in enumerate(net.layers):
+    for l, (frame, plmap) in enumerate(zip(net.frames, net.maps)):
         if cells is not None:
             cell = (cells[0][l], cells[1][l])
-        out, tri, _ = prism.forward_rows(layer, out, cell, out=rows[l % 2])
-        yield layer, tri, out
+        out, tri, _ = prism.forward_rows(frame, plmap, l, out, cell, out=rows[l % 2])
+        yield l, tri, out
 
 
 def _last(steps):
@@ -210,15 +202,15 @@ def forward(net: DeformationNet, points):
 
 
 def _walk_back(net: DeformationNet, pts, scratch=None):
-    """Yield ``(layer, tri, out)`` per layer, last layer first: the image-side
+    """Yield ``(l, tri, out)`` per layer l, last layer first: the image-side
     cell of each point and the (3, N) rows of its preimages.  The reverse
     of ``_walk``, with its two scratch row blocks."""
     scratch = {} if scratch is None else scratch
     rows = [_buffer(scratch, k, (3, len(pts))) for k in ("rows0", "rows1")]
     out = pts.T
-    for l, layer in enumerate(reversed(net.layers)):
-        out, tri, _ = prism.inverse_rows(layer, out, out=rows[l % 2])
-        yield layer, tri, out
+    for l in reversed(range(net.num_layers)):
+        out, tri, _ = prism.inverse_rows(net.frames[l], net.maps[l], l, out, out=rows[l % 2])
+        yield l, tri, out
 
 
 def inverse(net: DeformationNet, points):
@@ -233,24 +225,16 @@ def inverse(net: DeformationNet, points):
     return out.T
 
 
-def _chain(steps, factors, scratch):
-    """The (3, 3, N) row stack of the Jacobian product over ``steps``, with
-    ``factors(layer, tri)`` each layer's (N, 2, 2) blocks.  Two ``scratch``
-    buffers take turns holding the product."""
+def _chain(net, steps, factors, scratch):
+    """The (3, 3, N) row stack of the Jacobian product over the ``steps`` of
+    a walk of ``net``, with ``factors(plmap, tri)`` each layer's (N, 2, 2)
+    blocks.  Two ``scratch`` buffers take turns holding the product."""
     J = None
-    for l, (layer, tri, _) in enumerate(steps):
+    for l, tri, _ in steps:
         X = np.eye(3)[:, :, None] if J is None else J
-        J = prism.apply_lifted(layer.frame, factors(layer, tri), X,
+        J = prism.apply_lifted(net.frames[l], factors(net.maps[l], tri), X,
                                out=_buffer(scratch, f"J{l % 2}", (3, 3, len(tri))))
     return J
-
-
-def _factors(layer, tri):
-    return layer.plmap.factors(tri)
-
-
-def _inverse_factors(layer, tri):
-    return layer.plmap.inverse_factors(tri)
 
 
 def jacobians(net: DeformationNet, points):
@@ -259,8 +243,9 @@ def jacobians(net: DeformationNet, points):
     Walks a batch of more than ``_BLOCK`` points in blocks, as ``forward``
     does, into one (3, 3, N) row stack."""
     pts, _ = _as_array(points)
-    return _in_blocks(lambda p, scratch: _chain(_walk(net, p, scratch=scratch), _factors,
-                                                scratch), pts).transpose(2, 0, 1)
+    return _in_blocks(lambda p, scratch: _chain(net, _walk(net, p, scratch=scratch),
+                                                PLMap2D.factors, scratch),
+                      pts).transpose(2, 0, 1)
 
 
 def inverse_jacobians(net: DeformationNet, points):
@@ -272,8 +257,9 @@ def inverse_jacobians(net: DeformationNet, points):
     a batch of more than ``_BLOCK`` points in blocks, as ``jacobians`` does.
     """
     pts, _ = _as_array(points)
-    return _in_blocks(lambda p, scratch: _chain(_walk_back(net, p, scratch), _inverse_factors,
-                                                scratch), pts).transpose(2, 0, 1)
+    return _in_blocks(lambda p, scratch: _chain(net, _walk_back(net, p, scratch),
+                                                PLMap2D.inverse_factors, scratch),
+                      pts).transpose(2, 0, 1)
 
 
 @dataclass
@@ -328,9 +314,9 @@ def forward_trace(net: DeformationNet, points, need_jacobian: bool = False,
     if need_jacobian:
         chain[0] = np.eye(3)[:, :, None]
 
-    for l, (layer, tri, rows) in enumerate(_walk(net, pts, (tris, barys))):
+    for l, tri, rows in _walk(net, pts, (tris, barys)):
         if need_jacobian:
-            prism.apply_lifted(layer.frame, layer.plmap.factors(tri), chain[l],
+            prism.apply_lifted(net.frames[l], net.maps[l].factors(tri), chain[l],
                                out=chain[l + 1])
     if out is not None:  # its views of the arrays refilled above stand
         out.points, out.outputs = pts, rows.T

@@ -68,10 +68,14 @@ class HandleConstraint:
     def __post_init__(self):
         R = np.asarray(self.rotation, dtype=np.float64)
         t = np.asarray(self.translation, dtype=np.float64)
+        if R.shape == (3, 3) and not np.all(np.isfinite(R)):
+            raise ValueError("handle rotation must be finite")
         if R.shape != (3, 3) or np.abs(R @ R.T - np.eye(3)).max() > 1e-8:
             raise ValueError("handle rotation must be a 3x3 rotation matrix")
         if t.shape != (3,):
             raise ValueError("handle translation must be a 3-vector")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("handle translation must be finite")
         object.__setattr__(self, "rotation", _readonly(R))
         object.__setattr__(self, "translation", _readonly(t))
 

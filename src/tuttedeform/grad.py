@@ -141,11 +141,10 @@ def _backward_sweep(net: DeformationNet, trace: Optional[OrbitTrace], g_out, g_j
     H = g_jac  # the Jacobian's cotangent, pulled back layer by layer
 
     for l in range(L - 1, -1, -1):
-        layer = net.layers[l]
-        frame = layer.frame
+        frame = net.frames[l]
         tri = trace.tris[l]
         bary = trace.barys[l].T
-        A = layer.plmap.factors(tri)
+        A = net.maps[l].factors(tri)
 
         # Direct contribution to this layer's deformed vertices.
         verts = mesh.triangle_rows.take(tri, axis=1)

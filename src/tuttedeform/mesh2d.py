@@ -18,7 +18,8 @@ inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -322,8 +323,8 @@ class PLMap2D:
     triangles, so that a point batch gathers whole rows.  Instances are
     frozen in practice: every map comes from :func:`realize_plmaps`, its
     arrays are read-only, and the image-side locators that the maps of one
-    realize share (``_stack``, this map's layer ``_layer``) are the only
-    lazily built (cached) member.
+    realize share (``_tables()``, cached; this map's is entry ``_layer``)
+    are the only lazily built member.
     """
 
     mesh: Mesh2D
@@ -332,7 +333,7 @@ class PLMap2D:
     det: np.ndarray               # (T,)
     corners: np.ndarray = field(repr=False, compare=False)  # (2, 3, T)
     A_rows: np.ndarray = field(repr=False, compare=False)   # (2, 2, T)
-    _stack: "_LocatorStack" = field(repr=False, compare=False)
+    _tables: Callable = field(repr=False, compare=False)
     _layer: int = field(repr=False, compare=False)
 
     def factors(self, tri):
@@ -353,25 +354,7 @@ class PLMap2D:
         calls on any of those maps return the cached one.  Benign race
         under concurrent first use: every build writes complete, equal
         tables, and each caller gets one of them."""
-        return self._stack.locator(self._layer)
-
-
-class _LocatorStack:
-    """What the maps of one realize share for image-side location: the
-    (L, V, 2) positions, (L, 2, 3, T) corners and (L, T, 2, 2) ``A`` that
-    :func:`realize_plmaps` already holds, and, from the first
-    :meth:`locator` call on, the L locators built from them together."""
-
-    def __init__(self, mesh, positions, corners, A):
-        self.mesh, self.positions, self.corners, self.A = mesh, positions, corners, A
-        self._locators = None
-
-    def locator(self, layer):
-        locators = self._locators
-        if locators is None:
-            locators = self._locators = _build_image_locators(
-                self.mesh, self.positions, self.corners, self.A)
-        return locators[layer]
+        return self._tables()[self._layer]
 
 
 def realize_plmaps(mesh: Mesh2D, positions):
@@ -380,16 +363,17 @@ def realize_plmaps(mesh: Mesh2D, positions):
     take each rest triangle's edge vectors onto its deformed ones, and their
     determinants (L, T).  The maps are read-only views into ``positions``,
     which is marked read-only, and into these stacks.  Their image
-    locators cost nothing here: the maps share one :class:`_LocatorStack`,
-    which builds them all at the first inverse.
+    locators cost nothing here: the maps share one cached
+    :func:`_build_image_locators` over these stacks, which builds them all
+    at the first inverse.
     """
     U = _readonly(positions)
     A = _readonly(_edge_matrices(U, mesh.triangles) @ mesh.edge_inverse)
     det = _readonly(_det22(A))
     corners = _readonly(corner_columns(U, mesh.triangles))
     A_rows = _readonly(np.moveaxis(A, 1, -1))
-    stack = _LocatorStack(mesh, U, corners, A)
-    maps = tuple(PLMap2D(mesh, *rows, _stack=stack, _layer=l)
+    tables = cache(partial(_build_image_locators, mesh, U, corners, A))
+    maps = tuple(PLMap2D(mesh, *rows, _tables=tables, _layer=l)
                  for l, rows in enumerate(zip(U, A, det, corners, A_rows)))
     return maps, A, det
 
@@ -429,13 +413,6 @@ def combine(corners, tri, bary, out=None):
     out += np.multiply(c[:, 1], bary[1], out=c[:, 1])
     out += np.multiply(c[:, 2], bary[2], out=c[:, 2])
     return out
-
-
-def interpolate(positions, triangles, tri, bary):
-    """:func:`combine` on the corners of ``triangles`` taken from the
-    (V, 2) ``positions``, for (N, 3) barycentrics ``bary``; returns an
-    (N, 2) transposed view of two rows."""
-    return combine(corner_columns(positions, triangles), tri, np.asarray(bary).T).T
 
 
 class _ImageLocator:

@@ -12,16 +12,18 @@ is injective on its slab domain.  Its Jacobian at p is the constant matrix
 value exactly 1 along the frame's extrusion axis; ``apply_lifted`` applies
 it through the 2x2 block ``A_t`` alone.
 
-The layer walk carries a point batch as a (3, N) block of rows, one per
-coordinate, and records each point's cell as (3, N) barycentric rows;
-Jacobian chains are (3, k, N) row stacks.  Every entry is a contiguous
-column over the points.  ``forward_step`` and ``inverse_step`` are the same
-steps on (N, 3) batches, written as plain products with ``R``: the oracle
-the tests hold the row walk to.  Triplane frames, the only kind a job file
-can ask for, are unsigned permutation matrices: products with them pick
-rows of a block or stack, exact and free of BLAS calls.  Every other
-rotation, signed permutations included, multiplies: the library API and
-explicit checkpoint frames accept any.
+A layer is a frame and a realized 2D map, held by the net as
+``frames[l]`` and ``maps[l]``; the steps take both, and the layer's index
+for their errors.  The layer walk carries a point batch as a (3, N) block
+of rows, one per coordinate, and records each point's cell as (3, N)
+barycentric rows; Jacobian chains are (3, k, N) row stacks.  Every entry
+is a contiguous column over the points.  ``map_points``, ``jacobians`` and
+``invert_points`` are the same steps on one layer's (N, 3) batches.
+Triplane frames, the only kind a job file can ask for, are unsigned
+permutation matrices: products with them pick rows of a block or stack,
+exact and free of BLAS calls.  Every other rotation, signed permutations
+included, multiplies: the library API and explicit checkpoint frames
+accept any.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ class Frame:
         R = np.asarray(self.rotation, dtype=np.float64)
         if R.shape != (3, 3):
             raise ValueError(f"frame rotation must be 3x3, got {R.shape}")
+        if not np.all(np.isfinite(R)):
+            raise ValueError("frame rotation must be finite")
         if np.abs(R @ R.T - np.eye(3)).max() > 1e-10 or np.linalg.det(R) < 0.0:
             raise ValueError("frame rotation must be a proper rotation (R R^T = I, det +1)")
         object.__setattr__(self, "rotation", _readonly(R))
@@ -66,11 +70,13 @@ class Frame:
         return self.rotation[:, 2]
 
     def plane_rows(self, X):
-        """Rows 0 and 1 of ``R^T X`` for a row stack ``X`` (3, ...): views of
-        two of its rows for an unsigned permutation."""
+        """Rows 0 and 1 of ``R^T X`` for a row stack ``X`` (3, ...), as one
+        (2, ...) array: for an unsigned permutation, the view of X's rows
+        ``c0`` and ``c1`` (a slice of step ``c1 - c0``)."""
         if self._rows is None:
             return np.tensordot(self.rotation[:, :2], X, axes=(0, 0))
-        return X[self._rows[0]], X[self._rows[1]]
+        c0, c1 = self._rows[:2]
+        return X[c0::c1 - c0][:2]
 
 
 def frame_from_axis_angle(axis, angle_rad: float) -> Frame:
@@ -79,6 +85,8 @@ def frame_from_axis_angle(axis, angle_rad: float) -> Frame:
     norm = np.linalg.norm(a)
     if not np.isfinite(norm) or norm == 0.0:
         raise ValueError("rotation axis must be a nonzero finite vector")
+    if not np.isfinite(angle_rad):
+        raise ValueError(f"rotation angle must be finite, got {angle_rad}")
     a = a / norm
     K = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]])
     R = np.eye(3) + np.sin(angle_rad) * K + (1.0 - np.cos(angle_rad)) * (K @ K)
@@ -101,83 +109,45 @@ def triplane_frames(count: int):
     return [_TRIPLANE[i % 3] for i in range(count)]
 
 
-@dataclass(frozen=True)
-class PrismLayer:
-    """One injective 3D layer: a frame plus a realized 2D map."""
-
-    frame: Frame
-    plmap: PLMap2D
-    layer_index: int = 0
-
-
-def forward_step(layer: PrismLayer, points):
-    """Images of an (N, 3) batch plus the cell ``(tri, bary)`` of each point."""
-    R, plmap = layer.frame.rotation, layer.plmap
-    local = np.asarray(points, dtype=np.float64) @ R  # row-wise R^T p, a new array
-    tri, bary = mesh2d.locate_points(plmap.mesh, local[:, :2],
-                                     layer_index=layer.layer_index)
-    local[:, :2] = mesh2d.interpolate(plmap.vertex_positions, plmap.mesh.triangles,
-                                      tri, bary)
-    return local @ R.T, tri, bary
-
-
-def inverse_step(layer: PrismLayer, points):
-    """Preimages of an (N, 3) batch in the layer's image, plus each cell ``tri``."""
-    R, plmap = layer.frame.rotation, layer.plmap
-    local = np.asarray(points, dtype=np.float64) @ R
-    tri, bary = mesh2d.locate_image_points(plmap, local[:, :2],
-                                           layer_index=layer.layer_index)
-    local[:, :2] = mesh2d.interpolate(plmap.mesh.vertices, plmap.mesh.triangles,
-                                      tri, bary)
-    return local @ R.T, tri
-
-
-def _row_pair(X, a, b):
-    """Rows ``a`` and ``b`` (a != b) of a (3, ...) block as one (2, ...) view."""
-    return X[a::b - a][:2]
-
-
-def _step_rows(layer: PrismLayer, X, corners, locate, out=None):
+def _step_rows(frame: Frame, X, corners, locate, out=None):
     """One layer on a (3, N) block of rows: ``(image rows, tri, bary)``.
 
     ``locate`` places the (N, 2) local points in cells ``(tri, bary)``, and
     ``corners`` are the (2, 3, T) corner columns the barycentrics combine.
-    For an unsigned permutation the local plane is a view of two rows of X;
-    the image goes straight into the output's rows, and the local z row is
-    copied.  The output is ``out``, a (3, N) block that must not overlap X,
-    when it is given; any other rotation returns new rows.
+    For an unsigned permutation the local plane is the ``plane_rows`` view
+    of X; the image goes straight into the output's plane rows, and the
+    local z row is copied.  The output is ``out``, a (3, N) block that must
+    not overlap X, when it is given; any other rotation returns new rows.
     """
-    frame = layer.frame
     if frame._rows is None:  # any other rotation: through the frame by matmul
         local = frame.rotation.T @ X
         tri, bary = locate(local[:2].T)  # locate has done reading local here
         mesh2d.combine(corners, tri, bary.T, out=local[:2])
         return frame.rotation @ local, tri, bary
-    c0, c1, c2 = frame._rows
-    tri, bary = locate(_row_pair(X, c0, c1).T)
+    tri, bary = locate(frame.plane_rows(X).T)
     out = np.empty(X.shape) if out is None else out
-    mesh2d.combine(corners, tri, bary.T, out=_row_pair(out, c0, c1))
-    out[c2] = X[c2]
+    mesh2d.combine(corners, tri, bary.T, out=frame.plane_rows(out))
+    z = frame._rows[2]
+    out[z] = X[z]
     return out, tri, bary
 
 
-def forward_rows(layer: PrismLayer, X, cells=None, out=None):
-    """:func:`forward_step` on a (3, N) block of rows: the image rows, and
-    ``(tri, bary)`` with ``bary`` the (N, 3) view of (3, N) rows.  ``cells``,
+def forward_rows(frame: Frame, plmap: PLMap2D, layer_index, X, cells=None, out=None):
+    """The layer of ``frame`` and ``plmap`` on a (3, N) block of rows: the
+    image rows, and ``(tri, bary)`` with ``bary`` the (N, 3) view of (3, N)
+    rows.  ``layer_index`` names the layer in location errors.  ``cells``,
     a pair of an (N,) int64 array and a (3, N) block, takes the cells in
     place of new arrays, and ``out`` the image rows (see ``_step_rows``)."""
-    plmap = layer.plmap
-    return _step_rows(layer, X, plmap.corners, lambda p: mesh2d.locate_points(
-        plmap.mesh, p, layer_index=layer.layer_index, out=cells), out)
+    return _step_rows(frame, X, plmap.corners, lambda p: mesh2d.locate_points(
+        plmap.mesh, p, layer_index=layer_index, out=cells), out)
 
 
-def inverse_rows(layer: PrismLayer, X, out=None):
-    """:func:`inverse_step` on a (3, N) block of rows: the preimage rows,
-    ``tri`` and the (N, 3) barycentrics.  ``out`` takes the preimage rows,
-    as in ``forward_rows``."""
-    plmap = layer.plmap
-    return _step_rows(layer, X, plmap.mesh.corners, lambda p: mesh2d.locate_image_points(
-        plmap, p, layer_index=layer.layer_index), out)
+def inverse_rows(frame: Frame, plmap: PLMap2D, layer_index, X, out=None):
+    """The inverse of :func:`forward_rows` on a (3, N) block of image rows:
+    the preimage rows, ``tri`` and the (N, 3) barycentrics.  ``out`` takes
+    the preimage rows, as in ``forward_rows``."""
+    return _step_rows(frame, X, plmap.mesh.corners, lambda p: mesh2d.locate_image_points(
+        plmap, p, layer_index=layer_index), out)
 
 
 def apply_lifted(frame: Frame, A, X, out=None):
@@ -214,18 +184,27 @@ def _mix(A, X, rows, out=None):
     return out
 
 
-def map_points(layer: PrismLayer, points):
-    """Apply the layer to an (N, 3) batch of world-space points."""
-    return forward_step(layer, points)[0]
+def _point_array(points):
+    """``points`` as a float64 array; ValueError unless its shape is (N, 3)."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"points must have shape (N, 3), got {pts.shape}")
+    return pts
 
 
-def jacobians(layer: PrismLayer, points):
+# The (N, 3) forms of the row steps, for one layer.  The points come second:
+# bench/tracing.py wraps these three by name and counts their second argument.
+def map_points(frame: Frame, points, plmap: PLMap2D, layer_index=0):
+    """Apply the layer of ``frame`` and ``plmap`` to an (N, 3) batch."""
+    return forward_rows(frame, plmap, layer_index, _point_array(points).T)[0].T
+
+
+def jacobians(frame: Frame, points, plmap: PLMap2D, layer_index=0):
     """Per-point 3x3 Jacobians ``R lift(A_t) R^T`` for an (N, 3) batch."""
-    tri = forward_step(layer, points)[1]
-    return apply_lifted(layer.frame, layer.plmap.A.take(tri, axis=0),
-                        np.eye(3)[:, :, None]).transpose(2, 0, 1)
+    tri = forward_rows(frame, plmap, layer_index, _point_array(points).T)[1]
+    return apply_lifted(frame, plmap.factors(tri), np.eye(3)[:, :, None]).transpose(2, 0, 1)
 
 
-def invert_points(layer: PrismLayer, points):
+def invert_points(frame: Frame, points, plmap: PLMap2D, layer_index=0):
     """Preimages of an (N, 3) batch; points must lie in the layer's image."""
-    return inverse_step(layer, points)[0]
+    return inverse_rows(frame, plmap, layer_index, _point_array(points).T)[0].T

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from tuttedeform import mesh2d
 from tuttedeform.deform import realize
 from tuttedeform.mesh2d import _BARY_STRICT, _inv22, build_mesh
 from tuttedeform.prism import triplane_frames
@@ -75,6 +76,37 @@ def oracle_image_tables(plmap):
         K = 2.0 * np.max((_BARY_STRICT + delta) * D)
         thr = delta + 2.0 * K * D / cross_lo
     return u0, B, A_inv, (thr if np.all(np.isfinite(thr)) else None)
+
+
+def oracle_interpolate(positions, triangles, tri, bary):
+    """``mesh2d.combine`` on the corners of ``triangles`` taken from the
+    (V, 2) ``positions``, for (N, 3) barycentrics ``bary``; returns an
+    (N, 2) transposed view of two rows.  Frozen as the oracle."""
+    return mesh2d.combine(mesh2d.corner_columns(positions, triangles), tri,
+                          np.asarray(bary).T).T
+
+
+def oracle_forward_step(frame, plmap, points, layer_index=0):
+    """One layer on an (N, 3) batch, written as plain products with ``R``:
+    the images plus each point's cell ``(tri, bary)``.  The step the row
+    walk replaced, frozen as its oracle."""
+    R = frame.rotation
+    local = np.asarray(points, dtype=np.float64) @ R  # row-wise R^T p, a new array
+    tri, bary = mesh2d.locate_points(plmap.mesh, local[:, :2], layer_index=layer_index)
+    local[:, :2] = oracle_interpolate(plmap.vertex_positions, plmap.mesh.triangles,
+                                      tri, bary)
+    return local @ R.T, tri, bary
+
+
+def oracle_inverse_step(frame, plmap, points, layer_index=0):
+    """Preimages of an (N, 3) batch in one layer's image, plus each cell
+    ``tri``, as :func:`oracle_forward_step` computes them.  Frozen."""
+    R = frame.rotation
+    local = np.asarray(points, dtype=np.float64) @ R
+    tri, bary = mesh2d.locate_image_points(plmap, local[:, :2], layer_index=layer_index)
+    local[:, :2] = oracle_interpolate(plmap.mesh.vertices, plmap.mesh.triangles,
+                                      tri, bary)
+    return local @ R.T, tri
 
 
 def fibonacci_sphere(n, radius=0.5):

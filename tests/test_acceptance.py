@@ -16,7 +16,6 @@ with the measured numbers.  Criteria:
 """
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -55,8 +54,8 @@ def test_criterion_01_random_nets_injective():
                 params = [random_params(rng, mesh, scale=1.5)
                           for _ in range(layers)]
                 net = realize(mesh, params, frames)
-                for layer in net.layers:
-                    min_det = min(min_det, float(layer.plmap.det.min()))
+                for plmap in net.maps:
+                    min_det = min(min_det, float(plmap.det.min()))
                 pts = rng.uniform(-1, 1, size=(10_000, 3))
                 out = forward(net, pts)
                 sep = cKDTree(out).query(out, k=2)[0][:, 1].min()
@@ -184,11 +183,11 @@ def test_criterion_05_regularization_monte_carlo():
     for _ in range(20):
         net = realize(mesh, [random_params(rng, mesh, scale=2.0)],
                       triplane_frames(1))
-        layer = net.layers[0]
+        plmap = net.maps[0]
         exact = layer_regularization(net)[0]
         samples = rng.uniform(-1, 1, size=(1_000_000, 2))
         tri, _ = locate_points(mesh, samples)
-        A = layer.plmap.A[tri]
+        A = plmap.A[tri]
         dev = np.einsum("nji,njk->nik", A, A) - np.eye(2)
         vals = np.einsum("nij,nij->n", dev, dev)
         mc = 4.0 * vals.mean()

@@ -10,15 +10,15 @@ from tuttedeform import deform, mesh2d, optim
 from tuttedeform.deform import (DeformationNet, PointSet, forward, forward_trace,
                                 inverse, inverse_jacobians, jacobians, realize)
 from tuttedeform.errors import NotInImageError, OutOfDomainError
-from tuttedeform.mesh2d import (_ImageLocator, _inv22, build_mesh, interpolate,
-                                locate_image_points, locate_points, realize_plmap)
-from tuttedeform.prism import (Frame, PrismLayer, apply_lifted, forward_step,
-                               frame_from_axis_angle, inverse_step, triplane_frames)
+from tuttedeform.mesh2d import (_ImageLocator, _inv22, build_mesh, locate_image_points,
+                                locate_points, realize_plmap)
+from tuttedeform.prism import Frame, apply_lifted, frame_from_axis_angle, triplane_frames
 from tuttedeform.optim import pack_params
 from tuttedeform.tutte import (TutteLayerParams, identity_params, solve_tutte_with_system,
                                stack_params)
 
-from conftest import random_net, random_params, signed_permutations
+from conftest import (oracle_forward_step, oracle_interpolate, oracle_inverse_step,
+                      random_net, random_params, signed_permutations)
 
 
 def test_pointset_validation():
@@ -59,9 +59,9 @@ def test_realize_on_a_list_and_on_its_stack_agree():
         assert getattr(a.params, name).tobytes() == getattr(b.params, name).tobytes()
     for name in ("weights", "factor", "positions", "A", "det"):
         assert getattr(a.system, name).tobytes() == getattr(b.system, name).tobytes()
-    for la, lb in zip(a.layers, b.layers):
+    for ma, mb in zip(a.maps, b.maps):
         for name in ("vertex_positions", "A", "det", "corners", "A_rows"):
-            assert getattr(la.plmap, name).tobytes() == getattr(lb.plmap, name).tobytes()
+            assert getattr(ma, name).tobytes() == getattr(mb, name).tobytes()
 
 
 def test_a_stack_is_required_where_one_is_expected():
@@ -159,14 +159,13 @@ def test_inverse_jacobians_keep_the_bits_of_per_block_inverses():
     grid = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
     for pts in (rng.uniform(-0.9, 0.9, size=(500, 3)), grid):
         images = forward(net, pts)
-        want = deform._chain(deform._walk_back(net, images),
-                             lambda layer, tri: _inv22(layer.plmap.factors(tri)), {})
+        want = deform._chain(net, deform._walk_back(net, images),
+                             lambda plmap, tri: _inv22(plmap.factors(tri)), {})
         got = inverse_jacobians(net, images)
         assert got.tobytes() == np.ascontiguousarray(want.transpose(2, 0, 1)).tobytes()
     tri = rng.integers(0, net.mesh.num_triangles, 300)
-    for layer in net.layers:
-        assert (layer.plmap.inverse_factors(tri).tobytes()
-                == _inv22(layer.plmap.factors(tri)).tobytes())
+    for plmap in net.maps:
+        assert plmap.inverse_factors(tri).tobytes() == _inv22(plmap.factors(tri)).tobytes()
 
 
 def test_inverse_errors_on_a_fresh_net():
@@ -210,8 +209,8 @@ def test_one_locator_build_per_realize(monkeypatch):
     assert builds == []
     inverse(net, images)
     inverse_jacobians(net, images)
-    for layer in net.layers:
-        locate_image_points(layer.plmap, pts[:, :2], layer_index=layer.layer_index)
+    for l, plmap in enumerate(net.maps):
+        locate_image_points(plmap, pts[:, :2], layer_index=l)
     assert builds == [4]  # one stacked build of all four layers
     inverse(realize(mesh, params, triplane_frames(4)), images)
     assert builds == [4, 4]
@@ -259,23 +258,22 @@ def test_tie_heavy_inverse_takes_the_bin_rule(monkeypatch):
     # certified: each point at each layer takes the locator's fallback scan.
     mesh = build_mesh(7)
     frames = triplane_frames(6)
-    layers = tuple(PrismLayer(frame=f, plmap=realize_plmap(mesh, mesh.vertices),
-                              layer_index=i) for i, f in enumerate(frames))
-    net = DeformationNet(mesh=mesh, frames=tuple(frames),
-                         layers=layers, system=None)
+    maps = tuple(realize_plmap(mesh, mesh.vertices) for _ in frames)
+    net = DeformationNet(mesh=mesh, frames=tuple(frames), maps=maps, system=None)
     g = mesh.grid
     axis = np.concatenate([g, 0.5 * (g[1:] + g[:-1])])
     pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
 
     # The rule alone: the scan on every row, layer by layer.
     want, want_J = pts, np.eye(3)[:, :, None]
-    for layer in reversed(layers):
-        local = want @ layer.frame.rotation
-        tri, ls = layer.plmap.image_locator()._scan_query(
-            local[:, :2], np.arange(len(pts)), layer.layer_index)
-        local[:, :2] = interpolate(mesh.vertices, mesh.triangles, tri, np.column_stack(ls))
-        want = local @ layer.frame.rotation.T
-        want_J = apply_lifted(layer.frame, _inv22(layer.plmap.A[tri]), want_J)
+    for l in reversed(range(len(maps))):
+        frame, plmap = frames[l], maps[l]
+        local = want @ frame.rotation
+        tri, ls = plmap.image_locator()._scan_query(local[:, :2], np.arange(len(pts)), l)
+        local[:, :2] = oracle_interpolate(mesh.vertices, mesh.triangles, tri,
+                                          np.column_stack(ls))
+        want = local @ frame.rotation.T
+        want_J = apply_lifted(frame, _inv22(plmap.A[tri]), want_J)
 
     fallback_rows = []
     scan_query = _ImageLocator._scan_query
@@ -289,7 +287,7 @@ def test_tie_heavy_inverse_takes_the_bin_rule(monkeypatch):
         warnings.simplefilter("error", RuntimeWarning)
         got = inverse(net, pts)
         got_J = inverse_jacobians(net, pts)
-    assert fallback_rows == [len(pts)] * (2 * len(layers))
+    assert fallback_rows == [len(pts)] * (2 * len(maps))
     assert got.tobytes() == want.tobytes()
     assert got_J.tobytes() == np.ascontiguousarray(want_J.transpose(2, 0, 1)).tobytes()
 
@@ -319,12 +317,12 @@ def test_jacobian_chains_match_explicit_3x3_products(resolution, scale):
         images = forward(net, pts)
         want = want_inv = np.broadcast_to(np.eye(3), (len(pts), 3, 3))
         x, y = pts, images
-        for layer in net.layers:
-            x, tri, _ = forward_step(layer, x)
-            want = _lifted(layer.frame, layer.plmap.A[tri]) @ want
-        for layer in reversed(net.layers):
-            y, tri = inverse_step(layer, y)
-            want_inv = _lifted(layer.frame, _inv22(layer.plmap.A[tri])) @ want_inv
+        for l, (frame, plmap) in enumerate(zip(net.frames, net.maps)):
+            x, tri, _ = oracle_forward_step(frame, plmap, x, l)
+            want = _lifted(frame, plmap.A[tri]) @ want
+        for l in reversed(range(net.num_layers)):
+            y, tri = oracle_inverse_step(net.frames[l], net.maps[l], y, l)
+            want_inv = _lifted(net.frames[l], _inv22(net.maps[l].A[tri])) @ want_inv
         for got, w in ((jacobians(net, pts), want),
                        (forward_trace(net, pts, need_jacobian=True).jac, want),
                        (inverse_jacobians(net, images), want_inv)):
@@ -350,8 +348,8 @@ def test_box_face_points():
 def test_all_layer_determinants_positive():
     rng = np.random.default_rng(5)
     net = random_net(rng, resolution=9, layers=8, scale=2.0)
-    for layer in net.layers:
-        assert np.all(layer.plmap.det > 0)
+    for plmap in net.maps:
+        assert np.all(plmap.det > 0)
 
 
 def test_forward_trace_consistency():
@@ -387,7 +385,7 @@ def test_non_finite_points_are_rejected():
             fn(net, pts)
     local = np.array([[0.0, 0.0], [-np.inf, 0.0], [np.nan, 0.0]])
     with pytest.raises(ValueError, match="point 1 is not finite"):
-        locate_image_points(net.layers[0].plmap, local)
+        locate_image_points(net.maps[0], local)
     with pytest.raises(ValueError, match="point 1 is not finite"):
         locate_points(net.mesh, local)
 
@@ -413,18 +411,19 @@ def test_forward_is_deterministic():
 
 
 def _step_chains(net, pts, images):
-    """The oracle of the row walk: chains of (N, 3) ``forward_step`` and
-    ``inverse_step`` calls, with the Jacobian products on their cells."""
+    """The oracle of the row walk: chains of (N, 3) ``oracle_forward_step``
+    and ``oracle_inverse_step`` calls, with the Jacobian products on their
+    cells."""
     x, J, cells, prefixes = pts, np.eye(3)[:, :, None], [], []
-    for layer in net.layers:
+    for l, (frame, plmap) in enumerate(zip(net.frames, net.maps)):
         prefixes.append(np.broadcast_to(J, (3, 3, len(pts))))
-        x, tri, bary = forward_step(layer, x)
+        x, tri, bary = oracle_forward_step(frame, plmap, x, l)
         cells.append((tri, bary))
-        J = apply_lifted(layer.frame, layer.plmap.A[tri], J)
+        J = apply_lifted(frame, plmap.A[tri], J)
     y, Ji = images, np.eye(3)[:, :, None]
-    for layer in reversed(net.layers):
-        y, tri = inverse_step(layer, y)
-        Ji = apply_lifted(layer.frame, _inv22(layer.plmap.A[tri]), Ji)
+    for l in reversed(range(net.num_layers)):
+        y, tri = oracle_inverse_step(net.frames[l], net.maps[l], y, l)
+        Ji = apply_lifted(net.frames[l], _inv22(net.maps[l].A[tri]), Ji)
     return dict(forward=x, inverse=y, jacobians=J.transpose(2, 0, 1),
                 inverse_jacobians=Ji.transpose(2, 0, 1),
                 tris=np.stack([t for t, _ in cells]),
@@ -462,9 +461,9 @@ def test_row_walk_matches_the_step_chain_bit_for_bit(order):
     faces[np.arange(300), rng.integers(0, 3, 300)] = rng.choice([-1.0, 1.0], 300)
     corners = np.stack(np.meshgrid(*[[-1.0, 1.0]] * 3, indexing="ij"), -1).reshape(-1, 3)
     pts = np.concatenate([on_grid, faces, corners, rng.uniform(-1, 1, (300, 3))])
-    images = forward_step(net.layers[0], pts)[0]
-    for layer in net.layers[1:]:
-        images = forward_step(layer, images)[0]
+    images = pts
+    for l, (frame, plmap) in enumerate(zip(net.frames, net.maps)):
+        images = oracle_forward_step(frame, plmap, images, l)[0]
     want, got = _step_chains(net, pts, images), _walk_outputs(net, pts, images)
     for key, w in want.items():
         assert got[key].shape == w.shape, key

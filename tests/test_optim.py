@@ -79,7 +79,7 @@ def test_zero_init_is_near_identity_and_injective():
     params = init_params(mesh, 3)
     assert all(np.all(p == 0) for p in params.raw_edge_weights)
     net = realize(mesh, params, triplane_frames(3))
-    assert all(np.all(l.plmap.det > 0) for l in net.layers)
+    assert all(np.all(plmap.det > 0) for plmap in net.maps)
     pts = np.random.default_rng(0).uniform(-0.8, 0.8, size=(200, 3))
     assert np.abs(forward(net, pts) - pts).max() < 0.2
 

@@ -1,15 +1,20 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from tuttedeform.deform import PointSet
+from tuttedeform.energy import HandleConstraint
 from tuttedeform.errors import NotInImageError
 from tuttedeform.mesh2d import build_mesh
-from tuttedeform.prism import (Frame, PrismLayer, apply_lifted,
-                               frame_from_axis_angle, invert_points, jacobians,
-                               map_points, triplane_frames)
+from tuttedeform.prism import (Frame, apply_lifted, frame_from_axis_angle, invert_points,
+                               jacobians, map_points, triplane_frames)
 from tuttedeform.tutte import identity_params, solve_tutte
 
-from conftest import random_params, signed_permutations
+from conftest import (oracle_forward_step, oracle_inverse_step, random_params,
+                      signed_permutations)
 
 
 def is_permutation(R):
@@ -25,13 +30,14 @@ NON_PERMUTATIONS = [frame_from_axis_angle([0, 0, 1], np.pi / 2).rotation,
 ALL_FRAMES = PERMUTATIONS + NON_PERMUTATIONS
 
 
-def make_layer(rng=None, resolution=7, frame=None, scale=1.5, index=0):
+def make_layer(rng=None, resolution=7, frame=None, scale=1.5):
+    """A layer's frame and map: ``(frame, plmap)``."""
     mesh = build_mesh(resolution)
     params = identity_params(mesh) if rng is None else random_params(rng, mesh, scale)
     plmap = solve_tutte(mesh, params)
     if frame is None:
         frame = Frame(np.eye(3))
-    return PrismLayer(frame=frame, plmap=plmap, layer_index=index)
+    return frame, plmap
 
 
 def test_frame_rejects_non_rotation():
@@ -128,37 +134,36 @@ def test_plane_rows_are_the_in_plane_rows_in_the_frame():
 def test_identity_layer_is_identity():
     pts = np.random.default_rng(1).uniform(-1, 1, size=(200, 3))
     for R in ALL_FRAMES:
-        layer = make_layer(frame=Frame(R))
+        frame, plmap = make_layer(frame=Frame(R))
         # half the box keeps rotated frames' local coordinates in the square
         p = pts if is_permutation(R) else 0.5 * pts
-        assert np.abs(map_points(layer, p) - p).max() < 1e-9
+        assert np.abs(map_points(frame, p, plmap) - p).max() < 1e-9
 
 
 def test_frame_axis_coordinate_preserved():
     # the coordinate along the frame's local z never changes
     rng = np.random.default_rng(2)
     for R in ALL_FRAMES + [frame_from_axis_angle([1.0, 1.0, 0.0], 0.7).rotation]:
-        frame = Frame(R)
-        layer = make_layer(rng, frame=frame)
+        frame, plmap = make_layer(rng, frame=Frame(R))
         pts = rng.uniform(-0.6, 0.6, size=(100, 3))
-        out = map_points(layer, pts)
+        out = map_points(frame, pts, plmap)
         assert np.abs(out @ frame.axis - pts @ frame.axis).max() < 1e-12
 
 
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(3)
     for R in [PERMUTATIONS[5], PERMUTATIONS[17]] + NON_PERMUTATIONS:
-        layer = make_layer(rng, frame=Frame(R))
+        frame, plmap = make_layer(rng, frame=Frame(R))
         pts = rng.uniform(-0.5, 0.5, size=(40, 3))
-        J = jacobians(layer, pts)
+        J = jacobians(frame, pts, plmap)
         h = 1e-7
         for k in range(len(pts)):
             fd = np.empty((3, 3))
             for c in range(3):
                 e = np.zeros(3)
                 e[c] = h
-                fd[:, c] = (map_points(layer, (pts[k] + e)[None])[0]
-                            - map_points(layer, (pts[k] - e)[None])[0]) / (2 * h)
+                fd[:, c] = (map_points(frame, (pts[k] + e)[None], plmap)[0]
+                            - map_points(frame, (pts[k] - e)[None], plmap)[0]) / (2 * h)
             rel = np.abs(J[k] - fd).max() / max(1.0, np.abs(fd).max())
             assert rel < 5e-7
 
@@ -166,21 +171,21 @@ def test_jacobian_matches_finite_differences():
 def test_invert_roundtrip():
     rng = np.random.default_rng(4)
     for R in [frame_from_axis_angle([0, 1, 0], 1.1).rotation] + ALL_FRAMES:
-        layer = make_layer(rng, frame=Frame(R), scale=2.0)
+        frame, plmap = make_layer(rng, frame=Frame(R), scale=2.0)
         # a rotated frame maps the box to a rotated box; sample inside the
         # inscribed ball so local coordinates stay in [-1, 1]^2
         pts = rng.uniform(-1, 1, size=(500, 3))
         pts = 0.9 * pts / np.maximum(1.0, np.linalg.norm(pts, axis=1, keepdims=True))
-        out = map_points(layer, pts)
-        back = invert_points(layer, out)
+        out = map_points(frame, pts, plmap)
+        back = invert_points(frame, out, plmap)
         assert np.abs(back - pts).max() < 1e-10
 
 
 def test_out_of_image_error_carries_layer_index():
     rng = np.random.default_rng(5)
-    layer = make_layer(rng, index=4)
+    frame, plmap = make_layer(rng)
     with pytest.raises(NotInImageError) as ei:
-        invert_points(layer, np.array([[3.0, 0.0, 0.0]]))
+        invert_points(frame, np.array([[3.0, 0.0, 0.0]]), plmap, 4)
     assert ei.value.layer_index == 4
 
 
@@ -188,7 +193,62 @@ def test_box_preserved():
     # prism layers are bijections of the box; outputs stay inside it
     rng = np.random.default_rng(6)
     for R in PERMUTATIONS:
-        layer = make_layer(rng, frame=Frame(R), scale=2.5)
+        frame, plmap = make_layer(rng, frame=Frame(R), scale=2.5)
         pts = rng.uniform(-1, 1, size=(400, 3))
-        out = map_points(layer, pts)
+        out = map_points(frame, pts, plmap)
         assert np.abs(out).max() <= 1.0 + 1e-12
+
+
+def test_per_layer_forms_match_the_step_oracle():
+    # map_points, jacobians and invert_points against the frozen (N, 3)
+    # steps: the same bits on permutation frames (equal as numbers: a
+    # product with R may give -0.0 where a row pick keeps +0.0), and on
+    # tilted frames the same cells within rounding.
+    rng = np.random.default_rng(7)
+    for R in ALL_FRAMES:
+        frame, plmap = make_layer(rng, frame=Frame(R), scale=2.0)
+        pts = rng.uniform(-1, 1, size=(500, 3))
+        if not is_permutation(R):
+            pts = 0.6 * pts / np.maximum(1.0, np.linalg.norm(pts, axis=1, keepdims=True))
+        want, tri, _ = oracle_forward_step(frame, plmap, pts, 3)
+        want_J = apply_lifted(frame, plmap.A[tri], np.eye(3)[:, :, None]).transpose(2, 0, 1)
+        want_back = oracle_inverse_step(frame, plmap, want, 3)[0]
+        got = (map_points(frame, pts, plmap, 3), jacobians(frame, pts, plmap, 3),
+               invert_points(frame, want, plmap, 3))
+        for g, w in zip(got, (want, want_J, want_back)):
+            assert g.shape == w.shape
+            if is_permutation(R):
+                assert np.array_equal(g, w)
+            else:
+                assert np.abs(g - w).max() <= 4e-15 * np.abs(w).max()
+
+
+
+def test_per_layer_forms_reject_malformed_batches():
+    frame, plmap = make_layer()
+    for fn in (map_points, jacobians, invert_points):
+        for shape in ((5, 4), (5, 2), (3,)):
+            with pytest.raises(ValueError, match=re.escape(f"shape (N, 3), got {shape}")):
+                fn(frame, np.zeros(shape), plmap)
+
+def test_non_finite_rotations_and_motions_are_rejected_by_name():
+    # Each is a ValueError naming the field, raised before any arithmetic
+    # on it could warn.
+    nan = np.full((3, 3), np.nan)
+    points = PointSet(np.zeros((2, 3)))
+    cases = [
+        (lambda: Frame(np.diag([np.nan, 1.0, 1.0])), "frame rotation must be finite"),
+        (lambda: Frame(np.full((3, 3), np.inf)), "frame rotation must be finite"),
+        (lambda: frame_from_axis_angle([0, 0, 1], np.inf), "rotation angle must be finite"),
+        (lambda: frame_from_axis_angle([0, 0, 1], np.nan), "rotation angle must be finite"),
+        (lambda: HandleConstraint(points, rotation=nan), "handle rotation must be finite"),
+        (lambda: HandleConstraint(points, translation=[0.0, np.inf, 0.0]),
+         "handle translation must be finite"),
+        (lambda: HandleConstraint(points, translation=[np.nan] * 3),
+         "handle translation must be finite"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for make, message in cases:
+            with pytest.raises(ValueError, match=message):
+                make()

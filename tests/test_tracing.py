@@ -10,7 +10,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 from tracing import ADJOINT, OP, SPANS, STEP, Tracer  # noqa: E402
-from tuttedeform import deform, grad, optim  # noqa: E402
+from tuttedeform import deform, grad, optim, prism  # noqa: E402
 from tuttedeform.deform import PointSet  # noqa: E402
 from tuttedeform.energy import HandleConstraint  # noqa: E402
 
@@ -81,3 +81,20 @@ def test_one_stacked_solve_per_realize():
         assert [span[3] for span in tracer.spans if span[0] == stage] == solves
     adjoint_ops = [span[4] for span in tracer.spans if span[0] == ADJOINT]
     assert sorted(adjoint_ops.count(op) for op in set(adjoint_ops)) == [3, 3]
+
+
+def test_the_per_layer_forms_count_their_points():
+    # The tracer counts the points of a span as ``len(args[1])``: each of
+    # the three per-layer forms must take its batch second.
+    net = random_net(np.random.default_rng(3), resolution=5, layers=3)
+    batch = 0.5 * fibonacci_sphere(37)
+    images = prism.map_points(net.frames[1], batch, net.maps[1], 1)
+    tracer = Tracer(layers=True)
+    with tracer.installed():
+        with tracer.root(OP):
+            prism.map_points(net.frames[1], batch, net.maps[1], 1)
+            prism.jacobians(net.frames[1], batch, net.maps[1], 1)
+            prism.invert_points(net.frames[1], images, net.maps[1], 1)
+    for name in ("prism.map_points", "prism.jacobians", "prism.invert_points"):
+        spans = [span for span in tracer.spans if span[0] == name]
+        assert [span[5] for span in spans] == [len(batch)], name
