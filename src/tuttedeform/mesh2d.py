@@ -195,7 +195,9 @@ def _reject_non_finite(pts):
 
 def _axis_cells(mesh, coords):
     """Cell index and local fraction along each axis of a (2, N) block of
-    coordinates in [-1, 1], with exact gridline ties.
+    coordinates in [-1, 1], with exact gridline ties.  Forward location
+    only, where the tie rule decides the output; the image walk guesses
+    its cells with :func:`_walk_cells`.
 
     A coordinate exactly on an interior gridline is assigned to the cell on
     its lower side, with local fraction ``w / w == 1.0`` for that cell's
@@ -244,7 +246,8 @@ def _grid_cells(mesh, xy, tri=None):
     mask.
 
     ``xy`` is a (2, N) block of coordinates already clamped to [-1, 1]; the
-    triangles are written into ``tri`` when it is given.
+    triangles are written into ``tri`` when it is given.  Forward location
+    only (see :func:`_axis_cells`).
     """
     idx, f = _axis_cells(mesh, xy)
     upper = f[0] < f[1]
@@ -253,6 +256,27 @@ def _grid_cells(mesh, xy, tri=None):
     tri *= 2
     tri += upper
     return tri, f, upper
+
+
+def _walk_cells(mesh, xy):
+    """The image walk's guess at the rest triangle of each position in the
+    (2, N) block ``xy``, already in [-1, 1]: the cell the floor of
+    ``(xy + 1) / h`` names and the side of its diagonal, with none of
+    :func:`_grid_cells`' exactness.  A position near a gridline or the
+    diagonal may get a neighbour of its exact triangle, one that shares a
+    vertex with it.  The walk accepts a triangle only by its certificate,
+    which does not depend on how the triangle was found, so the guess's
+    rounding moves no output bit."""
+    t = xy + 1.0
+    t *= 1.0 / mesh.cell_size
+    idx = t.astype(np.int64)  # >= 0, as xy >= -1
+    np.minimum(idx, mesh.resolution - 2, out=idx)
+    t -= idx
+    tri = idx[1] * (mesh.resolution - 1)
+    tri += idx[0]
+    tri *= 2
+    tri += t[0] < t[1]
+    return tri
 
 
 def _clamped(pts):
@@ -430,14 +454,16 @@ class _ImageLocator:
     that the first with the best score, if that is within _BARY_FALLBACK.
 
     **The walk** is Newton's method on the piecewise-linear map.  It starts
-    at x = y clamped to the square, takes x's rest triangle t (O(1) on the
-    regular grid), scores y in t with the rule's expressions, and accepts t
-    if the score s reaches ``thr[t]``; otherwise it moves x to t's affine
-    preimage of y, ``v0 + l1 e1 + l2 e2`` over t's rest corner and edges,
-    clamped.  After _NEWTON_STEPS such moves it moves only halfway there,
-    for _HALF_STEPS more scores: clamping and the kinks of the map make
-    some walks near the boundary jump back and forth between two triangles
-    on either side of y's, and the half steps land between them.  Points
+    at x = y clamped to the square, guesses x's rest triangle t by one floor
+    per axis (:func:`_walk_cells`; near a gridline or a diagonal the guess
+    may be a neighbour of x's exact triangle), scores y in t with the rule's
+    expressions, and accepts t if the score s reaches ``thr[t]`` (a NaN
+    score never does); otherwise it moves x to t's affine preimage of y,
+    ``v0 + l1 e1 + l2 e2`` over t's rest corner and edges, clamped.  After
+    _NEWTON_STEPS such moves it moves only halfway there, for _HALF_STEPS
+    more scores: clamping and the kinks of the map make some walks near the
+    boundary jump back and forth between two triangles on either side of
+    y's, and the half steps land between them.  Points
     it leaves (ties on deformed edges and vertices, points outside the
     image, walks that still cycle) take the scan, which applies the rule
     itself: it scores every triangle, so it is complete by definition, at
@@ -475,7 +501,8 @@ class _ImageLocator:
     assumed: the walk runs only when every image triangle is positively
     oriented beyond its rounding and the boundary polygon is simple (see
     ``_star_shaped_loop``), which makes the map injective; otherwise every
-    point takes the scan.
+    point takes the scan.  The certificate is about t alone, not about how
+    the walk reached t, so the guess's rounding moves no output bit.
 
     **The tables.**  A locator holds about 11 floats per triangle: ``u0``
     (2), ``B`` (4), ``A_inv`` (4, which ``PLMap2D.inverse_factors``
@@ -503,35 +530,43 @@ class _ImageLocator:
         cols = np.empty((3, n))  # l0, l1, l2
         rows = np.arange(n)  # the points not yet located
         at = slice(None)  # where this step's results go: all, then ``rows``
-        if self.thr is not None and n:
-            # Each step writes every point it scores; a later step or the
-            # fallback overwrites the ones it does not accept.  ``q`` holds
-            # the image points and ``xy`` the walk's positions, as (2, n) rows.
-            q = np.array(pts.T, order="C")
-            xy = _clamped(pts)
-            for step in range(_NEWTON_STEPS + _HALF_STEPS):
-                t = _grid_cells(self.mesh, xy)[0]
-                l0, l1, l2 = _barycentrics(*(q - self.u0.take(t, axis=1)),
-                                           *self.B.take(t, axis=1))
-                tri[at] = t
-                for col, l in zip(cols, (l0, l1, l2)):
-                    col[at] = l
-                left = np.flatnonzero(np.minimum(np.minimum(l0, l1), l2) < self.thr[t])
-                rows = at = rows[left]
-                if not rows.size:
-                    break
-                q, t, l1, l2 = q[:, left], t[left], l1[left], l2[left]
-                to = self.r0.take(t, axis=1)
-                to += l1 * self.e1.take(t, axis=1)
-                to += l2 * self.e2.take(t, axis=1)
-                np.minimum(to, 1.0, out=to)
-                np.maximum(to, -1.0, out=to)
-                if step >= _NEWTON_STEPS:  # go halfway: breaks two-cycles
-                    to += xy[:, left]
-                    to *= 0.5
-                xy = to
-        if rows.size:
-            tri[rows], cols[:, rows] = self._scan_query(pts[rows], rows, layer_index)
+        # A finite point far outside the image may score inf or NaN: such a
+        # score certifies nothing, and the scan rejects the point.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.thr is not None and n:
+                # Each step writes every point it scores; a later step or the
+                # fallback overwrites the ones it does not accept.  ``q`` holds
+                # the image points and ``xy`` the walk's positions, as (2, n)
+                # rows.
+                q = np.array(pts.T, order="C")
+                xy = _clamped(pts)
+                for step in range(_NEWTON_STEPS + _HALF_STEPS):
+                    t = _walk_cells(self.mesh, xy)
+                    l0, l1, l2 = _barycentrics(*(q - self.u0.take(t, axis=1)),
+                                               *self.B.take(t, axis=1))
+                    tri[at] = t
+                    for col, l in zip(cols, (l0, l1, l2)):
+                        col[at] = l
+                    # Negated, so that a NaN score is left, not accepted.
+                    score = np.minimum(np.minimum(l0, l1), l2)
+                    left = np.flatnonzero(~(score >= self.thr[t]))
+                    rows = at = rows[left]
+                    if not rows.size:
+                        break
+                    q, t, l1, l2 = q[:, left], t[left], l1[left], l2[left]
+                    to = self.r0.take(t, axis=1)
+                    to += l1 * self.e1.take(t, axis=1)
+                    to += l2 * self.e2.take(t, axis=1)
+                    # fmin/fmax clamp a NaN (an inf times a zero edge entry)
+                    # onto the square too: every position stays in it.
+                    np.fmin(to, 1.0, out=to)
+                    np.fmax(to, -1.0, out=to)
+                    if step >= _NEWTON_STEPS:  # go halfway: breaks two-cycles
+                        to += xy[:, left]
+                        to *= 0.5
+                    xy = to
+            if rows.size:
+                tri[rows], cols[:, rows] = self._scan_query(pts[rows], rows, layer_index)
         return tri, cols.T
 
     def _scan_query(self, pts, rows, layer_index):
@@ -608,19 +643,61 @@ def _thresholds(mesh, positions, corners, B):
     other layer's thresholds."""
     u = 0.5 * np.finfo(np.float64).eps
     (e1x, e2x), (e1y, e2y) = (corners[:, :, 1:] - corners[:, :, :1]).transpose(1, 2, 0, 3)
-    p, q = e1x * e2y, e1y * e2x
-    cross_lo = p - q - 8.0 * u * (np.abs(p) + np.abs(q))  # 2 area, low side
     b00, b01, b10, b11 = B.transpose(1, 0, 2)
+    # Five (L, T) buffers beside the edges: each formula in the comments is
+    # evaluated in place, in its own order, so its bits are the formula's.
+    # cross_lo = p - q - 8u (|p| + |q|), p = e1x e2y, q = e1y e2x: 2 area, low side.
+    cross_lo, q = e1x * e2y, e1y * e2x
+    a = np.abs(cross_lo)
+    cross_lo -= q
+    a += np.abs(q, out=q)
+    a *= 8.0 * u
+    cross_lo -= a
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        D = np.abs(e1x) + np.abs(e1y) + np.abs(e2x) + np.abs(e2y)
-        beta = np.maximum(np.abs(b00) + np.abs(b01), np.abs(b10) + np.abs(b11))
-        rho = np.maximum(
-            np.abs(b00 * e1x + b01 * e1y - 1.0) + np.abs(b00 * e2x + b01 * e2y),
-            np.abs(b10 * e1x + b11 * e1y) + np.abs(b10 * e2x + b11 * e2y - 1.0))
-        rho += 16.0 * u * beta * D
-        delta = 5.0 * rho + 16.0 * u * (beta * D + 1.0)
-        K = 2.0 * np.max((_BARY_STRICT + delta) * D, axis=-1)
-        thr = _readonly(delta + 2.0 * K[:, None] * D / cross_lo)
+        # rho = max(|b00 e1x + b01 e1y - 1| + |b00 e2x + b01 e2y|,
+        #           |b10 e1x + b11 e1y| + |b10 e2x + b11 e2y - 1|) + 16u beta D
+        rho = b00 * e1x
+        rho += np.multiply(b01, e1y, out=a)
+        rho -= 1.0
+        np.abs(rho, out=rho)
+        np.multiply(b00, e2x, out=a)
+        a += np.multiply(b01, e2y, out=q)
+        rho += np.abs(a, out=a)
+        r = b10 * e1x
+        r += np.multiply(b11, e1y, out=a)
+        np.abs(r, out=r)
+        np.multiply(b10, e2x, out=a)
+        a += np.multiply(b11, e2y, out=q)
+        a -= 1.0
+        r += np.abs(a, out=a)
+        np.maximum(rho, r, out=rho)
+        # beta = max(|b00| + |b01|, |b10| + |b11|)
+        beta = np.abs(b00, out=q)
+        beta += np.abs(b01, out=a)
+        np.abs(b10, out=r)
+        r += np.abs(b11, out=a)
+        np.maximum(beta, r, out=beta)
+        # D = |e1x| + |e1y| + |e2x| + |e2y|
+        D = np.abs(e1x, out=r)
+        for e in (e1y, e2x, e2y):
+            D += np.abs(e, out=a)
+        np.multiply(16.0 * u, beta, out=a)
+        a *= D
+        rho += a
+        # delta = 5 rho + 16u (beta D + 1)
+        np.multiply(beta, D, out=a)
+        a += 1.0
+        a *= 16.0 * u
+        delta = np.multiply(rho, 5.0, out=rho)
+        delta += a
+        # K = 2 max((eps + delta) D), thr = delta + 2 K D / cross_lo
+        np.add(delta, _BARY_STRICT, out=a)
+        a *= D
+        K = 2.0 * np.max(a, axis=-1)
+        thr = np.multiply(D, 2.0 * K[:, None], out=D)
+        thr /= cross_lo
+        thr += delta
+        thr = _readonly(thr)
         certified = (np.all(cross_lo > 0.0, axis=-1)
                      & _star_shaped_loop(positions[:, mesh.boundary_loop])
                      & np.all(np.isfinite(thr), axis=-1))

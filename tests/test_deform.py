@@ -189,6 +189,56 @@ def test_inverse_errors_on_a_fresh_net():
                         r"\(best containment violation \S+\)", errors[0])
 
 
+@pytest.fixture(scope="module")
+def res25_net():
+    """A seeded res-25 x 24 net and the forward images of 1e4 box points."""
+    rng = np.random.default_rng(25)
+    net = random_net(rng, 25, 24)
+    return net, forward(net, rng.uniform(-1, 1, (10_000, 3)))
+
+
+def test_a_huge_finite_point_is_not_in_the_image(res25_net):
+    # Its scores in the last layer overflow to inf and NaN; it is rejected
+    # there, not passed on as a NaN barycentric to the next layer.
+    net, images = res25_net
+    for fn in (inverse, inverse_jacobians):
+        with pytest.raises(NotInImageError, match="is outside the deformed mesh") as info:
+            fn(net, np.concatenate([images[:3], [[1e308, 1e308, 0.0]]]))
+        e = info.value
+        assert (e.point_index, e.layer_index) == (3, net.num_layers - 1)
+        assert np.all(np.abs(e.point) >= 1e308)
+
+
+# The walk's work on ``res25_net``'s images when each step started from the
+# exact rest triangle: points scored, and rows that fell back to the scan.
+WALK_SCORES, SCAN_ROWS = 397_102, 0
+
+
+def test_inverse_walk_work_does_not_grow(res25_net, monkeypatch):
+    net, images = res25_net
+    work = {"scored": 0, "scan": 0}
+    barycentrics, scan_query = mesh2d._barycentrics, _ImageLocator._scan_query
+
+    def scored(dx, *rest):
+        if dx.ndim == 1:  # the walk; the scan scores (points, T) blocks
+            work["scored"] += dx.size
+        return barycentrics(dx, *rest)
+
+    def scanned(self, pts, rows, layer_index):
+        work["scan"] += len(rows)
+        return scan_query(self, pts, rows, layer_index)
+
+    monkeypatch.setattr(mesh2d, "_barycentrics", scored)
+    monkeypatch.setattr(_ImageLocator, "_scan_query", scanned)
+    counts = []
+    for _ in range(2):
+        work.update(scored=0, scan=0)
+        inverse(net, images)
+        counts.append(dict(work))
+    assert counts[0] == counts[1]  # the counts repeat exactly
+    assert counts[0]["scored"] <= WALK_SCORES and counts[0]["scan"] <= SCAN_ROWS
+
+
 def test_one_locator_build_per_realize(monkeypatch):
     builds = []
     build = mesh2d._build_image_locators

@@ -451,6 +451,22 @@ def test_cli_out_of_domain_apply_is_numerical_error(cli_workdir):
     assert r.returncode == 3
 
 
+@pytest.mark.parametrize("vertex", ["1e308 1e308 0", "3 0 0"])
+def test_cli_invert_outside_the_image_is_numerical_error(tmp_path, vertex):
+    # A huge finite vertex overflows the walk's scores; it must fail as the
+    # out-of-image vertex does, not as a NaN passed on to the next layer.
+    net = random_net(np.random.default_rng(13), 7, 3)
+    ckpt.save_checkpoint(tmp_path / "net.ckpt.json", ckpt.from_net(net))
+    (tmp_path / "far.obj").write_text(f"v 0.1 0.2 0.3\nv {vertex}\n")
+    path = tmp_path / "invert.json"
+    path.write_text(json.dumps({"workflow": "invert",
+                                "input": {"geometry": "far.obj", "checkpoint": "net.ckpt.json"},
+                                "output": {"geometry": "back.obj"}}))
+    code, err, warned = _run_main("invert", str(path))
+    assert (code, warned) == (3, []), err
+    assert err.startswith("numerical failure: point [") and "outside the deformed mesh" in err
+
+
 def test_cli_seed_override_recorded(cli_workdir):
     job = json.load(open(cli_workdir / "job.json"))
     job["output"] = {"checkpoint": "seeded.ckpt.json"}

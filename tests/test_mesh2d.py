@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tuttedeform import mesh2d
 from tuttedeform.errors import NotInImageError, OutOfDomainError
 from tuttedeform.mesh2d import (_BARY_FALLBACK, _BARY_STRICT, _SCAN_PAIRS, DOMAIN_TOL,
-                                _axis_cells, _grid_cells, _star_shaped_loop, build_mesh,
-                                locate_image_points, locate_points, realize_plmap,
-                                realize_plmaps)
+                                _axis_cells, _grid_cells, _star_shaped_loop, _walk_cells,
+                                build_mesh, locate_image_points, locate_points,
+                                realize_plmap, realize_plmaps)
 from tuttedeform.tutte import solve_tutte
 
 from conftest import (oracle_image_tables, oracle_interpolate, oracle_star_shaped_loop,
@@ -497,11 +498,37 @@ def near_threshold_points(plmap, rng, factor, k=300):
     return oracle_interpolate(plmap.vertex_positions, mesh.triangles, tri, bary)
 
 
+def walk_probe_sets(plmap, rng):
+    """The point sets the image walk is held to on ``plmap``: random
+    images; ties (deformed vertices, edge midpoints, images of gridline
+    points); face points pushed outward past the strict, the fallback and
+    the rejection tolerance in turn (for the Tutte maps, whose image is the
+    square); and, on a certified map, points near their triangle's
+    threshold.  Returns the four lists ``random, ties, pushed, near``."""
+    mesh, U = plmap.mesh, plmap.vertex_positions
+    random_images = map_points(plmap, rng.uniform(-1, 1, (2000, 2)))
+    g = mesh.grid
+    on_x = np.column_stack([g[rng.integers(0, g.size, 200)], rng.uniform(-1, 1, 200)])
+    on_y = np.column_stack([rng.uniform(-1, 1, 200), g[rng.integers(0, g.size, 200)]])
+    mids = 0.5 * (U[mesh.edges[:, 0]] + U[mesh.edges[:, 1]])
+    ties = [U, mids, map_points(plmap, np.concatenate([on_x, on_y]))]
+    faces = map_points(plmap, face_points(rng, 40))
+    pushed = [faces * (1.0 + d) for d in (1e-12, 1e-11, 1e-10, 3e-10)]
+    near = []
+    if plmap.image_locator().thr is not None:
+        near = [near_threshold_points(plmap, rng, factor) for factor in (0.5, 1.0, 2.0)]
+    return [random_images], ties, pushed, near
+
+
 ORACLE_MAPS = [(res, scale) for res in (3, 7, 11, 25) for scale in (0.3, 1.0, 2.0)]
 
 
+def oracle_map_id(which):
+    return which if isinstance(which, str) else "res%d-scale%g" % which
+
+
 @pytest.mark.parametrize("which", ORACLE_MAPS + ["sheared", "wedge", "folded"],
-                         ids=lambda w: w if isinstance(w, str) else "res%d-scale%g" % w)
+                         ids=oracle_map_id)
 def test_image_walk_matches_bin_query_bit_for_bit(which, monkeypatch):
     rng = np.random.default_rng(40)
     if which == "sheared":
@@ -518,10 +545,10 @@ def test_image_walk_matches_bin_query_bit_for_bit(which, monkeypatch):
         res, scale = which
         mesh = build_mesh(res)
         plmap = solve_tutte(mesh, random_params(rng, mesh, scale=scale))
-    mesh, U = plmap.mesh, plmap.vertex_positions
     loc = plmap.image_locator()
     # The folded map is not injective, so its points all take the scan.
     assert (loc.thr is None) == (which == "folded")
+    (random_images,), ties, pushed, near = walk_probe_sets(plmap, rng)
 
     fallback_rows = []
     scan_query = type(loc)._scan_query
@@ -531,31 +558,67 @@ def test_image_walk_matches_bin_query_bit_for_bit(which, monkeypatch):
         return scan_query(self, pts, rows, layer_index)
 
     monkeypatch.setattr(type(loc), "_scan_query", counted)
-    random_images = map_points(plmap, rng.uniform(-1, 1, (2000, 2)))
     locate_image_points(plmap, random_images)
     if loc.thr is not None:  # the walk located (almost) every random image
         assert sum(fallback_rows) <= 20
     assert assert_walk_matches_bins(plmap, random_images)
+    for pts in ties + near:
+        assert assert_walk_matches_bins(plmap, pts)
+    for pts in pushed:
+        assert_walk_matches_bins(plmap, pts)
 
-    # Ties: every point lies on a deformed edge or vertex.
-    g = mesh.grid
-    on_x = np.column_stack([g[rng.integers(0, g.size, 200)], rng.uniform(-1, 1, 200)])
-    on_y = np.column_stack([rng.uniform(-1, 1, 200), g[rng.integers(0, g.size, 200)]])
-    mids = 0.5 * (U[mesh.edges[:, 0]] + U[mesh.edges[:, 1]])
-    for ties in (U, mids, map_points(plmap, np.concatenate([on_x, on_y]))):
-        assert assert_walk_matches_bins(plmap, ties)
 
-    # Face points pushed outward cross the strict, the fallback and the
-    # rejection tolerance in turn (for the Tutte maps, whose image is the
-    # square).
-    faces = map_points(plmap, face_points(rng, 40))
-    for d in (1e-12, 1e-11, 1e-10, 3e-10):
-        assert_walk_matches_bins(plmap, faces * (1.0 + d))
+def located(plmap, pts):
+    """``locate_image_points`` as bytes: the triangles and barycentrics, or
+    the NotInImageError's message, point and indices."""
+    try:
+        tri, bary = locate_image_points(plmap, pts, layer_index=7)
+    except NotInImageError as e:
+        return str(e), e.point.tobytes(), e.point_index, e.layer_index
+    return _bits(tri, bary)
 
-    if loc.thr is not None:
-        for factor in (0.5, 1.0, 2.0):
-            near = near_threshold_points(plmap, rng, factor)
-            assert assert_walk_matches_bins(plmap, near)
+
+@pytest.mark.parametrize("which", ORACLE_MAPS, ids=oracle_map_id)
+def test_the_walk_start_moves_no_bit(which, monkeypatch):
+    # The walk starts each step from the guess of _walk_cells; started from
+    # the exact rest triangle instead, every output is the same, byte for
+    # byte, since only the certificate accepts a triangle.
+    rng = np.random.default_rng(40)
+    res, scale = which
+    mesh = build_mesh(res)
+    plmap = solve_tutte(mesh, random_params(rng, mesh, scale=scale))
+    sets = [pts for kind in walk_probe_sets(plmap, rng) for pts in kind]
+    sets.append(np.array([[0.2, 0.1], [1.5, 0.0], [1.7e308, 0.0]]))  # leaves the image
+    guessed = [located(plmap, pts) for pts in sets]
+    exact_starts = []
+
+    def exact(mesh, xy):
+        exact_starts.append(xy.shape[1])
+        return _grid_cells(mesh, xy)[0]
+
+    monkeypatch.setattr(mesh2d, "_walk_cells", exact)
+    assert [located(plmap, pts) for pts in sets] == guessed
+    assert len(exact_starts) >= len(sets)
+    assert guessed[-1][2] == 1
+
+
+@pytest.mark.parametrize("res", [2, 3, 12, 25])
+def test_walk_cells_guess_a_neighbour_of_the_exact_triangle(res):
+    # Every pair of probe coordinates (gridlines, one float either side,
+    # +-1), clamped as the walk clamps, then random points.
+    mesh = build_mesh(res)
+    c = np.clip(axis_probes(mesh), -1.0, 1.0)
+    x, y = np.meshgrid(c, c)
+    rng = np.random.default_rng(60 + res)
+    random_xy = rng.uniform(-1, 1, (2, 5000))
+    xy = np.concatenate([np.stack([x.ravel(), y.ravel()]), random_xy], axis=1)
+    guess, exact = _walk_cells(mesh, xy), _grid_cells(mesh, xy)[0]
+    assert guess.dtype == np.int64
+    assert np.all((guess >= 0) & (guess < mesh.num_triangles))
+    tris = mesh.triangles
+    assert np.all(np.any(tris[guess][:, :, None] == tris[exact][:, None, :], axis=(1, 2)))
+    # Off gridlines and diagonals the guess is the exact triangle.
+    assert np.mean(guess[-5000:] == exact[-5000:]) > 0.99
 
 
 def test_image_walk_keeps_the_first_outside_point():
@@ -577,6 +640,30 @@ def test_image_walk_keeps_the_first_outside_point():
     pts[3, 1] = np.nan
     with pytest.raises(ValueError, match="point 3 is not finite"):
         locate_image_points(plmap, pts)
+
+
+@pytest.mark.parametrize("point", [[1.7e308, 0.0], [1e308, 1e308], [-1.7e308, 1.7e308]])
+def test_huge_finite_points_are_not_in_the_image(point, monkeypatch):
+    # Their scores overflow to inf and NaN.  A NaN score certifies nothing,
+    # no walk position leaves the square, and the scan rejects the point;
+    # a RuntimeWarning fails the test.
+    rng = np.random.default_rng(43)
+    mesh = build_mesh(25)
+    plmap = solve_tutte(mesh, random_params(rng, mesh))
+    positions = []
+    walk_cells = mesh2d._walk_cells
+
+    def checked(mesh, xy):
+        positions.append(xy.copy())
+        return walk_cells(mesh, xy)
+
+    monkeypatch.setattr(mesh2d, "_walk_cells", checked)
+    pts = np.concatenate([map_points(plmap, rng.uniform(-1, 1, (5, 2))), [point]])
+    with pytest.raises(NotInImageError, match="is outside the deformed mesh") as ei:
+        locate_image_points(plmap, pts, layer_index=6)
+    assert (ei.value.point_index, ei.value.layer_index) == (5, 6)
+    assert np.array_equal(ei.value.point, point)
+    assert len(positions) > 1 and all(np.all(np.abs(xy) <= 1.0) for xy in positions)
 
 
 def test_image_scan_spans_several_blocks():
